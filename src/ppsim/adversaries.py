@@ -1,12 +1,19 @@
-"""Eavesdropping strategies as per-leg pulse hooks plus a per-round guess.
+"""Eavesdropping strategies as two pulse hooks plus a per-round guess.
 
-A strategy receives every pulse travelling on a channel leg and may add
-or remove photons, but must never touch the register of a photon it did
-not create.  ``finalize`` is called exactly once per round and returns
-the strategy's guess of the encoded bits, or ``None`` for strategies
-that never guess.  All per-round mutable state lives on the
-:class:`RoundContext`, so one strategy instance can serve concurrently
-executing rounds.
+Every protocol calls the hooks at the same two points, the ones the
+invisible-photon attack and the blind-rotation defence both act on:
+``on_b_to_a`` receives the pulse going into the encoder and
+``on_a_to_b`` the pulse coming back out of it.  In the ping-pong rounds
+these are the two channel legs; in the three-way ``kkkp`` round they
+are legs 2 and 3, and leg 1 passes untouched.  Control rounds end at
+the encoder, so they call ``on_b_to_a`` only.  ``finalize`` is called
+exactly once per round, last, and returns the strategy's guess of the
+encoded bits, or ``None`` for strategies that never guess.
+
+A strategy may add or remove photons, but must never touch the register
+of a photon it did not create.  All per-round state lives in the typed
+slots of the :class:`RoundContext`, so one strategy instance serves
+every round of a session.
 
 When a guessing strategy cannot recover its probe (control round, or
 probe absorbed by the receiver's filter) it emits a uniformly random
@@ -16,9 +23,9 @@ well-defined while recording that the attack was neutralized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Container
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -42,12 +49,22 @@ DENSE_DECODE: dict[BellKind, int] = {
 
 @dataclass(slots=True)
 class RoundContext:
-    """Per-round scratchpad shared between the protocol engine and a strategy."""
+    """Per-round state shared between the protocol engine and a strategy.
+
+    The engine sets ``rng`` and, in ``kkkp``, the sender's blinding angle
+    ``kkkp_theta`` (0 in protocols without one).  The strategy keeps its
+    round state in the remaining slots: ``probe_ids`` for the photons it
+    injected, ``captured`` for the probes it split off the returning
+    pulse, ``readout`` for a value it has already measured, and
+    ``blind`` when its guess is a coin flip.
+    """
 
     rng: np.random.Generator
     blind: bool = False
-    kkkp_theta: float | None = None
-    scratch: dict[str, Any] = field(default_factory=dict)
+    kkkp_theta: float = 0.0
+    probe_ids: range = range(0)
+    captured: Sequence[Photon] = ()
+    readout: int | None = None
     _next_id: int = 0
 
     def new_photon_id(self) -> int:
@@ -79,12 +96,11 @@ class AdversaryStrategy:
     """Base strategy: identity hooks, no guess."""
 
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
+        """The pulse going into the encoder."""
         return pulse
 
     def on_a_to_b(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        return pulse
-
-    def on_a_to_b_leg3(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
+        """The pulse coming back out of the encoder (message rounds only)."""
         return pulse
 
     def finalize(self, ctx: RoundContext) -> int | None:
@@ -125,34 +141,38 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
     legitimate photon.
     """
 
+    width = 1  # guessed bits
+
     def __init__(self, lambda_e_nm: float):
         if lambda_e_nm <= 0:
             raise ValueError(f"probe wavelength must be positive, got {lambda_e_nm}")
         self.lambda_e_nm = lambda_e_nm
         self.band_nm = _probe_band(lambda_e_nm)
 
+    def _probe_qubit(self) -> tuple[QuantumRegister, int]:
+        return quantum.make_single(Prep.PLUS), 0
+
+    def _read(self, probe: Photon, rng: np.random.Generator) -> int:
+        outcome, _ = quantum.measure(probe.register, probe.qubit, BASIS_X, rng)
+        return outcome
+
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        probe = Photon(ctx.new_photon_id(), self.lambda_e_nm, quantum.make_single(Prep.PLUS), 0)
-        ctx.scratch["probe_id"] = probe.id
+        ctx.probe_ids = ctx.new_photon_ids(1)
+        reg, qubit = self._probe_qubit()
+        probe = Photon(ctx.probe_ids[0], self.lambda_e_nm, reg, qubit)
         return Pulse(pulse.leg, pulse.photons + [probe])
 
     def on_a_to_b(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        probe_id = ctx.scratch.get("probe_id")
-        if probe_id is None:  # no probe in flight yet on this round
-            return pulse
-        captured, forwarded = _take_probes(pulse, self.band_nm, {probe_id})
+        captured, forwarded = _take_probes(pulse, self.band_nm, ctx.probe_ids)
         if captured:
-            probe = captured[0]
-            outcome, _ = quantum.measure(probe.register, probe.qubit, BASIS_X, ctx.rng)
-            ctx.scratch["readout"] = outcome
+            ctx.readout = self._read(captured[0], ctx.rng)
         return forwarded
 
     def finalize(self, ctx: RoundContext) -> int | None:
-        readout = ctx.scratch.get("readout")
-        if readout is None:
+        if ctx.readout is None:
             ctx.blind = True
-            return ctx.random_bits(1)
-        return readout
+            return ctx.random_bits(self.width)
+        return ctx.readout
 
 
 def make_ipe(lambda_e_nm: float = EVE_WAVELENGTH_NM) -> AdversaryStrategy:
@@ -160,7 +180,7 @@ def make_ipe(lambda_e_nm: float = EVE_WAVELENGTH_NM) -> AdversaryStrategy:
     return _InvisiblePhotonEavesdropper(lambda_e_nm)
 
 
-class _DenseInvisiblePhotonEavesdropper(AdversaryStrategy):
+class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
     """Entangled-pair probe for the dense-coding variant.
 
     Eve stores one half of a fresh |Psi+> pair and sends the other half
@@ -168,42 +188,14 @@ class _DenseInvisiblePhotonEavesdropper(AdversaryStrategy):
     out both encoded bits.
     """
 
-    def __init__(self, lambda_e_nm: float):
-        if lambda_e_nm <= 0:
-            raise ValueError(f"probe wavelength must be positive, got {lambda_e_nm}")
-        self.lambda_e_nm = lambda_e_nm
-        self.band_nm = _probe_band(lambda_e_nm)
+    width = 2
 
-    def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        pair = quantum.make_bell(BellKind.PSI_PLUS)
-        probe = Photon(ctx.new_photon_id(), self.lambda_e_nm, pair, 1)
-        ctx.scratch["probe_id"] = probe.id
-        ctx.scratch["pair"] = pair  # qubit 0 stays in Eve's lab
-        return Pulse(pulse.leg, pulse.photons + [probe])
+    def _probe_qubit(self) -> tuple[QuantumRegister, int]:
+        return quantum.make_bell(BellKind.PSI_PLUS), 1  # qubit 0 stays in Eve's lab
 
-    def on_a_to_b(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        probe_id = ctx.scratch.get("probe_id")
-        if probe_id is None:
-            return pulse
-        captured, forwarded = _take_probes(pulse, self.band_nm, {probe_id})
-        if captured:
-            probe = captured[0]
-            pair: QuantumRegister = ctx.scratch["pair"]
-            if probe.register is pair:
-                reg, qa, qb = pair, 0, probe.qubit
-            else:  # probe was rehoused; bring both halves into one register
-                reg = quantum.merge_registers(pair, probe.register)
-                qa, qb = 0, pair.n + probe.qubit
-            kind, _ = quantum.measure_bell(reg, qa, qb, ctx.rng)
-            ctx.scratch["readout"] = DENSE_DECODE[kind]
-        return forwarded
-
-    def finalize(self, ctx: RoundContext) -> int | None:
-        readout = ctx.scratch.get("readout")
-        if readout is None:
-            ctx.blind = True
-            return ctx.random_bits(2)
-        return readout
+    def _read(self, probe: Photon, rng: np.random.Generator) -> int:
+        kind, _ = quantum.measure_bell(probe.register, 0, probe.qubit, rng)
+        return DENSE_DECODE[kind]
 
 
 def make_ipe_dense(lambda_e_nm: float = EVE_WAVELENGTH_NM) -> AdversaryStrategy:
@@ -238,7 +230,9 @@ class _BlindBaseProbe(AdversaryStrategy):
     the sender's net encoding rotation ROT(s*pi/4 - theta).  Without
     theta the probe readout distribution is independent of s; with
     side knowledge of theta each probe discriminates the two encodings
-    exactly.
+    exactly.  The probes are split off the returning pulse in
+    ``on_a_to_b`` and read in ``finalize``, after the receiver's
+    measurement.
     """
 
     def __init__(self, n: int, lambda_e_nm: float, theta_known: bool):
@@ -252,18 +246,16 @@ class _BlindBaseProbe(AdversaryStrategy):
         self.theta_known = theta_known
 
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        ids = ctx.new_photon_ids(self.n)
-        ctx.scratch["probe_ids"] = ids
+        ids = ctx.probe_ids = ctx.new_photon_ids(self.n)
         probes = [Photon(pid, self.lambda_e_nm, quantum.make_single(0.0), 0) for pid in ids]
         return Pulse(pulse.leg, pulse.photons + probes)
 
-    def on_a_to_b_leg3(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        captured, forwarded = _take_probes(pulse, self.band_nm, ctx.scratch["probe_ids"])
-        ctx.scratch["captured"] = captured
+    def on_a_to_b(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
+        ctx.captured, forwarded = _take_probes(pulse, self.band_nm, ctx.probe_ids)
         return forwarded
 
     def finalize(self, ctx: RoundContext) -> int | None:
-        captured: list[Photon] = ctx.scratch.get("captured", [])
+        captured = ctx.captured
         if not captured:
             ctx.blind = True
             return ctx.random_bits(1)

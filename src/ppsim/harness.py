@@ -1,18 +1,16 @@
 """Session runner and aggregated statistics.
 
-A session executes N protocol rounds, each on its own random stream
-derived from the master seed in counter mode (Philox keyed by the seed,
-counter = round index).  Identical (config, strategy) inputs therefore
-yield bit-identical statistics and round logs, and rounds can be fanned
-out to parallel workers without changing the result: aggregation uses
-only commutative integer counting, with the float rates derived once at
-the end.
+A session executes N protocol rounds in the calling thread, each on its
+own random stream derived from the master seed in counter mode (Philox
+keyed by the seed, counter = round index).  Identical (config,
+strategy) inputs therefore yield bit-identical statistics and round
+logs.  Aggregation is integer counting, with the float rates derived
+once at the end.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log2
 from typing import Iterable, Mapping
@@ -29,7 +27,7 @@ def round_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _stream_factory(seed: int):
-    """Chunk-local equivalent of :func:`round_rng` without per-round allocation.
+    """Equivalent of :func:`round_rng` without per-round allocation.
 
     Reuses one Philox generator and resets its state to (seed,
     counter = index << 192, nothing buffered) before each round; the
@@ -140,7 +138,7 @@ def qber(records: Iterable[RoundRecord]) -> float:
 
 
 class _Accumulator:
-    """Streaming, order-independent aggregation of round records."""
+    """Streaming aggregation of round records."""
 
     __slots__ = (
         "rounds", "message_rounds", "message_errors", "control_evaluated",
@@ -178,13 +176,6 @@ class _Accumulator:
             self.control_evaluated += 1
             self.control_failures += not rec.control_pass
 
-    def merge(self, other: "_Accumulator") -> None:
-        for name in self.__slots__:
-            if name == "joint":
-                self.joint.update(other.joint)
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def stats(self, seed: int) -> RunStats:
         guessed = self.guessed_messages
         return RunStats(
@@ -204,44 +195,23 @@ class _Accumulator:
         )
 
 
-def _run_chunk(cfg: ProtocolConfig, spec: StrategySpec,
-               start: int, stop: int) -> tuple[_Accumulator, list[RoundRecord]]:
-    adv: AdversaryStrategy = make_strategy(spec)
-    stream_at = _stream_factory(cfg.seed)
-    acc = _Accumulator()
-    log: list[RoundRecord] = []
-    for i in range(start, stop):
-        rec = run_round(cfg, adv, stream_at(i))
-        acc.add(rec)
-        if cfg.log_rounds:
-            log.append(rec)
-    return acc, log
-
-
 def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
                 workers: int = 1) -> tuple[RunStats, list[RoundRecord]]:
     """Run ``cfg.rounds`` rounds of the configured protocol under attack.
 
     Returns the aggregated statistics and the round log (empty unless
-    ``cfg.log_rounds``).  ``workers`` > 1 splits the rounds over a
-    thread pool; the round streams make the result identical to the
-    sequential run.
+    ``cfg.log_rounds``).  Every round runs in the calling thread, and
+    ``workers`` has no effect: the result is the same for any value.
     """
     cfg.validate()
     strategy.validate()
-    if workers <= 1:
-        acc, log = _run_chunk(cfg, strategy, 0, cfg.rounds)
-        return acc.stats(cfg.seed), log
-
-    bounds = np.linspace(0, cfg.rounds, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda se: _run_chunk(cfg, strategy, se[0], se[1]),
-            zip(bounds[:-1], bounds[1:]),
-        ))
+    adv: AdversaryStrategy = make_strategy(strategy)
+    stream_at = _stream_factory(cfg.seed)
     acc = _Accumulator()
-    log = []
-    for part_acc, part_log in parts:
-        acc.merge(part_acc)
-        log.extend(part_log)
+    log: list[RoundRecord] = []
+    for i in range(cfg.rounds):
+        rec = run_round(cfg, adv, stream_at(i))
+        acc.add(rec)
+        if cfg.log_rounds:
+            log.append(rec)
     return acc.stats(cfg.seed), log

@@ -1,9 +1,11 @@
 """Round-by-round state machines for the four two-way protocols.
 
 Each round function executes one full protocol round against an
-adversary: the sender's preparation, the adversary's hooks on every
-channel leg, the optional input filter at the encoder's lab, the
-control/message mode branch, and the decoder's measurement.  The
+adversary: the sender's preparation, the adversary's hook on the pulse
+going into the encoder (``on_b_to_a``), the optional input filter at the
+encoder's lab, the control/message mode branch, the adversary's hook on
+the pulse coming back out of the encoder (``on_a_to_b``, message rounds
+only), the decoder's measurement and the adversary's ``finalize``.  The
 returned :class:`RoundRecord` is the complete per-round transcript.
 
 Conventions shared by all rounds:
@@ -123,18 +125,6 @@ def _find(pulse: Pulse, photon_id: int) -> Photon | None:
     return None
 
 
-def _decode_bell(home_reg: quantum.QuantumRegister, travel: Photon,
-                 rng: np.random.Generator) -> BellKind:
-    """Bell-measure the home qubit against the returned travel photon."""
-    if travel.register is home_reg:
-        reg, qa, qb = home_reg, 0, travel.qubit
-    else:  # travel photon was rehoused into a foreign register
-        reg = quantum.merge_registers(home_reg, travel.register)
-        qa, qb = 0, home_reg.n + travel.qubit
-    kind, _ = quantum.measure_bell(reg, qa, qb, rng)
-    return kind
-
-
 # Two-bit value -> encoding unitary (high bit = phase flip, low bit = bit flip).
 _DENSE_ENCODE = (I2, X, Z, quantum.ZX)
 
@@ -176,7 +166,7 @@ def _pp_pair_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
     if returned is None:
         bob_bits = None
     else:
-        outcome = _decode_bell(pair, returned, rng)
+        outcome, _ = quantum.measure_bell(pair, 0, returned.qubit, rng)
         if dense:
             bob_bits = DENSE_DECODE[outcome]
         else:
@@ -280,37 +270,35 @@ def kkkp_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
     pulse back (leg 3).  Bob unwinds phi and discriminates ROT(+pi/4)|0>
     from ROT(-pi/4)|0>, i.e. measures in the X basis.
 
-    Every round is a message round; the protocol defines no control
-    mode.
+    As in every protocol, the adversary sees the pulse going into the
+    encoder (leg 2) and the pulse coming back out of it (leg 3); leg 1
+    passes untouched.  Every round is a message round; the protocol
+    defines no control mode.
     """
-    ctx = RoundContext(rng=rng)
-
     # TWO_PI * rng.random() is bit-identical to rng.uniform(0.0, TWO_PI)
     # (numpy computes low + (high - low) * random()) and costs a third.
     theta = TWO_PI * rng.random()
-    ctx.kkkp_theta = theta
+    ctx = RoundContext(rng=rng, kkkp_theta=theta)
     reg = quantum.make_single(theta)
     signal = Photon(ctx.new_photon_id(), cfg.signal_wavelength_nm, reg, 0)
-    leg1 = adv.on_a_to_b(Pulse(Leg.A_TO_B, [signal]), ctx)
 
     phi = TWO_PI * rng.random()
-    for p in leg1.photons:  # Bob rotates whatever arrived
-        quantum.rotate(p.register, p.qubit, phi)
+    quantum.rotate(reg, 0, phi)
 
-    leg2 = adv.on_b_to_a(Pulse(Leg.B_TO_A, list(leg1.photons)), ctx)
-    leg2, absorbed = _through_filter(cfg, leg2)
+    pulse = adv.on_b_to_a(Pulse(Leg.B_TO_A, [signal]), ctx)
+    pulse, absorbed = _through_filter(cfg, pulse)
 
     bits = ctx.random_bits(1)
     s = 1.0 if bits == 0 else -1.0
     # ROT(-theta) followed by ROT(s*pi/4); rotations commute, so the
     # pair collapses to one rotation.
     encode = s * ENC_ANGLE - theta
-    for p in leg2.photons:
+    for p in pulse.photons:
         quantum.rotate(p.register, p.qubit, encode)
 
-    leg3 = adv.on_a_to_b_leg3(Pulse(Leg.A_TO_B, list(leg2.photons)), ctx)
-    anomaly = len(_visible(cfg, leg3)) >= 2
-    returned = _find(leg3, signal.id)
+    back = adv.on_a_to_b(Pulse(Leg.A_TO_B, list(pulse.photons)), ctx)
+    anomaly = len(_visible(cfg, back)) >= 2
+    returned = _find(back, signal.id)
     if returned is None:
         bob_bits = None
     else:

@@ -60,6 +60,12 @@ class TestRoundContext:
             else:
                 assert ours.random() == ref.random()
 
+    def test_round_state_defaults(self):
+        ctx = RoundContext(rng=RNG(0))
+        assert (ctx.blind, ctx.kkkp_theta, ctx.readout) == (False, 0.0, None)
+        assert len(ctx.probe_ids) == 0
+        assert len(ctx.captured) == 0
+
     def test_photon_ids_are_fresh(self):
         ctx = RoundContext(rng=RNG(0))
         first = ctx.new_photon_id()
@@ -75,7 +81,6 @@ class TestNoEve:
         pulse = Pulse(Leg.B_TO_A, [Photon(0, 800.0, quantum.make_single(Prep.ZERO), 0)])
         assert adv.on_b_to_a(pulse, ctx) is pulse
         assert adv.on_a_to_b(pulse, ctx) is pulse
-        assert adv.on_a_to_b_leg3(pulse, ctx) is pulse
 
     def test_never_guesses(self):
         adv = make_no_eve()
@@ -240,12 +245,12 @@ class TestBlindBaseProbe:
                     Photon(ctx.new_photon_id(), EVE_WAVELENGTH_NM, quantum.make_single(0.0), 0)
                     for _ in range(self.n)
                 ]
-                ctx.scratch["ids"] = {p.id for p in probes}
+                self.ids = {p.id for p in probes}
                 return Pulse(pulse.leg, pulse.photons + probes)
 
-            def on_a_to_b_leg3(self, pulse, ctx):
-                keep = [p for p in pulse.photons if p.id not in ctx.scratch["ids"]]
-                mine = [p for p in pulse.photons if p.id in ctx.scratch["ids"]]
+            def on_a_to_b(self, pulse, ctx):
+                keep = [p for p in pulse.photons if p.id not in self.ids]
+                mine = [p for p in pulse.photons if p.id in self.ids]
                 zeros = 0
                 for p in mine:
                     outcome, _ = quantum.measure(p.register, p.qubit, BASIS_Z, ctx.rng)
@@ -272,6 +277,32 @@ class TestBlindBaseProbe:
         assert stats.blind_rounds == 500
         assert stats.absorbed_total == 1500  # every probe absorbed, signal passes
         assert stats.qber == 0.0
+
+
+class TestProbesMeetTheirEncoder:
+    """Every probe is read on the pulse coming back out of the encoder,
+    whatever protocol it runs against."""
+
+    def test_ipe_reads_its_probe_against_blind_rotations(self):
+        # The invisible photon rides through the blind-rotation encoder
+        # and is read on leg 3, but ROT(s*pi/4 - theta) with theta unknown
+        # hides the bit from it.
+        cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, rounds=4000, seed=42)
+        stats, _ = run_session(cfg, StrategySpec(StrategyKind.IPE))
+        assert stats.blind_rounds == 0
+        assert stats.eve_mutual_info_bits < 0.01
+        sigma = math.sqrt(0.25 / stats.message_rounds)
+        assert abs(stats.eve_accuracy - 0.5) < 3 * sigma
+        assert stats.qber == 0.0
+
+    @pytest.mark.parametrize("theta_known", [False, True])
+    def test_kkkp_probe_on_ping_pong_is_blind_in_control_rounds_only(self, theta_known):
+        cfg = epr_cfg(rounds=1000, log_rounds=True)
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=3, theta_known=theta_known)
+        stats, log = run_session(cfg, spec)
+        assert stats.blind_rounds == stats.rounds - stats.message_rounds > 0
+        for rec in log:
+            assert rec.eve_blind == (rec.mode is Mode.CONTROL)
 
 
 class TestBlindBaseProbePinned:

@@ -215,8 +215,6 @@ class _ReturnPulseThief(AdversaryStrategy):
     def on_a_to_b(self, pulse, ctx):
         return Pulse(pulse.leg, [])
 
-    on_a_to_b_leg3 = on_a_to_b
-
 
 class TestErasures:
     @pytest.mark.parametrize(
@@ -228,6 +226,65 @@ class TestErasures:
         assert rec.mode is Mode.MESSAGE
         assert rec.bob_bits is None
         assert rec.bob_bits != rec.alice_bits
+
+
+class _HookRecorder(AdversaryStrategy):
+    """Records every hook call with the leg it saw and the signal's state."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _record(self, name, pulse):
+        signal = next(p for p in pulse.photons if p.id == 0)
+        self.calls.append((name, pulse.leg, signal.register.amplitudes))
+        return pulse
+
+    def on_b_to_a(self, pulse, ctx):
+        return self._record("on_b_to_a", pulse)
+
+    def on_a_to_b(self, pulse, ctx):
+        return self._record("on_a_to_b", pulse)
+
+    def finalize(self, ctx):
+        self.calls.append(("finalize", None, None))
+
+
+class TestHookContract:
+    """Two hooks with one meaning in every protocol: ``on_b_to_a`` sees the
+    pulse going into the encoder, ``on_a_to_b`` the pulse coming back out."""
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_message_round(self, kind):
+        cfg = config(kind) if kind is ProtocolKind.KKKP else config(kind, control_prob=ALWAYS_MESSAGE)
+        adv = _HookRecorder()
+        rec = run_round(cfg, adv, RNG(114))
+        assert rec.mode is Mode.MESSAGE
+        assert [(name, leg) for name, leg, _ in adv.calls] == [
+            ("on_b_to_a", Leg.B_TO_A), ("on_a_to_b", Leg.A_TO_B), ("finalize", None),
+        ]
+
+    @pytest.mark.parametrize("kind", [ProtocolKind.PP_EPR, ProtocolKind.PP_SINGLE, ProtocolKind.PP_DENSE])
+    def test_control_round(self, kind):
+        adv = _HookRecorder()
+        rec = run_round(config(kind, control_prob=ALWAYS_CONTROL), adv, RNG(115))
+        assert rec.mode is Mode.CONTROL
+        assert [(name, leg) for name, leg, _ in adv.calls] == [
+            ("on_b_to_a", Leg.B_TO_A), ("finalize", None),
+        ]
+
+    def test_kkkp_hooks_flank_the_encoder(self):
+        # Into the encoder: ROT(theta + phi)|0>, Bob's blinding applied.
+        # Out of it: ROT(phi + s*pi/4)|0>, Alice's angle unwound.
+        rng = RNG(116)
+        for _ in range(10):
+            adv = _HookRecorder()
+            rec = kkkp_round(config(ProtocolKind.KKKP), adv, rng)
+            theta, phi = rec.kkkp_angles
+            s = 1.0 if rec.alice_bits == 0 else -1.0
+            (_, _, into), (_, _, out), _ = adv.calls
+            np.testing.assert_allclose(into, quantum.make_single(theta + phi).amplitudes, atol=1e-12)
+            np.testing.assert_allclose(out, quantum.make_single(phi + s * math.pi / 4).amplitudes,
+                                       atol=1e-12)
 
 
 class TestVisibleProbeDetection:
