@@ -97,6 +97,14 @@ class Pulse:
         self.photons = photons
 
 
+def _subpulse(leg: Leg, photons: list[Photon]) -> Pulse:
+    """Pulse of photons taken from one already-checked pulse: ids stay distinct."""
+    pulse = object.__new__(Pulse)
+    pulse.leg = leg
+    pulse.photons = photons
+    return pulse
+
+
 def is_visible(detector: Detector, photon: Photon) -> bool:
     """True iff the photon's wavelength lies inside the detector window."""
     lo, hi = detector.window_nm
@@ -112,7 +120,7 @@ def apply_filter(filt: OpticalFilter, pulse: Pulse) -> tuple[Pulse, int]:
     """
     lo, hi = filt.passband_nm
     passed = [p for p in pulse.photons if lo <= p.wavelength_nm <= hi]
-    return Pulse(pulse.leg, passed), len(pulse.photons) - len(passed)
+    return _subpulse(pulse.leg, passed), len(pulse.photons) - len(passed)
 
 
 def split_by_wavelength(pulse: Pulse, band_nm: tuple[float, float]) -> tuple[Pulse, Pulse]:
@@ -125,4 +133,4 @@ def split_by_wavelength(pulse: Pulse, band_nm: tuple[float, float]) -> tuple[Pul
     out_band: list[Photon] = []
     for p in pulse.photons:
         (in_band if lo <= p.wavelength_nm <= hi else out_band).append(p)
-    return Pulse(pulse.leg, in_band), Pulse(pulse.leg, out_band)
+    return _subpulse(pulse.leg, in_band), _subpulse(pulse.leg, out_band)

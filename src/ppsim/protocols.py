@@ -312,15 +312,17 @@ def kkkp_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
     )
 
 
+# Keyed by member name: a str hashes in C, while hashing the member itself
+# runs Enum.__hash__ in Python, once per round.
 _ROUND_FUNCS = {
-    ProtocolKind.PP_EPR: pp_epr_round,
-    ProtocolKind.PP_SINGLE: pp_single_round,
-    ProtocolKind.PP_DENSE: pp_dense_round,
-    ProtocolKind.KKKP: kkkp_round,
+    ProtocolKind.PP_EPR.name: pp_epr_round,
+    ProtocolKind.PP_SINGLE.name: pp_single_round,
+    ProtocolKind.PP_DENSE.name: pp_dense_round,
+    ProtocolKind.KKKP.name: kkkp_round,
 }
 
 
 def run_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
               rng: np.random.Generator) -> RoundRecord:
     """Execute one round of the configured protocol."""
-    return _ROUND_FUNCS[cfg.kind](cfg, adv, rng)
+    return _ROUND_FUNCS[cfg.kind._name_](cfg, adv, rng)

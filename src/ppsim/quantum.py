@@ -5,13 +5,17 @@ vector of length ``2**n``.  Basis index convention: qubit 0 is the most
 significant bit, so for two qubits the amplitudes are ordered
 |00>, |01>, |10>, |11>.
 
-Registers of two or more qubits keep that vector as a numpy array and
-run on the generic tensor path.  A 1-qubit register, the one the
-protocols build by far most often, keeps its two amplitudes as plain
-Python complex numbers and runs on a scalar fast path: numpy's per-call
-overhead dwarfs the arithmetic at that size.  Both paths sample with
-one ``rng.random()`` per measurement, so a 1-qubit register embedded in
-a larger one yields the same outcomes from the same stream.
+The protocols build only 1- and 2-qubit registers, and numpy's
+per-call overhead dwarfs the arithmetic at those sizes, so both run on
+scalar paths.  A 1-qubit register keeps its two amplitudes as plain
+Python complex numbers.  A 2-qubit register keeps a numpy vector, but
+its gates, single-qubit measurements and Bell measurement read the four
+amplitudes into Python complex numbers, do the arithmetic there and
+write the result back into the vector.  The generic path, a contraction
+over the reshaped vector, serves registers of three or more qubits and
+is the oracle the scalar paths are tested against.  Every path samples
+with one ``rng.random()`` per measurement, so a register embedded in a
+larger one yields the same outcomes from the same stream.
 
 Single-qubit unitaries and measurement bases are plain 2x2 complex
 arrays.  A measurement basis matrix has the outcome-0 eigenvector in
@@ -99,10 +103,11 @@ class QuantumRegister:
     """Joint pure state of ``n`` qubits; amplitudes has length ``2**n``.
 
     For ``n >= 2`` the amplitudes are a numpy vector, shared with the
-    caller's array and mutable in place.  For ``n == 1`` they are held as
-    two Python complex numbers (``_a0``, ``_a1``); ``amplitudes`` then
-    returns a fresh read-only length-2 vector, and assigning to it
-    replaces the state.
+    caller's array and mutable in place; 2-qubit registers run the
+    scalar kernels on it, larger ones the generic path.  For ``n == 1``
+    they are held as two Python complex numbers (``_a0``, ``_a1``);
+    ``amplitudes`` then returns a fresh read-only length-2 vector, and
+    assigning to it replaces the state.
     """
 
     __slots__ = ("n", "_vec", "_a0", "_a1")
@@ -147,7 +152,10 @@ def states_equal(a: QuantumRegister, b: QuantumRegister, tol: float = 1e-10) -> 
 
 def make_bell(kind: BellKind) -> QuantumRegister:
     """Fresh 2-qubit register in the requested Bell state."""
-    return QuantumRegister(BELL_AMPLITUDES[kind].copy(), 2)
+    reg = object.__new__(QuantumRegister)  # amplitudes made here need no validation
+    reg.n = 2
+    reg._vec = BELL_AMPLITUDES[kind].copy()
+    return reg
 
 
 def make_single(spec: Prep | float) -> QuantumRegister:
@@ -173,16 +181,26 @@ def _check_index(reg: QuantumRegister, qubit: int) -> None:
 
 def apply_unitary(reg: QuantumRegister, qubit: int, u: np.ndarray) -> QuantumRegister:
     """Apply a 2x2 unitary to one qubit.  Mutates and returns ``reg``."""
-    if reg.n == 1 and qubit == 0:  # scalar path; _check_index rejects other indices
+    n = reg.n
+    if n == 1 and qubit == 0:  # scalar paths; _check_index rejects other indices
         (u00, u01), (u10, u11) = u.tolist()
         a0, a1 = reg._a0, reg._a1
         reg._a0 = u00 * a0 + u01 * a1
         reg._a1 = u10 * a0 + u11 * a1
         return reg
+    if n == 2 and (qubit == 0 or qubit == 1):
+        (u00, u01), (u10, u11) = u.tolist()
+        a, b, c, d = reg._vec.tolist()
+        if qubit == 0:  # pairs (|0x>, |1x>): (a, c) and (b, d)
+            reg._vec[:] = (u00 * a + u01 * c, u00 * b + u01 * d,
+                           u10 * a + u11 * c, u10 * b + u11 * d)
+        else:  # pairs (|x0>, |x1>): (a, b) and (c, d)
+            reg._vec[:] = (u00 * a + u01 * b, u10 * a + u11 * b,
+                           u00 * c + u01 * d, u10 * c + u11 * d)
+        return reg
     _check_index(reg, qubit)
-    psi = reg._vec.reshape([2] * reg.n)
-    psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [qubit])), 0, qubit)
-    reg._vec = np.ascontiguousarray(psi).reshape(-1)
+    # Axis 1 of the (left, 2, right) view is the qubit; u acts on it.
+    reg._vec = (u @ reg._vec.reshape(1 << qubit, 2, -1)).reshape(-1)
     return reg
 
 
@@ -261,18 +279,42 @@ def _collapse_qubit(reg: QuantumRegister, basis: np.ndarray, r: float) -> int:
 def _collapse_vector(reg: QuantumRegister, qubit: int, basis: np.ndarray, r: float) -> int:
     """:func:`_collapse_qubit` for one qubit of a register of two or more qubits."""
     in_z = basis is BASIS_Z
-    if not in_z:
-        apply_unitary(reg, qubit, basis.conj().T)
-    psi = reg._vec.reshape([2] * reg.n)
-    sel = [slice(None)] * reg.n
-    sel[qubit] = 1
-    p1 = float(np.sum(np.abs(psi[tuple(sel)]) ** 2))
+    if reg.n == 2:
+        return _collapse_pair(reg, qubit, basis, in_z, r)
+    psi = reg._vec.reshape(1 << qubit, 2, -1)  # axis 1 is the measured qubit
+    if not in_z:  # amplitudes in the measurement basis
+        psi = basis.conj().T @ psi
+    p1 = float(np.sum(np.abs(psi[:, 1]) ** 2))
     outcome = 1 if r < p1 else 0
-    sel[qubit] = 1 - outcome
-    psi[tuple(sel)] = 0.0
-    reg._vec /= math.sqrt(p1 if outcome else 1.0 - p1)
+    psi[:, 1 - outcome] = 0.0
+    psi /= math.sqrt(p1 if outcome else 1.0 - p1)
     if not in_z:
-        apply_unitary(reg, qubit, basis)
+        reg._vec = (basis @ psi).reshape(-1)
+    return outcome
+
+
+def _collapse_pair(reg: QuantumRegister, qubit: int, basis: np.ndarray, in_z: bool, r: float) -> int:
+    """Scalar :func:`_collapse_vector` for a 2-qubit register."""
+    vec = reg._vec
+    a, b, c, d = vec.tolist()
+    # (x0, x1): the measured qubit's amplitudes with the other qubit at 0;
+    # (y0, y1): the same with the other qubit at 1.
+    x0, x1, y0, y1 = (a, c, b, d) if qubit == 0 else (a, b, c, d)
+    if not in_z:  # amplitudes in the measurement basis: basis^dagger @ pair
+        (b00, b01), (b10, b11) = basis.tolist()
+        b00c, b01c, b10c, b11c = b00.conjugate(), b01.conjugate(), b10.conjugate(), b11.conjugate()
+        x0, x1 = b00c * x0 + b10c * x1, b01c * x0 + b11c * x1
+        y0, y1 = b00c * y0 + b10c * y1, b01c * y0 + b11c * y1
+    p1 = x1.real * x1.real + x1.imag * x1.imag + y1.real * y1.real + y1.imag * y1.imag
+    if r < p1:
+        outcome, norm = 1, math.sqrt(p1)
+        kx, ky = x1 / norm, y1 / norm
+        x0, x1, y0, y1 = (0j, kx, 0j, ky) if in_z else (b01 * kx, b11 * kx, b01 * ky, b11 * ky)
+    else:
+        outcome, norm = 0, math.sqrt(1.0 - p1)
+        kx, ky = x0 / norm, y0 / norm
+        x0, x1, y0, y1 = (kx, 0j, ky, 0j) if in_z else (b00 * kx, b10 * kx, b00 * ky, b10 * ky)
+    vec[:] = (x0, y0, x1, y1) if qubit == 0 else (x0, x1, y0, y1)
     return outcome
 
 
@@ -290,23 +332,50 @@ def measure_bell(
     if qa == qb:
         raise ValueError("Bell measurement needs two distinct qubits")
     n = reg.n
+    if n == 2:
+        return _measure_bell_pair(reg, rng.random())
     psi = reg._vec.reshape([2] * n)
     psi = np.moveaxis(psi, (qa, qb), (0, 1)).reshape(4, -1)
     coeff = _BELL_MATRIX.conj() @ psi  # row k = <bell_k| psi, over the remaining qubits
-    probs = np.sum(np.abs(coeff) ** 2, axis=1)
-    r = rng.random()
-    acc = 0.0
-    k = -1
-    for i, p in enumerate(probs):
-        acc += float(p)
-        if r < acc:
-            k = i
-            break
-    if k < 0:  # cumulative sum fell short of 1 by rounding
-        k = int(np.argmax(probs))
-    post = np.outer(_BELL_MATRIX[k], coeff[k] / math.sqrt(float(probs[k])))
+    probs = np.sum(np.abs(coeff) ** 2, axis=1).tolist()
+    k = _pick(probs, rng.random())
+    post = np.outer(_BELL_MATRIX[k], coeff[k] / math.sqrt(probs[k]))
     post = np.moveaxis(post.reshape([2, 2] + [2] * (n - 2)), (0, 1), (qa, qb))
     reg._vec = np.ascontiguousarray(post).reshape(-1)
+    return _BELL_ORDER[k], reg
+
+
+def _pick(probs: list[float], r: float) -> int:
+    """First index whose cumulative probability exceeds the uniform draw ``r``."""
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if r < acc:
+            return i
+    return probs.index(max(probs))  # the sum fell short of 1 by rounding
+
+
+def _measure_bell_pair(reg: QuantumRegister, r: float) -> tuple[BellKind, QuantumRegister]:
+    """Scalar :func:`measure_bell` of both qubits of a 2-qubit register.
+
+    Either qubit order gives the same outcome probabilities and the same
+    collapsed state, the normalised projection onto the outcome.
+    """
+    vec = reg._vec
+    a, b, c, d = vec.tolist()
+    coeff = ((b + c) * _SQRT2_INV, (b - c) * _SQRT2_INV,   # Psi+, Psi-
+             (a + d) * _SQRT2_INV, (a - d) * _SQRT2_INV)   # Phi+, Phi-
+    probs = [z.real * z.real + z.imag * z.imag for z in coeff]
+    k = _pick(probs, r)
+    h = coeff[k] * (_SQRT2_INV / math.sqrt(probs[k]))
+    if k == 0:
+        vec[:] = (0j, h, h, 0j)
+    elif k == 1:
+        vec[:] = (0j, h, -h, 0j)
+    elif k == 2:
+        vec[:] = (h, 0j, 0j, h)
+    else:
+        vec[:] = (h, 0j, 0j, -h)
     return _BELL_ORDER[k], reg
 
 

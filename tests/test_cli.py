@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +201,11 @@ class TestCompare:
         out = tmp_path / "again.csv"
         assert main(["compare", "-o", str(out), "--rounds", "1500"]) == 0
         assert out.read_text(encoding="utf-8") == matrix
+
+    def test_matrix_is_pinned(self, tmp_path):
+        # Any change to a kernel's draws or to the random-stream layout
+        # shows here; regenerating the file is a declared change.
+        out = tmp_path / "matrix.csv"
+        assert main(["compare", "-o", str(out), "--seed", "42", "--rounds", "2000"]) == 0
+        golden = Path(__file__).parent / "golden" / "compare_seed42_rounds2000.csv"
+        assert out.read_bytes() == golden.read_bytes()

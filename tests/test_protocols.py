@@ -1,6 +1,7 @@
 """Round-level tests for the four protocol state machines."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +229,23 @@ class TestErasures:
         assert rec.bob_bits != rec.alice_bits
 
 
+class _IdReuser(AdversaryStrategy):
+    """Hands back the pulse entering the encoder with a photon that reuses the signal's id."""
+
+    def on_b_to_a(self, pulse, ctx):
+        twin = Photon(pulse.photons[0].id, EVE_WAVELENGTH_NM, quantum.make_single(Prep.PLUS), 0)
+        return Pulse(pulse.leg, pulse.photons + [twin])
+
+
+class TestDuplicateIds:
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_strategy_pulse_with_duplicate_ids_is_rejected(self, kind, filtered):
+        cfg = config(kind, filter=default_filter() if filtered else None)
+        with pytest.raises(ValueError, match="duplicate photon ids"):
+            run_round(cfg, _IdReuser(), RNG(114))
+
+
 class _HookRecorder(AdversaryStrategy):
     """Records every hook call with the leg it saw and the signal's state."""
 
@@ -305,6 +323,26 @@ class TestVisibleProbeDetection:
             rec = pp_epr_round(cfg, make_ipe(lambda_e_nm=800.0), rng)
             assert rec.bob_bits == rec.alice_bits
             assert rec.eve_guess == rec.alice_bits
+
+
+class TestRoundDispatch:
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_dispatch_hashes_no_enum_member(self, kind):
+        # Enum.__hash__ runs in Python; the kind is fixed for a session, so
+        # picking the round function must not pay for it every round.
+        hashed = []
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "__hash__"
+                    and frame.f_back.f_code is run_round.__code__):
+                hashed.append(frame.f_code.co_filename)
+
+        sys.setprofile(profile)
+        try:
+            run_round(config(kind), make_no_eve(), RNG(115))
+        finally:
+            sys.setprofile(None)
+        assert hashed == []
 
 
 class TestConfigValidation:

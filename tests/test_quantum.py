@@ -263,13 +263,39 @@ class TestRegisterValidation:
         assert q.states_equal(reg, q.make_single(q.Prep.ONE))
 
 
+def _ground(n: int) -> np.ndarray:
+    return np.eye(1, 1 << n, dtype=complex)[0]
+
+
 def _embedded(reg: q.QuantumRegister) -> q.QuantumRegister:
-    """``reg`` as qubit 0 of a 2-qubit product with |0>: runs on the generic path."""
-    return q.merge_registers(reg, q.make_single(q.Prep.ZERO))
+    """``reg`` as the leading qubits of a 3-qubit product with |0..0>.
+
+    Three qubits is the smallest register on the generic path, so the
+    scalar kernels of ``reg`` are compared with the generic ones.
+    """
+    pad = 3 - reg.n
+    return q.merge_registers(reg, q.QuantumRegister(_ground(pad), pad))
 
 
 def _assert_embeds(small: q.QuantumRegister, big: q.QuantumRegister) -> None:
-    np.testing.assert_allclose(big.amplitudes, np.kron(small.amplitudes, [1, 0]), atol=1e-12)
+    expected = np.kron(small.amplitudes, _ground(big.n - small.n))
+    np.testing.assert_allclose(big.amplitudes, expected, atol=1e-12)
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random 2x2 unitary with complex entries (QR of a Gaussian matrix)."""
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return u
+
+
+class _FixedDraw:
+    """Stand-in generator whose ``random()`` always returns ``r``."""
+
+    def __init__(self, r: float):
+        self.r = r
+
+    def random(self) -> float:
+        return self.r
 
 
 class TestOneQubitFastPath:
@@ -319,6 +345,80 @@ class TestOneQubitFastPath:
     def test_rotate_index_out_of_range(self):
         with pytest.raises(IndexError):
             q.rotate(q.make_single(q.Prep.ZERO), 1, 0.3)
+
+
+class TestTwoQubitFastPath:
+    """The scalar 2-qubit kernels agree with the generic path of a 3-qubit register."""
+
+    BASES = [q.BASIS_Z, q.BASIS_X, q.rotated_basis(0.7), q.rotated_basis(-2.3),
+             random_unitary(RNG(50))]
+
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_apply_unitary_matches_generic_path(self, qubit):
+        rng = RNG(51)
+        for _ in range(100):
+            reg = random_state(rng, 2)
+            big = _embedded(reg)
+            gates = [q.X, q.Z, q.IY, q.ZX, q.rot(float(rng.uniform(-7, 7))), random_unitary(rng)]
+            u = gates[int(rng.integers(0, len(gates)))]
+            q.apply_unitary(reg, qubit, u)
+            q.apply_unitary(big, qubit, u)
+            _assert_embeds(reg, big)
+
+    @pytest.mark.parametrize("qubit", [0, 1])
+    @pytest.mark.parametrize("basis_index", range(len(BASES)))
+    def test_measure_matches_generic_path(self, basis_index, qubit):
+        basis = self.BASES[basis_index]
+        states = RNG(52)
+        fast_rng, slow_rng = RNG(53), RNG(53)
+        outcomes = set()
+        for _ in range(200):
+            reg = random_state(states, 2)
+            big = _embedded(reg)
+            fast, _ = q.measure(reg, qubit, basis, fast_rng)
+            slow, _ = q.measure(big, qubit, basis, slow_rng)
+            assert fast == slow
+            _assert_embeds(reg, big)
+            outcomes.add(fast)
+        assert outcomes == {0, 1}
+        assert fast_rng.random() == slow_rng.random()  # same number of draws
+
+    @pytest.mark.parametrize("qa, qb", [(0, 1), (1, 0)])
+    def test_measure_bell_matches_generic_path(self, qa, qb):
+        states = RNG(54)
+        fast_rng, slow_rng = RNG(55), RNG(55)
+        outcomes = set()
+        for _ in range(200):
+            reg = random_state(states, 2)
+            big = _embedded(reg)
+            fast, _ = q.measure_bell(reg, qa, qb, fast_rng)
+            slow, _ = q.measure_bell(big, qa, qb, slow_rng)
+            assert fast == slow
+            _assert_embeds(reg, big)
+            outcomes.add(fast)
+        assert outcomes == set(q.BellKind)
+        assert fast_rng.random() == slow_rng.random()
+
+    def test_measure_bell_shortfall_picks_the_largest_outcome(self):
+        # Probabilities summing to 0.81 leave a draw of 0.9 past the
+        # cumulative sum; both paths then fall back to the most likely kind.
+        amps = 0.9 * (0.6 * q.BELL_AMPLITUDES[q.BellKind.PHI_MINUS]
+                      + 0.8 * q.BELL_AMPLITUDES[q.BellKind.PSI_MINUS])
+        reg = q.QuantumRegister(amps.copy(), 2)
+        big = _embedded(reg)
+        assert q.measure_bell(reg, 0, 1, _FixedDraw(0.9))[0] is q.BellKind.PSI_MINUS
+        assert q.measure_bell(big, 0, 1, _FixedDraw(0.9))[0] is q.BellKind.PSI_MINUS
+        _assert_embeds(reg, big)
+        assert q.states_equal(reg, q.make_bell(q.BellKind.PSI_MINUS))
+
+    def test_index_out_of_range(self):
+        reg = q.make_bell(q.BellKind.PSI_PLUS)
+        with pytest.raises(IndexError):
+            q.apply_unitary(reg, 2, q.X)
+        with pytest.raises(IndexError):
+            q.measure(reg, -1, q.BASIS_X, RNG(0))
+        with pytest.raises(IndexError):
+            q.measure_bell(reg, 0, 2, RNG(0))
 
 
 class TestMeasureEach:
