@@ -19,6 +19,13 @@ When a guessing strategy cannot recover its probe (control round, or
 probe absorbed by the receiver's filter) it emits a uniformly random
 guess and flags the round as blind, keeping the accuracy statistic
 well-defined while recording that the attack was neutralized.
+
+A strategy may also give a block form (``kkkp_block_form``): the same
+attack on a ``kkkp`` session, a block of rounds at a time, as numpy
+arrays over the rounds.  The base strategy and the ``kkkp_probe``
+strategy have one; every other strategy, and any subclass that
+overrides a hook without redefining the block form, runs round by
+round.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Container, Sequence
 import numpy as np
 
 from . import quantum
-from .optics import EVE_WAVELENGTH_NM, Photon, Pulse, split_by_wavelength
+from .optics import EVE_WAVELENGTH_NM, OpticalFilter, Photon, Pulse, split_by_wavelength
 from .quantum import BASIS_X, BASIS_Z, BellKind, Prep, QuantumRegister
 
 # Half-width of the spectroscope band Eve uses to pick out her probe.
@@ -39,11 +46,13 @@ from .quantum import BASIS_X, BASIS_Z, BellKind, Prep, QuantumRegister
 PROBE_BAND_HALF_WIDTH_NM = 1.0
 
 # Bell outcome -> two-bit value (high bit = phase flip, low bit = bit flip).
-DENSE_DECODE: dict[BellKind, int] = {
-    BellKind.PSI_PLUS: 0b00,
-    BellKind.PHI_PLUS: 0b01,
-    BellKind.PSI_MINUS: 0b10,
-    BellKind.PHI_MINUS: 0b11,
+# Keyed by member name: a str hashes in C, while hashing the member itself
+# runs Enum.__hash__ in Python, once per lookup.
+DENSE_DECODE: dict[str, int] = {
+    BellKind.PSI_PLUS._name_: 0b00,
+    BellKind.PHI_PLUS._name_: 0b01,
+    BellKind.PSI_MINUS._name_: 0b10,
+    BellKind.PHI_MINUS._name_: 0b11,
 }
 
 
@@ -92,6 +101,36 @@ class RoundContext:
         return bits.next_uint32(bits.state) >> (32 - width)
 
 
+class KkkpBlockForm:
+    """A strategy's part of a ``kkkp`` session, one block of rounds at a time.
+
+    ``draws`` is the number of uniform draws the strategy makes per
+    round, ``absorbed`` the number of its photons the encoder's filter
+    absorbs per round, and ``blind`` whether every guess of the session
+    is a coin flip.  Like the hooks, a block form forwards every photon
+    it did not inject, so the receiver never sees two photons.  This one
+    is the base strategy's: nothing injected, nothing drawn, no guess.
+    """
+
+    draws = 0
+    absorbed = 0
+    blind = False
+
+    def guesses(self, theta: np.ndarray, encode: np.ndarray, draws: np.ndarray,
+                coin: np.ndarray) -> np.ndarray | None:
+        """The guess in each round of a block, or None for a strategy that never guesses.
+
+        The arguments are arrays over the rounds.  ``theta`` is the
+        sender's blinding angle and ``encode`` the net rotation
+        ROT(s*pi/4 - theta) her encoder applies to every photon it
+        receives.  Row i of ``draws`` holds the uniform draws the
+        strategy makes in round i, in order, and ``coin`` the value
+        ``ctx.random_bits(1)`` returns if the strategy calls it (at most
+        once a round).
+        """
+        return None
+
+
 class AdversaryStrategy:
     """Base strategy: identity hooks, no guess."""
 
@@ -105,6 +144,16 @@ class AdversaryStrategy:
 
     def finalize(self, ctx: RoundContext) -> int | None:
         return None
+
+    def kkkp_block_form(self, filt: OpticalFilter | None) -> KkkpBlockForm:
+        """This strategy's block form for a ``kkkp`` session behind the filter ``filt``.
+
+        It must give the same guesses from the same draws as the three
+        hooks.  A session runs in blocks only when the strategy's own
+        class defines this method, so a subclass that overrides a hook
+        without redefining it runs round by round.
+        """
+        return KkkpBlockForm()
 
 
 def make_no_eve() -> AdversaryStrategy:
@@ -195,7 +244,7 @@ class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
 
     def _read(self, probe: Photon, rng: np.random.Generator) -> int:
         kind, _ = quantum.measure_bell(probe.register, 0, probe.qubit, rng)
-        return DENSE_DECODE[kind]
+        return DENSE_DECODE[kind._name_]
 
 
 def make_ipe_dense(lambda_e_nm: float = EVE_WAVELENGTH_NM) -> AdversaryStrategy:
@@ -273,6 +322,40 @@ class _BlindBaseProbe(AdversaryStrategy):
         if zeros < half:
             return 1
         return ctx.random_bits(1)
+
+    def kkkp_block_form(self, filt: OpticalFilter | None) -> KkkpBlockForm:
+        admitted = filt is None or filt.transmits(self.lambda_e_nm)
+        return _BlindBaseProbeBlocks(self.n, self.theta_known, admitted)
+
+
+class _BlindBaseProbeBlocks(KkkpBlockForm):
+    """:class:`_BlindBaseProbe` a block at a time.
+
+    Every probe the filter admits is captured by the spectroscope, and
+    leaves the encoder as ROT(encode)|0>, so one probability per round
+    serves all n readouts.
+    """
+
+    def __init__(self, n: int, theta_known: bool, admitted: bool):
+        self.n = n
+        self.theta_known = theta_known
+        self.draws = n if admitted else 0
+        self.absorbed = 0 if admitted else n
+        self.blind = not admitted
+
+    def guesses(self, theta: np.ndarray, encode: np.ndarray, draws: np.ndarray,
+                coin: np.ndarray) -> np.ndarray:
+        if self.blind:
+            return coin
+        a0, a1 = quantum.rotate_real(1.0, 0.0, encode)
+        basis = BASIS_Z
+        if self.theta_known:
+            a0, a1 = quantum.rotate_real(a0, a1, theta)
+            basis = BASIS_X
+        p1 = quantum.prob_one_real(a0, a1, basis)
+        zeros = self.n - np.count_nonzero(draws < p1[:, None], axis=1)
+        # Majority vote over the probe readouts; fair coin on a tie.
+        return np.where(2 * zeros > self.n, 0, np.where(2 * zeros < self.n, 1, coin))
 
 
 def make_kkkp_probe(

@@ -6,6 +6,12 @@ keyed by the seed, counter = round index).  Identical (config,
 strategy) inputs therefore yield bit-identical statistics and round
 logs.  Aggregation is integer counting, with the float rates derived
 once at the end.
+
+There are two engines.  The scalar one runs :func:`run_round` once per
+round.  The block engine runs the rounds of a ``kkkp`` session, after
+round 0, as numpy arrays over blocks of up to :data:`BLOCK_ROUNDS`
+rounds; it reads the same words of the same streams and does the same
+float operations, so the scalar engine is its exact oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +24,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
-from .protocols import Mode, ProtocolConfig, RoundRecord, run_round
+from .protocols import BlockRecord, Mode, ProtocolConfig, RoundRecord, kkkp_blocks, run_round
+
+# Rounds per block of the block engine: enough to spread numpy's per-call
+# cost thin, few enough that a block's arrays stay within tens of kB.
+BLOCK_ROUNDS = 512
 
 
 def round_rng(seed: int, index: int) -> np.random.Generator:
@@ -54,6 +64,11 @@ def _stream_factory(seed: int):
         return gen
 
     return at
+
+
+def _block_words(stream_at, start: int, stop: int, k: int) -> np.ndarray:
+    """The first ``k`` 64-bit words of the streams of rounds ``start`` to ``stop - 1``, a row each."""
+    return np.array([stream_at(i).bit_generator.random_raw(k) for i in range(start, stop)])
 
 
 @dataclass(frozen=True)
@@ -176,6 +191,26 @@ class _Accumulator:
             self.control_evaluated += 1
             self.control_failures += not rec.control_pass
 
+    def add_block(self, block: BlockRecord) -> None:
+        """:meth:`add` for every round of a block of message rounds, in order."""
+        alice = block.alice_bits
+        rounds = len(alice)
+        self.rounds += rounds
+        self.message_rounds += rounds
+        self.absorbed += block.absorbed_count * rounds
+        self.blind += rounds if block.eve_blind else 0
+        bob = block.bob_bits
+        self.message_errors += rounds if bob is None else int(np.count_nonzero(bob != alice))
+        guess = block.eve_guess
+        if guess is None:
+            return
+        self.guessed_messages += rounds
+        self.correct_guesses += int(np.count_nonzero(guess == alice))
+        # Counted pair by pair, so new pairs enter the table in the order
+        # they do round by round: the float sums behind the mutual
+        # information run in that order.
+        self.joint.update(zip(alice.tolist(), guess.tolist()))
+
     def stats(self, seed: int) -> RunStats:
         guessed = self.guessed_messages
         return RunStats(
@@ -200,8 +235,14 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     """Run ``cfg.rounds`` rounds of the configured protocol under attack.
 
     Returns the aggregated statistics and the round log (empty unless
-    ``cfg.log_rounds``).  Every round runs in the calling thread, and
-    ``workers`` has no effect: the result is the same for any value.
+    ``cfg.log_rounds``).  A ``kkkp`` session under a strategy whose own
+    class defines a block form runs round 0 through :func:`run_round`
+    and the rest in blocks of up to :data:`BLOCK_ROUNDS` rounds (see
+    ``protocols.KkkpBlocks``), reading the same words of the same
+    streams, so its statistics and log are those of :func:`run_round`
+    round by round.  Every other session runs round by round.  Every
+    round runs in the calling thread, and ``workers`` has no effect: the
+    result is the same for any value.
     """
     cfg.validate()
     strategy.validate()
@@ -209,9 +250,17 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     stream_at = _stream_factory(cfg.seed)
     acc = _Accumulator()
     log: list[RoundRecord] = []
-    for i in range(cfg.rounds):
+    blocks = kkkp_blocks(cfg, adv)
+    for i in range(cfg.rounds if blocks is None else 1):
         rec = run_round(cfg, adv, stream_at(i))
         acc.add(rec)
         if cfg.log_rounds:
             log.append(rec)
+    if blocks is not None:
+        for start in range(1, cfg.rounds, BLOCK_ROUNDS):
+            stop = min(start + BLOCK_ROUNDS, cfg.rounds)
+            block = blocks.run(_block_words(stream_at, start, stop, blocks.words))
+            acc.add_block(block)
+            if cfg.log_rounds:
+                log.extend(block.records())
     return acc.stats(cfg.seed), log

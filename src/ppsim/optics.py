@@ -46,6 +46,10 @@ class OpticalFilter:
     def __post_init__(self) -> None:
         _check_interval("filter passband", self.passband_nm)
 
+    def transmits(self, wavelength_nm: float) -> bool:
+        lo, hi = self.passband_nm
+        return lo <= wavelength_nm <= hi
+
 
 def default_filter(center_nm: float = SIGNAL_WAVELENGTH_NM) -> OpticalFilter:
     return OpticalFilter((center_nm - FILTER_HALF_WIDTH_NM, center_nm + FILTER_HALF_WIDTH_NM))

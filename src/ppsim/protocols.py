@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,38 @@ class RoundRecord:
     kkkp_angles: tuple[float, float] | None = None
 
 
+class BlockRecord(NamedTuple):
+    """Transcript of a block of message rounds, as arrays over the rounds.
+
+    ``bob_bits`` is None when every round is an erasure and ``eve_guess``
+    None when the strategy never guesses.  ``eve_blind`` and
+    ``absorbed_count`` hold for every round, and no round has an anomaly.
+    A named tuple rather than a dataclass: it costs a tenth as much to
+    define, which every process start pays.
+    """
+
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray | None
+    eve_guess: np.ndarray | None
+    eve_blind: bool
+    absorbed_count: int
+    kkkp_angles: tuple[np.ndarray, np.ndarray]
+
+    def records(self) -> list[RoundRecord]:
+        """One :class:`RoundRecord` per round."""
+        rounds = len(self.alice_bits)
+        bob = [None] * rounds if self.bob_bits is None else self.bob_bits.tolist()
+        guess = [None] * rounds if self.eve_guess is None else self.eve_guess.tolist()
+        theta, phi = self.kkkp_angles
+        return [
+            RoundRecord(mode=Mode.MESSAGE, alice_bits=a, bob_bits=b, eve_guess=g,
+                        eve_blind=self.eve_blind, absorbed_count=self.absorbed_count,
+                        kkkp_angles=angles)
+            for a, b, g, angles in zip(self.alice_bits.tolist(), bob, guess,
+                                       zip(theta.tolist(), phi.tolist()))
+        ]
+
+
 def _through_filter(cfg: ProtocolConfig, pulse: Pulse) -> tuple[Pulse, int]:
     if cfg.filter is None:
         return pulse, 0
@@ -127,6 +160,9 @@ def _find(pulse: Pulse, photon_id: int) -> Photon | None:
 
 # Two-bit value -> encoding unitary (high bit = phase flip, low bit = bit flip).
 _DENSE_ENCODE = (I2, X, Z, quantum.ZX)
+
+# Bell outcome name -> bit; Phi outcomes are decoding failures, not bits.
+_EPR_DECODE = {BellKind.PSI_PLUS._name_: 0, BellKind.PSI_MINUS._name_: 1}
 
 
 def _pp_pair_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
@@ -167,11 +203,8 @@ def _pp_pair_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
         bob_bits = None
     else:
         outcome, _ = quantum.measure_bell(pair, 0, returned.qubit, rng)
-        if dense:
-            bob_bits = DENSE_DECODE[outcome]
-        else:
-            # Phi outcomes are decoding failures, not bits.
-            bob_bits = {BellKind.PSI_PLUS: 0, BellKind.PSI_MINUS: 1}.get(outcome)
+        decode = DENSE_DECODE if dense else _EPR_DECODE
+        bob_bits = decode.get(outcome._name_)
     return RoundRecord(
         mode=Mode.MESSAGE, alice_bits=bits, bob_bits=bob_bits, anomaly=anomaly,
         absorbed_count=absorbed, eve_guess=adv.finalize(ctx), eve_blind=ctx.blind,
@@ -310,6 +343,70 @@ def kkkp_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
         absorbed_count=absorbed, eve_guess=adv.finalize(ctx), eve_blind=ctx.blind,
         kkkp_angles=(theta, phi),
     )
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """What ``rng.random()`` makes of each 64-bit word: its top 53 bits times 2**-53."""
+    return (words >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+class KkkpBlocks:
+    """The rounds of a ``kkkp`` session a block at a time, as arrays over the rounds.
+
+    Under a strategy with a block form, a round is a fixed function of
+    the first ``words`` 64-bit words of its stream.  With u(w) the
+    uniform ``rng.random()`` makes of a word:
+
+    * theta = 2*pi*u(w0) and phi = 2*pi*u(w1);
+    * Alice's bit is bit 31 of w2, the low half ``random_bits(1)``
+      returns; bit 63, the half numpy keeps for the next such call, is
+      the strategy's coin;
+    * Bob's X-basis draw is u(w3), if the filter admits the signal;
+    * the strategy's draws follow.
+
+    Photon routing depends only on wavelengths, so the filter's verdict
+    is worked out once per session.  Every amplitude and probability is
+    computed with the float operations of :func:`kkkp_round`, in the
+    same order, so a block gives bit for bit the records that
+    :func:`kkkp_round` gives round by round.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
+        filt = cfg.filter
+        self.signal_admitted = filt is None or filt.transmits(cfg.signal_wavelength_nm)
+        self.eve = adv.kkkp_block_form(filt)
+        self.first_draw = 3 + self.signal_admitted  # the strategy's first word
+        self.words = self.first_draw + self.eve.draws
+        self.absorbed = (not self.signal_admitted) + self.eve.absorbed
+
+    def run(self, words: np.ndarray) -> BlockRecord:
+        """The rounds whose streams begin with the rows of ``words``."""
+        theta = TWO_PI * _uniform(words[:, 0])
+        phi = TWO_PI * _uniform(words[:, 1])
+        bits = ((words[:, 2] >> 31) & 1).astype(np.int64)
+        encode = np.where(bits == 1, -ENC_ANGLE, ENC_ANGLE) - theta
+        bob_bits = None
+        if self.signal_admitted:
+            a0, a1 = quantum.rotate_real(1.0, 0.0, theta)  # ROT(theta)|0>
+            a0, a1 = quantum.rotate_real(a0, a1, phi)
+            a0, a1 = quantum.rotate_real(a0, a1, encode)
+            a0, a1 = quantum.rotate_real(a0, a1, -phi)
+            p1 = quantum.prob_one_real(a0, a1, BASIS_X)
+            bob_bits = (_uniform(words[:, 3]) < p1).astype(np.int64)
+        coin = (words[:, 2] >> 63).astype(np.int64)
+        guesses = self.eve.guesses(theta, encode, _uniform(words[:, self.first_draw:]), coin)
+        return BlockRecord(bits, bob_bits, guesses, self.eve.blind, self.absorbed, (theta, phi))
+
+
+def kkkp_blocks(cfg: ProtocolConfig, adv: AdversaryStrategy) -> KkkpBlocks | None:
+    """The block engine for a session, or None if it runs round by round.
+
+    Only ``kkkp`` sessions under a strategy whose own class defines
+    ``kkkp_block_form`` run in blocks.
+    """
+    if cfg.kind is ProtocolKind.KKKP and "kkkp_block_form" in vars(type(adv)):
+        return KkkpBlocks(cfg, adv)
+    return None
 
 
 # Keyed by member name: a str hashes in C, while hashing the member itself

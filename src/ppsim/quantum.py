@@ -81,6 +81,10 @@ BELL_AMPLITUDES: dict[BellKind, np.ndarray] = {
 # Rows = Bell amplitudes in _BELL_ORDER; used to project onto the Bell basis.
 _BELL_MATRIX = np.stack([BELL_AMPLITUDES[k] for k in _BELL_ORDER])
 
+# The per-round lookups below are keyed by member name: a str hashes in C,
+# while hashing the member itself runs Enum.__hash__ in Python.
+_BELL_BY_NAME = {kind._name_: amps for kind, amps in BELL_AMPLITUDES.items()}
+
 
 class Prep(Enum):
     """Named single-qubit preparations."""
@@ -91,11 +95,11 @@ class Prep(Enum):
     MINUS = "minus"
 
 
-_PREP_AMPLITUDES: dict[Prep, tuple[complex, complex]] = {
-    Prep.ZERO: (1 + 0j, 0j),
-    Prep.ONE: (0j, 1 + 0j),
-    Prep.PLUS: (_SQRT2_INV + 0j, _SQRT2_INV + 0j),
-    Prep.MINUS: (_SQRT2_INV + 0j, -_SQRT2_INV + 0j),
+_PREP_AMPLITUDES: dict[str, tuple[complex, complex]] = {  # keyed by member name
+    Prep.ZERO._name_: (1 + 0j, 0j),
+    Prep.ONE._name_: (0j, 1 + 0j),
+    Prep.PLUS._name_: (_SQRT2_INV + 0j, _SQRT2_INV + 0j),
+    Prep.MINUS._name_: (_SQRT2_INV + 0j, -_SQRT2_INV + 0j),
 }
 
 
@@ -154,7 +158,7 @@ def make_bell(kind: BellKind) -> QuantumRegister:
     """Fresh 2-qubit register in the requested Bell state."""
     reg = object.__new__(QuantumRegister)  # amplitudes made here need no validation
     reg.n = 2
-    reg._vec = BELL_AMPLITUDES[kind].copy()
+    reg._vec = _BELL_BY_NAME[kind._name_].copy()
     return reg
 
 
@@ -167,7 +171,7 @@ def make_single(spec: Prep | float) -> QuantumRegister:
     reg = object.__new__(QuantumRegister)  # amplitudes made here need no validation
     reg.n = 1
     if isinstance(spec, Prep):
-        reg._a0, reg._a1 = _PREP_AMPLITUDES[spec]
+        reg._a0, reg._a1 = _PREP_AMPLITUDES[spec._name_]
     else:
         theta = float(spec)
         reg._a0, reg._a1 = complex(math.cos(theta)), complex(math.sin(theta))
@@ -217,6 +221,33 @@ def rotate(reg: QuantumRegister, qubit: int, theta: float) -> QuantumRegister:
         reg._a1 = s * a0 + c * a1
         return reg
     return apply_unitary(reg, qubit, rot(theta))
+
+
+def rotate_real(a0, a1, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ROT(theta) on many 1-qubit states with real amplitudes, as arrays over the states.
+
+    ``a0``/``a1`` are the amplitudes (arrays or scalars), ``theta`` one
+    angle per state.  Bit for bit the amplitudes :func:`rotate` gives:
+    the imaginary parts of such states stay (signed) zeros, which add
+    nothing to a real part, the cosines and sines come from the same
+    ``math`` functions, and numpy rounds each product and sum as Python
+    does.
+    """
+    angles = theta.tolist()
+    c = np.fromiter(map(math.cos, angles), float, len(angles))
+    s = np.fromiter(map(math.sin, angles), float, len(angles))
+    return c * a0 - s * a1, s * a0 + c * a1
+
+
+def prob_one_real(a0: np.ndarray, a1: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Born probability of outcome 1 for 1-qubit states with real amplitude arrays.
+
+    ``basis`` must be real (Z, X or a rotated basis).  Bit for bit the
+    probability the scalar :func:`measure` compares its draw with.
+    """
+    (_, b01), (_, b11) = basis.real.tolist()
+    amp = b01 * a0 + b11 * a1  # outcome-1 amplitude, basis^dagger @ (a0, a1)
+    return amp * amp
 
 
 def measure(

@@ -7,6 +7,8 @@ import pytest
 
 from ppsim.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
+
 IPE_SCENARIO = {
     "protocol": "pp_epr",
     "rounds": 2000,
@@ -160,6 +162,21 @@ class TestSweep:
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         assert main(["sweep", scenario, "--field", "control_prob", "--values", "a,b"]) == 2
 
+    @pytest.mark.parametrize("scenario, field, values, golden", [
+        ("kkkp_probe_seed7.json", "n", "1,2,4,16", "sweep_kkkp_probe_n_seed7.csv"),
+        # Filter on: 850 nm is visible but outside the passband; 800 nm is
+        # inside it and inside the spectroscope band of the signal.
+        ("kkkp_probe_filter_seed7.json", "lambda_e_nm", "190000,850,800",
+         "sweep_kkkp_probe_lambda_filter_seed7.csv"),
+    ])
+    def test_kkkp_sweep_is_pinned(self, tmp_path, scenario, field, values, golden):
+        # Any change to a kkkp draw or to the random-stream layout shows
+        # here; regenerating the files is a declared change.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(GOLDEN / scenario), "--field", field, "--values", values,
+                     "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
 
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
@@ -207,5 +224,4 @@ class TestCompare:
         # shows here; regenerating the file is a declared change.
         out = tmp_path / "matrix.csv"
         assert main(["compare", "-o", str(out), "--seed", "42", "--rounds", "2000"]) == 0
-        golden = Path(__file__).parent / "golden" / "compare_seed42_rounds2000.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        assert out.read_bytes() == (GOLDEN / "compare_seed42_rounds2000.csv").read_bytes()

@@ -1,6 +1,7 @@
 """Tests for the session runner, statistics and information estimates."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsim.adversaries import StrategyKind, StrategySpec
+from ppsim import adversaries, harness
+from ppsim.adversaries import AdversaryStrategy, StrategyKind, StrategySpec, make_strategy
 from ppsim.harness import (
+    BLOCK_ROUNDS,
+    _Accumulator,
+    _block_words,
     _stream_factory,
     channel_mutual_information,
     mutual_information,
@@ -17,8 +22,16 @@ from ppsim.harness import (
     round_rng,
     run_session,
 )
-from ppsim.optics import default_filter
-from ppsim.protocols import ConfigError, Mode, ProtocolConfig, ProtocolKind, RoundRecord
+from ppsim.optics import OpticalFilter, default_filter
+from ppsim.protocols import (
+    ConfigError,
+    KkkpBlocks,
+    Mode,
+    ProtocolConfig,
+    ProtocolKind,
+    RoundRecord,
+    run_round,
+)
 
 NO_EVE = StrategySpec(StrategyKind.NO_EVE)
 
@@ -212,3 +225,131 @@ class TestRunSession:
         assert stats.absorbed_total == 4000
         assert abs(stats.eve_accuracy - 0.5) < 3 * math.sqrt(0.25 / stats.message_rounds)
         assert stats.eve_mutual_info_bits < 0.01
+
+
+def kkkp_cfg(**kw) -> ProtocolConfig:
+    return ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, log_rounds=True, **kw)
+
+
+def round_by_round(cfg: ProtocolConfig, spec: StrategySpec):
+    """The oracle: run_round on fresh round_rng streams, aggregated record by record."""
+    adv = make_strategy(spec)
+    acc = _Accumulator()
+    log = [run_round(cfg, adv, round_rng(cfg.seed, i)) for i in range(cfg.rounds)]
+    for rec in log:
+        acc.add(rec)
+    return acc.stats(cfg.seed), log
+
+
+SEEDS = (42, 7, 123456789)
+PROBE_SPECS = [
+    StrategySpec(StrategyKind.KKKP_PROBE, n=n, theta_known=known)
+    for n in (1, 2, 4, 16) for known in (False, True)
+]
+# Off; the default passband around the 800 nm signal; a passband that
+# excludes the signal, so every round is an erasure.
+FILTERS = {"off": None, "default": default_filter(), "no_signal": OpticalFilter((700.0, 750.0))}
+
+
+class TestBlockEngine:
+    """kkkp sessions run in blocks; the scalar engine is the exact oracle."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("filt", FILTERS)
+    @pytest.mark.parametrize("lambda_e_nm", [190_000.0, 850.0, 800.0])
+    @pytest.mark.parametrize("spec", PROBE_SPECS, ids=lambda s: f"n{s.n}{'_known' if s.theta_known else ''}")
+    def test_probe_matches_round_by_round(self, spec, lambda_e_nm, filt, seed):
+        # 850 nm is visible but outside the default passband; 800 nm is
+        # inside it and inside the spectroscope band of the signal.
+        spec = StrategySpec(spec.kind, lambda_e_nm, n=spec.n, theta_known=spec.theta_known)
+        cfg = kkkp_cfg(rounds=120, seed=seed, filter=FILTERS[filt])
+        assert run_session(cfg, spec) == round_by_round(cfg, spec)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("filt", FILTERS)
+    def test_no_eve_matches_round_by_round(self, filt, seed):
+        cfg = kkkp_cfg(rounds=120, seed=seed, filter=FILTERS[filt])
+        assert run_session(cfg, NO_EVE) == round_by_round(cfg, NO_EVE)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("rounds", [1, 2, BLOCK_ROUNDS, BLOCK_ROUNDS + 1, 3 * BLOCK_ROUNDS + 17])
+    @pytest.mark.parametrize("spec", [
+        NO_EVE,
+        StrategySpec(StrategyKind.KKKP_PROBE, n=4),
+        StrategySpec(StrategyKind.KKKP_PROBE, n=1, theta_known=True),
+    ], ids=["no_eve", "n4", "n1_known"])
+    def test_block_boundaries(self, spec, rounds, seed):
+        cfg = kkkp_cfg(rounds=rounds, seed=seed)
+        assert run_session(cfg, spec) == round_by_round(cfg, spec)
+
+    def test_blocks_read_the_head_of_each_round_stream(self):
+        for seed in SEEDS:
+            for k in (3, 4, 20):
+                words = _block_words(_stream_factory(seed), 5, 5 + 9, k)
+                assert words.shape == (9, k)
+                for row, index in zip(words, range(5, 14)):
+                    assert row.tolist() == round_rng(seed, index).bit_generator.random_raw(k).tolist()
+
+    def test_word_counts(self):
+        def words(spec, filt=None):
+            return KkkpBlocks(kkkp_cfg(filter=filt), make_strategy(spec)).words
+
+        assert words(NO_EVE) == 4
+        assert words(StrategySpec(StrategyKind.KKKP_PROBE, n=16)) == 4 + 16
+        assert words(StrategySpec(StrategyKind.KKKP_PROBE, n=16), default_filter()) == 4  # probes absorbed
+        assert words(StrategySpec(StrategyKind.KKKP_PROBE, n=3), FILTERS["no_signal"]) == 3
+        assert words(StrategySpec(StrategyKind.KKKP_PROBE, n=3, lambda_e_nm=720.0),
+                     FILTERS["no_signal"]) == 3 + 3
+
+    def test_probe_overriding_a_hook_runs_round_by_round(self, monkeypatch):
+        class CountingProbe(adversaries._BlindBaseProbe):
+            finalized = 0
+
+            def finalize(self, ctx):
+                self.finalized += 1
+                return super().finalize(ctx)
+
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=2)
+        cfg = kkkp_cfg(rounds=BLOCK_ROUNDS + 3, seed=11)
+        expected = run_session(cfg, spec)
+        adv = CountingProbe(spec.n, spec.lambda_e_nm, spec.theta_known)
+        monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
+        assert run_session(cfg, spec) == expected
+        assert adv.finalized == cfg.rounds
+
+    def test_recording_strategy_sees_every_round(self, monkeypatch):
+        class Recorder(AdversaryStrategy):
+            def __init__(self):
+                self.calls = Counter()
+
+            def on_b_to_a(self, pulse, ctx):
+                self.calls["on_b_to_a"] += 1
+                return pulse
+
+            def on_a_to_b(self, pulse, ctx):
+                self.calls["on_a_to_b"] += 1
+                return pulse
+
+            def finalize(self, ctx):
+                self.calls["finalize"] += 1
+                return None
+
+        cfg = kkkp_cfg(rounds=BLOCK_ROUNDS + 3, seed=11)
+        expected = run_session(cfg, NO_EVE)
+        adv = Recorder()
+        monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
+        assert run_session(cfg, NO_EVE) == expected
+        assert adv.calls == {"on_b_to_a": cfg.rounds, "on_a_to_b": cfg.rounds, "finalize": cfg.rounds}
+
+    def test_block_memory_is_bounded(self):
+        # Holding every word of this session at once would take 16 MB.
+        cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, rounds=100_000, seed=3)
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=16)
+        tracemalloc.start()
+        try:
+            stats, _ = run_session(cfg, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.rounds == 100_000
+        assert peak < 4 * 2**20, peak

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsim import quantum
-from ppsim.adversaries import AdversaryStrategy, make_ipe, make_no_eve
+from ppsim.adversaries import AdversaryStrategy, make_ipe, make_ipe_dense, make_no_eve
 from ppsim.optics import EVE_WAVELENGTH_NM, Leg, Photon, Pulse, default_filter
 from ppsim.protocols import (
     ConfigError,
@@ -342,6 +342,34 @@ class TestRoundDispatch:
             run_round(config(kind), make_no_eve(), RNG(115))
         finally:
             sys.setprofile(None)
+        assert hashed == []
+
+    @pytest.mark.parametrize("kind, make_adv", [
+        (ProtocolKind.PP_EPR, make_no_eve), (ProtocolKind.PP_EPR, make_ipe),
+        (ProtocolKind.PP_SINGLE, make_no_eve), (ProtocolKind.PP_SINGLE, make_ipe),
+        (ProtocolKind.PP_DENSE, make_no_eve), (ProtocolKind.PP_DENSE, make_ipe_dense),
+    ], ids=lambda v: v.value if isinstance(v, ProtocolKind) else v.__name__[5:])
+    @pytest.mark.parametrize("control_prob, mode", [
+        (ALWAYS_MESSAGE, Mode.MESSAGE), (ALWAYS_CONTROL, Mode.CONTROL),
+    ], ids=["message", "control"])
+    def test_pp_rounds_hash_no_enum_member(self, kind, make_adv, control_prob, mode):
+        # Bell states, named preparations and Bell outcomes are looked up by
+        # member name, so a whole round runs no Enum.__hash__.
+        cfg = config(kind, control_prob=control_prob)
+        adv = make_adv()
+        hashed = []
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "__hash__"
+                    and frame.f_code.co_filename.endswith("enum.py")):
+                hashed.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            rec = run_round(cfg, adv, RNG(117))
+        finally:
+            sys.setprofile(None)
+        assert rec.mode is mode
         assert hashed == []
 
 

@@ -450,3 +450,44 @@ class TestMeasureEach:
             q.measure_each([(reg, 0), (q.make_single(q.Prep.ZERO), 1)], q.BASIS_Z, rng)
         assert q.states_equal(reg, q.make_single(q.Prep.PLUS))
         assert rng.random() == ref.random()
+
+
+class _Draw:
+    """Stands in for a generator whose next uniform draw is ``r``."""
+
+    def __init__(self, r: float):
+        self.r = r
+
+    def random(self) -> float:
+        return self.r
+
+
+class TestRealBlockKernels:
+    """The array kernels of the block engine reproduce the scalar kernels bit for bit."""
+
+    def test_rotate_real_matches_rotate(self):
+        rng = RNG(48)
+        thetas = rng.uniform(-7, 7, (3, 64))
+        regs = [q.make_single(float(t)) for t in rng.uniform(-7, 7, 64)]
+        a0 = np.array([reg.amplitudes[0].real for reg in regs])
+        a1 = np.array([reg.amplitudes[1].real for reg in regs])
+        for angles in thetas:
+            a0, a1 = q.rotate_real(a0, a1, angles)
+            for reg, theta in zip(regs, angles.tolist()):
+                q.rotate(reg, 0, theta)
+            amps = np.array([reg.amplitudes for reg in regs])
+            assert a0.tolist() == amps[:, 0].real.tolist()
+            assert a1.tolist() == amps[:, 1].real.tolist()
+            assert not amps.imag.any()
+
+    @pytest.mark.parametrize("basis", [q.BASIS_Z, q.BASIS_X, q.rotated_basis(0.7)], ids=["z", "x", "rot"])
+    def test_prob_one_real_is_the_scalar_threshold(self, basis):
+        # measure() returns 1 exactly for draws below its outcome-1
+        # probability, so p1 and the float just below it bracket that
+        # probability with no room in between.
+        angles = RNG(49).uniform(-7, 7, 64)
+        p1 = q.prob_one_real(*q.rotate_real(1.0, 0.0, angles), basis)
+        for theta, p in zip(angles.tolist(), p1.tolist()):
+            assert q.measure(q.make_single(theta), 0, basis, _Draw(p))[0] == 0
+            below = float(np.nextafter(p, 0.0))
+            assert q.measure(q.make_single(theta), 0, basis, _Draw(below))[0] == 1
