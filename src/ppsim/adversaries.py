@@ -20,12 +20,18 @@ probe absorbed by the receiver's filter) it emits a uniformly random
 guess and flags the round as blind, keeping the accuracy statistic
 well-defined while recording that the attack was neutralized.
 
-A strategy may also give a block form (``kkkp_block_form``): the same
-attack on a ``kkkp`` session, a block of rounds at a time, as numpy
-arrays over the rounds.  The base strategy and the ``kkkp_probe``
-strategy have one; every other strategy, and any subclass that
-overrides a hook without redefining the block form, runs round by
-round.
+A strategy's class lists in ``block_protocols`` the protocols whose
+sessions may run a block of rounds at a time, as numpy arrays over the
+rounds (see ``protocols.block_form``).  For a ping-pong protocol the
+block form is the hooks themselves, run once per branch of the round:
+listing the protocol promises that they read the round's stream only
+through ``quantum``'s measurements and :meth:`RoundContext.random_bits`,
+and route photons by wavelength alone.  For ``kkkp`` the strategy also
+gives the array form ``kkkp_block_form``.  ``no_eve`` lists every
+protocol, ``intercept_resend`` the ping-pong ones, ``ipe`` and
+``ipe_dense`` the variants they are built for, and ``kkkp_probe``
+``kkkp``.  Any other pair, and any subclass that overrides a hook
+without setting ``block_protocols`` again, runs round by round.
 """
 
 from __future__ import annotations
@@ -134,6 +140,11 @@ class KkkpBlockForm:
 class AdversaryStrategy:
     """Base strategy: identity hooks, no guess."""
 
+    # The protocols (``ProtocolKind`` values) whose sessions under this
+    # strategy run in blocks.  Only the class that sets it is served, so
+    # a subclass that does not set it again runs round by round.
+    block_protocols = frozenset({"pp_epr", "pp_single", "pp_dense", "kkkp"})
+
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
         """The pulse going into the encoder."""
         return pulse
@@ -149,9 +160,8 @@ class AdversaryStrategy:
         """This strategy's block form for a ``kkkp`` session behind the filter ``filt``.
 
         It must give the same guesses from the same draws as the three
-        hooks.  A session runs in blocks only when the strategy's own
-        class defines this method, so a subclass that overrides a hook
-        without redefining it runs round by round.
+        hooks.  It is used only when the strategy's own class lists
+        ``kkkp`` in ``block_protocols``.
         """
         return KkkpBlockForm()
 
@@ -191,6 +201,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
     """
 
     width = 1  # guessed bits
+    block_protocols = frozenset({"pp_epr", "pp_single"})
 
     def __init__(self, lambda_e_nm: float):
         if lambda_e_nm <= 0:
@@ -238,6 +249,7 @@ class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
     """
 
     width = 2
+    block_protocols = frozenset({"pp_dense"})
 
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_bell(BellKind.PSI_PLUS), 1  # qubit 0 stays in Eve's lab
@@ -258,6 +270,8 @@ class _InterceptResend(AdversaryStrategy):
     Measures every photon of the B->A pulse in a fixed basis and never
     guesses a message bit (the measurement happens before the encoding).
     """
+
+    block_protocols = frozenset({"pp_epr", "pp_single", "pp_dense"})
 
     def __init__(self, basis: np.ndarray):
         self.basis = basis
@@ -283,6 +297,8 @@ class _BlindBaseProbe(AdversaryStrategy):
     ``on_a_to_b`` and read in ``finalize``, after the receiver's
     measurement.
     """
+
+    block_protocols = frozenset({"kkkp"})
 
     def __init__(self, n: int, lambda_e_nm: float, theta_known: bool):
         if n < 1:

@@ -7,11 +7,13 @@ strategy) inputs therefore yield bit-identical statistics and round
 logs.  Aggregation is integer counting, with the float rates derived
 once at the end.
 
-There are two engines.  The scalar one runs :func:`run_round` once per
-round.  The block engine runs the rounds of a ``kkkp`` session, after
-round 0, as numpy arrays over blocks of up to :data:`BLOCK_ROUNDS`
-rounds; it reads the same words of the same streams and does the same
-float operations, so the scalar engine is its exact oracle.
+There are two engines, chosen once per session by
+``protocols.block_form``.  The scalar one runs :func:`run_round` once
+per round.  The block engine runs round 0 through :func:`run_round` and
+the rest as numpy arrays over blocks of up to :data:`BLOCK_ROUNDS`
+rounds, which may mix control and message rounds; it reads the same
+words of the same streams and makes the same decisions from them, so
+the scalar engine is its exact oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
-from .protocols import BlockRecord, Mode, ProtocolConfig, RoundRecord, kkkp_blocks, run_round
+from .protocols import BlockRecord, Mode, ProtocolConfig, RoundRecord, block_form, run_round
 
 # Rounds per block of the block engine: enough to spread numpy's per-call
 # cost thin, few enough that a block's arrays stay within tens of kB.
@@ -192,19 +194,23 @@ class _Accumulator:
             self.control_failures += not rec.control_pass
 
     def add_block(self, block: BlockRecord) -> None:
-        """:meth:`add` for every round of a block of message rounds, in order."""
-        alice = block.alice_bits
-        rounds = len(alice)
-        self.rounds += rounds
-        self.message_rounds += rounds
-        self.absorbed += block.absorbed_count * rounds
-        self.blind += rounds if block.eve_blind else 0
-        bob = block.bob_bits
-        self.message_errors += rounds if bob is None else int(np.count_nonzero(bob != alice))
-        guess = block.eve_guess
-        if guess is None:
-            return
-        self.guessed_messages += rounds
+        """:meth:`add` for every round of a block, in order."""
+        control = block.control
+        message = ~control
+        self.rounds += len(control)
+        self.message_rounds += int(np.count_nonzero(message))
+        self.anomalies += int(np.count_nonzero(block.anomaly))
+        self.absorbed += int(block.absorbed_count.sum())
+        self.blind += int(np.count_nonzero(block.eve_blind))
+        alice = block.alice_bits[message]
+        self.message_errors += int(np.count_nonzero(block.bob_bits[message] != alice))
+        passed = block.control_pass[control]
+        self.control_evaluated += int(np.count_nonzero(passed >= 0))
+        self.control_failures += int(np.count_nonzero(passed == 0))
+        guess = block.eve_guess[message]
+        guessed = guess >= 0
+        alice, guess = alice[guessed], guess[guessed]
+        self.guessed_messages += len(guess)
         self.correct_guesses += int(np.count_nonzero(guess == alice))
         # Counted pair by pair, so new pairs enter the table in the order
         # they do round by round: the float sums behind the mutual
@@ -235,14 +241,14 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     """Run ``cfg.rounds`` rounds of the configured protocol under attack.
 
     Returns the aggregated statistics and the round log (empty unless
-    ``cfg.log_rounds``).  A ``kkkp`` session under a strategy whose own
-    class defines a block form runs round 0 through :func:`run_round`
-    and the rest in blocks of up to :data:`BLOCK_ROUNDS` rounds (see
-    ``protocols.KkkpBlocks``), reading the same words of the same
-    streams, so its statistics and log are those of :func:`run_round`
-    round by round.  Every other session runs round by round.  Every
-    round runs in the calling thread, and ``workers`` has no effect: the
-    result is the same for any value.
+    ``cfg.log_rounds``).  A session with a block form (see
+    ``protocols.block_form``) runs round 0 through :func:`run_round`
+    and the rest in blocks of up to :data:`BLOCK_ROUNDS` rounds,
+    reading the same words of the same streams, so its statistics and
+    log are those of :func:`run_round` round by round.  Every other
+    session runs round by round.  Every round runs in the calling
+    thread, and ``workers`` has no effect: the result is the same for
+    any value.
     """
     cfg.validate()
     strategy.validate()
@@ -250,7 +256,7 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     stream_at = _stream_factory(cfg.seed)
     acc = _Accumulator()
     log: list[RoundRecord] = []
-    blocks = kkkp_blocks(cfg, adv)
+    blocks = block_form(cfg, adv)
     for i in range(cfg.rounds if blocks is None else 1):
         rec = run_round(cfg, adv, stream_at(i))
         acc.add(rec)

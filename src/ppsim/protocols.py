@@ -18,6 +18,12 @@ Conventions shared by all rounds:
   to the pulse arriving back at its lab.
 * A missing signal photon at the decoder is an erasure: the decoded
   bits are recorded as ``None`` and count as an error.
+
+:func:`block_form` gives a session's rounds a block at a time, as
+numpy arrays over the rounds, when its strategy has a block form for
+the protocol: :class:`KkkpBlocks` for ``kkkp``, :class:`BranchBlocks`
+for the ping-pong protocols.  Both give bit for bit the records of the
+round functions above, which stay the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,34 +117,36 @@ class RoundRecord:
 
 
 class BlockRecord(NamedTuple):
-    """Transcript of a block of message rounds, as arrays over the rounds.
+    """Transcript of a block of rounds, as arrays over the rounds.
 
-    ``bob_bits`` is None when every round is an erasure and ``eve_guess``
-    None when the strategy never guesses.  ``eve_blind`` and
-    ``absorbed_count`` hold for every round, and no round has an anomaly.
-    A named tuple rather than a dataclass: it costs a tenth as much to
-    define, which every process start pays.
+    ``control`` is the mode mask.  Where a :class:`RoundRecord` holds
+    None, ``alice_bits``, ``bob_bits``, ``eve_guess`` and
+    ``control_pass`` hold -1; ``control_pass`` holds 0 and 1 for False
+    and True.  ``kkkp_angles`` is None outside ``kkkp``.  A named tuple
+    rather than a dataclass: it costs a tenth as much to define, which
+    every process start pays.
     """
 
+    control: np.ndarray
     alice_bits: np.ndarray
-    bob_bits: np.ndarray | None
-    eve_guess: np.ndarray | None
-    eve_blind: bool
-    absorbed_count: int
-    kkkp_angles: tuple[np.ndarray, np.ndarray]
+    bob_bits: np.ndarray
+    control_pass: np.ndarray
+    eve_guess: np.ndarray
+    eve_blind: np.ndarray
+    anomaly: np.ndarray
+    absorbed_count: np.ndarray
+    kkkp_angles: tuple[np.ndarray, np.ndarray] | None
 
     def records(self) -> list[RoundRecord]:
-        """One :class:`RoundRecord` per round."""
-        rounds = len(self.alice_bits)
-        bob = [None] * rounds if self.bob_bits is None else self.bob_bits.tolist()
-        guess = [None] * rounds if self.eve_guess is None else self.eve_guess.tolist()
-        theta, phi = self.kkkp_angles
+        """One :class:`RoundRecord` per round, holding plain ``int``, ``bool`` and None."""
+        angles = (repeat(None) if self.kkkp_angles is None
+                  else zip(*(a.tolist() for a in self.kkkp_angles)))
         return [
-            RoundRecord(mode=Mode.MESSAGE, alice_bits=a, bob_bits=b, eve_guess=g,
-                        eve_blind=self.eve_blind, absorbed_count=self.absorbed_count,
-                        kkkp_angles=angles)
-            for a, b, g, angles in zip(self.alice_bits.tolist(), bob, guess,
-                                       zip(theta.tolist(), phi.tolist()))
+            RoundRecord(Mode.CONTROL if c else Mode.MESSAGE, None if a < 0 else a,
+                        None if b < 0 else b, (False, True, None)[p], None if g < 0 else g,
+                        blind, anomaly, absorbed, ang)
+            for c, a, b, p, g, blind, anomaly, absorbed, ang in zip(
+                *(field.tolist() for field in self[:8]), angles)
         ]
 
 
@@ -345,9 +354,13 @@ def kkkp_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
     )
 
 
+# rng.random() returns the multiples of 2**-53 in [0, 1).
+_GRID = 9007199254740992.0
+
+
 def _uniform(words: np.ndarray) -> np.ndarray:
     """What ``rng.random()`` makes of each 64-bit word: its top 53 bits times 2**-53."""
-    return (words >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return (words >> 11).astype(np.float64) * (1.0 / _GRID)
 
 
 class KkkpBlocks:
@@ -381,11 +394,13 @@ class KkkpBlocks:
 
     def run(self, words: np.ndarray) -> BlockRecord:
         """The rounds whose streams begin with the rows of ``words``."""
+        rows = len(words)
         theta = TWO_PI * _uniform(words[:, 0])
         phi = TWO_PI * _uniform(words[:, 1])
         bits = ((words[:, 2] >> 31) & 1).astype(np.int64)
         encode = np.where(bits == 1, -ENC_ANGLE, ENC_ANGLE) - theta
-        bob_bits = None
+        none = np.full(rows, -1)
+        bob_bits = none
         if self.signal_admitted:
             a0, a1 = quantum.rotate_real(1.0, 0.0, theta)  # ROT(theta)|0>
             a0, a1 = quantum.rotate_real(a0, a1, phi)
@@ -395,18 +410,214 @@ class KkkpBlocks:
             bob_bits = (_uniform(words[:, 3]) < p1).astype(np.int64)
         coin = (words[:, 2] >> 63).astype(np.int64)
         guesses = self.eve.guesses(theta, encode, _uniform(words[:, self.first_draw:]), coin)
-        return BlockRecord(bits, bob_bits, guesses, self.eve.blind, self.absorbed, (theta, phi))
+        never = np.zeros(rows, bool)
+        return BlockRecord(never, bits, bob_bits, none, none if guesses is None else guesses,
+                           np.full(rows, self.eve.blind), never, np.full(rows, self.absorbed),
+                           (theta, phi))
 
 
-def kkkp_blocks(cfg: ProtocolConfig, adv: AdversaryStrategy) -> KkkpBlocks | None:
-    """The block engine for a session, or None if it runs round by round.
+# A tree node either compares the uniform draw of a word with a threshold
+# or takes the top bits of one half of a word.
+_LT, _LOW, _HIGH = 0, 1, 2
 
-    Only ``kkkp`` sessions under a strategy whose own class defines
-    ``kkkp_block_form`` run in blocks.
+
+def _reachable(lo: float, hi: float) -> bool:
+    """Whether ``rng.random()`` can return a u with lo <= u < hi."""
+    m = max(math.ceil(lo * _GRID), 0)
+    return m < _GRID and m < hi * _GRID
+
+
+class BranchBlocks:
+    """The rounds of a ping-pong session a block at a time, as a decision tree over the draws.
+
+    Under a strategy that lists the protocol in ``block_protocols``, a
+    round reads its stream only by comparing a uniform draw with a
+    threshold (the mode coin, and the Born rule in ``quantum.measure``
+    and ``quantum.measure_bell``) or by taking the top bits of a 32-bit
+    half word (``RoundContext.random_bits``), and every photon's route
+    follows from wavelengths fixed for the session.  Every reachable run
+    of the round is then a path through a small tree: a node compares
+    one word's draw with a threshold or reads one half word, a leaf is
+    the record the round returns.  Which words a path reads, and in
+    which halves, follows from the decisions on it, the mode coin first
+    among them (after an intercept's draw), so control and message
+    rounds each have their own layout.
+
+    The tree is built once per session by running the round function
+    itself on stand-in streams (:class:`_BranchDraws`) that take each
+    decision one way and then the others.  Every threshold is therefore
+    the very probability the scalar kernels compute, branch by branch,
+    and no float operation is written a second time.  A block walks its
+    rows down the tree by comparing their draws with the thresholds, so
+    it gives bit for bit the records the round gives round by round.
     """
-    if cfg.kind is ProtocolKind.KKKP and "kkkp_block_form" in vars(type(adv)):
-        return KkkpBlocks(cfg, adv)
-    return None
+
+    def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
+        round_fn = _ROUND_FUNCS[cfg.kind._name_]
+        self.nodes: list[tuple[int, int, float]] = []   # (word, kind, threshold or width)
+        self.children: list[dict[int, int]] = []        # decision -> child, per node
+        leaves: dict[int, tuple] = {}                   # leaf -> its BlockRecord values
+        self.words = 0
+        pending: list[list[int]] = [[]]
+        while pending:
+            draws = _BranchDraws(self, pending.pop(), pending)
+            rec = round_fn(cfg, adv, draws)
+            leaves[self.add(draws.slot, -1, -1, 0)] = _block_values(rec)
+            self.words = max(self.words, draws.words)
+        # A node whose outcomes all end in the same record is a leaf too
+        # (a Bell outcome and _pick's fallback often agree, say).
+        for node in reversed(range(len(self.nodes))):
+            ends = {leaves.get(kid) for kid in self.children[node].values()}
+            if len(ends) == 1 and None not in ends:
+                leaves[node] = ends.pop()
+        # Per node, what decides the way on: a uniform draw below ``limit``,
+        # or the bits (word >> shift) & mask of a half word.  A leaf has
+        # limit 0 and mask 0, so it leads to itself.
+        count = len(self.nodes)
+        self.word = np.zeros(count, np.intp)
+        self.limit = np.zeros(count)
+        self.shift = np.zeros(count, np.uint64)
+        self.mask = np.zeros(count, np.uint64)
+        arity = max([2] + [1 << param for _, kind, param in self.nodes if kind > _LT])
+        self.next = np.repeat(np.arange(count)[:, None], arity, axis=1)
+        self.depth = 0
+        live = [(0, 0)]
+        while live:
+            node, depth = live.pop()
+            self.depth = max(self.depth, depth)
+            if node in leaves:
+                continue
+            word, kind, param = self.nodes[node]
+            self.word[node] = word
+            if kind == _LT:
+                self.limit[node] = param
+            else:  # (w & 0xFFFFFFFF) >> (32 - width) for a low half
+                self.shift[node] = (32 if kind == _LOW else 64) - param
+                self.mask[node] = (1 << param) - 1
+            for decision, kid in self.children[node].items():
+                self.next[node, decision] = kid
+                live.append((kid, depth + 1))
+        # A column per BlockRecord field, a value per node (a leaf's or a filler).
+        filler = (False, -1, -1, -1, -1, False, False, 0)
+        self.columns = [np.array(column) for column in zip(*(
+            leaves.get(node, filler) for node in range(len(self.nodes))))]
+
+    def add(self, slot: tuple[int, int] | None, word: int, kind: int, param: float) -> int:
+        """A new node, hung from ``slot`` = (parent, decision), or the root."""
+        node = len(self.nodes)
+        self.nodes.append((word, kind, param))
+        self.children.append({})
+        if slot is not None:
+            self.children[slot[0]][slot[1]] = node
+        return node
+
+    def run(self, words: np.ndarray) -> BlockRecord:
+        """The rounds whose streams begin with the rows of ``words``."""
+        draws = _uniform(words)
+        rows = np.arange(len(words))
+        node = np.zeros(len(words), np.intp)
+        for _ in range(self.depth):
+            word = self.word[node]
+            node = self.next[node, (draws[rows, word] < self.limit[node])
+                             + ((words[rows, word] >> self.shift[node]) & self.mask[node])]
+        return BlockRecord(*(column[node] for column in self.columns), None)
+
+
+def _block_values(rec: RoundRecord) -> tuple:
+    """The :class:`BlockRecord` values of one round's record."""
+    return (rec.mode is Mode.CONTROL,
+            -1 if rec.alice_bits is None else rec.alice_bits,
+            -1 if rec.bob_bits is None else rec.bob_bits,
+            -1 if rec.control_pass is None else int(rec.control_pass),
+            -1 if rec.eve_guess is None else rec.eve_guess,
+            rec.eve_blind, rec.anomaly, rec.absorbed_count)
+
+
+class _BranchDraws:
+    """Stands in for a round's Generator while :class:`BranchBlocks` builds its tree.
+
+    ``random()`` and ``random_bits`` (through
+    ``bit_generator.ctypes.next_uint32``) hand out :class:`_Draw`
+    objects and consume words as numpy does: a uniform takes a whole
+    word; a 32-bit draw takes a fresh word's low half and buffers the
+    high half for the next one.  At a decision with more than one
+    reachable outcome, the run follows ``path`` while it lasts, then
+    takes the first outcome and queues each other one on ``pending`` as
+    a path of its own.
+    """
+
+    def __init__(self, tree: BranchBlocks, path: list[int], pending: list[list[int]]):
+        self.tree = tree
+        self.path = path
+        self.pending = pending
+        self.taken: list[int] = []
+        self.slot: tuple[int, int] | None = None  # where the next node hangs
+        self.words = 0
+        self.high: int | None = None  # the word whose high half is buffered
+        self.bounds: dict[int, tuple[float, float]] = {}  # word -> [lo, hi) holding its draw
+        self.bit_generator = self.ctypes = self
+        self.state = None
+
+    def random(self) -> _Draw:
+        self.words += 1
+        return _Draw(self, self.words - 1, _LT)
+
+    def next_uint32(self, state: None) -> _Draw:
+        if self.high is None:
+            self.high = self.words
+            self.words += 1
+            return _Draw(self, self.high, _LOW)
+        word, self.high = self.high, None
+        return _Draw(self, word, _HIGH)
+
+    def decide(self, word: int, kind: int, param: float, outcomes: Sequence[int]) -> int:
+        if len(outcomes) == 1:
+            return outcomes[0]
+        step = len(self.taken)
+        if step < len(self.path):
+            node = 0 if self.slot is None else self.tree.children[self.slot[0]][self.slot[1]]
+            outcome = self.path[step]
+        else:
+            node, outcome = self.tree.add(self.slot, word, kind, param), outcomes[0]
+            self.pending.extend(self.taken + [other] for other in outcomes[1:])
+        self.taken.append(outcome)
+        self.slot = (node, outcome)
+        return outcome
+
+
+class _Draw:
+    """A draw of :class:`_BranchDraws`: ``u < threshold`` and ``half >> shift`` are decisions."""
+
+    __slots__ = ("draws", "word", "kind")
+
+    def __init__(self, draws: _BranchDraws, word: int, kind: int):
+        self.draws = draws
+        self.word = word
+        self.kind = kind
+
+    def __lt__(self, threshold: float) -> bool:
+        lo, hi = self.draws.bounds.get(self.word, (0.0, 1.0))
+        below = _reachable(lo, min(hi, threshold))
+        above = _reachable(max(lo, threshold), hi)
+        outcome = self.draws.decide(self.word, _LT, threshold, (0, 1) if below and above else (int(below),))
+        self.draws.bounds[self.word] = (lo, min(hi, threshold)) if outcome else (max(lo, threshold), hi)
+        return bool(outcome)
+
+    def __rshift__(self, shift: int) -> int:
+        width = 32 - shift
+        return self.draws.decide(self.word, self.kind, width, range(1 << width))
+
+
+def block_form(cfg: ProtocolConfig, adv: AdversaryStrategy) -> KkkpBlocks | BranchBlocks | None:
+    """The block form of a session, or None if it runs round by round.
+
+    A session runs in blocks when the strategy's own class lists its
+    protocol in ``block_protocols``: a ``kkkp`` session as
+    :class:`KkkpBlocks`, a ping-pong session as :class:`BranchBlocks`.
+    """
+    if cfg.kind.value not in vars(type(adv)).get("block_protocols", ()):
+        return None
+    return KkkpBlocks(cfg, adv) if cfg.kind is ProtocolKind.KKKP else BranchBlocks(cfg, adv)
 
 
 # Keyed by member name: a str hashes in C, while hashing the member itself

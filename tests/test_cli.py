@@ -50,6 +50,12 @@ class TestRun:
         assert report["qber"] == "0.000000000"
         assert report["seed"] == "42"
 
+    def test_readme_report_is_pinned(self, tmp_path):
+        # README's report for the canonical invisible-photon scenario, byte for byte.
+        out = tmp_path / "report.txt"
+        assert main(["run", str(GOLDEN / "readme_ipe_seed42.json"), "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "readme_run_ipe_seed42.txt").read_bytes()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -161,6 +167,18 @@ class TestSweep:
     def test_bad_value_is_parse_error(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         assert main(["sweep", scenario, "--field", "control_prob", "--values", "a,b"]) == 2
+
+    @pytest.mark.parametrize("golden", ["readme_run_ipe_seed42.txt", "readme_sweep_passband_rounds4000.csv"])
+    def test_readme_shows_the_pinned_output(self, golden):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert "```\n" + (GOLDEN / golden).read_text(encoding="utf-8") + "```" in readme
+
+    def test_readme_sweep_is_pinned(self, tmp_path):
+        # README's "widening the filter" example, byte for byte.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(GOLDEN / "readme_ipe_seed42.json"), "--field", "passband_half_width_nm",
+                     "--values", "0.005,0.05,5,500000", "--rounds", "4000", "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "readme_sweep_passband_rounds4000.csv").read_bytes()
 
     @pytest.mark.parametrize("scenario, field, values, golden", [
         ("kkkp_probe_seed7.json", "n", "1,2,4,16", "sweep_kkkp_probe_n_seed7.csv"),

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsim import adversaries, harness
-from ppsim.adversaries import AdversaryStrategy, StrategyKind, StrategySpec, make_strategy
+from ppsim.adversaries import AdversaryStrategy, RoundContext, StrategyKind, StrategySpec, make_strategy
+from ppsim.cli import _compare_attacks
 from ppsim.harness import (
     BLOCK_ROUNDS,
     _Accumulator,
@@ -22,14 +23,16 @@ from ppsim.harness import (
     round_rng,
     run_session,
 )
-from ppsim.optics import OpticalFilter, default_filter
+from ppsim.optics import Detector, OpticalFilter, default_filter
 from ppsim.protocols import (
+    BranchBlocks,
     ConfigError,
     KkkpBlocks,
     Mode,
     ProtocolConfig,
     ProtocolKind,
     RoundRecord,
+    block_form,
     run_round,
 )
 
@@ -353,3 +356,366 @@ class TestBlockEngine:
             tracemalloc.stop()
         assert stats.rounds == 100_000
         assert peak < 4 * 2**20, peak
+
+
+class WordStream:
+    """A Generator stand-in that replays given 64-bit words the way numpy draws them.
+
+    ``random()`` takes a whole word: its top 53 bits times 2**-53.
+    ``random_bits`` (through ``bit_generator.ctypes.next_uint32``) takes
+    a fresh word's low half and buffers its high half for the next call.
+    Each uniform it hands out records, in ``compared``, every threshold
+    it is compared with, as (word index, threshold).
+    """
+
+    def __init__(self, words):
+        self.words = [int(w) for w in words]
+        self.taken = 0
+        self.high = None
+        self.compared = []
+        self.bit_generator = self.ctypes = self
+        self.state = None
+
+    def _take(self) -> int:
+        self.taken += 1
+        return self.words[self.taken - 1]
+
+    def random(self) -> float:
+        word = self.taken
+        return _RecordedUniform(self, word, (self._take() >> 11) * 2.0**-53)
+
+    def next_uint32(self, state) -> int:
+        if self.high is not None:
+            high, self.high = self.high, None
+            return high
+        word = self._take()
+        self.high = word >> 32
+        return word & 0xFFFFFFFF
+
+
+class _RecordedUniform(float):
+    """A uniform draw that notes the thresholds it is compared with."""
+
+    def __new__(cls, stream: WordStream, word: int, value: float):
+        u = super().__new__(cls, value)
+        u.stream, u.word = stream, word
+        return u
+
+    def __lt__(self, threshold):
+        self.stream.compared.append((self.word, threshold))
+        return float(self) < threshold
+
+
+class TestWordLayout:
+    """The draw order the block engines read, pinned against numpy itself."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_word_stream_draws_as_numpy_does(self, seed):
+        # A uniform takes a whole word; random_bits takes the top bits of a
+        # fresh word's low half, or of the high half the previous call
+        # buffered; a uniform in between leaves that buffer alone.
+        script = np.random.default_rng(seed).integers(0, 4, (300, 10)).tolist()
+        for index, calls in enumerate(script):
+            ours = RoundContext(rng=WordStream(round_rng(seed, index).bit_generator.random_raw(10)))
+            numpy = RoundContext(rng=round_rng(seed, index))
+            for width in calls:
+                if width == 0:
+                    assert ours.rng.random() == numpy.rng.random()
+                else:
+                    assert ours.random_bits(width) == numpy.random_bits(width)
+
+    @pytest.mark.parametrize("kind, control, words", [
+        # pp_epr under ipe: coin, then control: travel, home, blind guess;
+        # message: Alice's bits, probe readout, Bob's Bell draw.
+        (ProtocolKind.PP_EPR, True, ["u", "u", "u", "lo"]),
+        (ProtocolKind.PP_EPR, False, ["u", "lo", "u", "u"]),
+        # pp_single under ipe: preparation, coin, then Alice's basis (or bit)
+        # from the buffered high half of word 0; control: her measurement,
+        # then the blind guess from a fresh word; message: readout, Bob.
+        (ProtocolKind.PP_SINGLE, True, ["lo", "u", "hi", "u", "lo"]),
+        (ProtocolKind.PP_SINGLE, False, ["lo", "u", "hi", "u", "u"]),
+    ])
+    def test_ping_pong_layout(self, kind, control, words):
+        cfg = ProtocolConfig(kind=kind)
+        adv = make_strategy(StrategySpec(StrategyKind.IPE))
+        calls = []
+
+        class Layout(WordStream):
+            def random(self):
+                calls.append("u")
+                return super().random()
+
+            def next_uint32(self, state):
+                calls.append("lo" if self.high is None else "hi")
+                return super().next_uint32(state)
+
+        for index in range(40):
+            stream = Layout(round_rng(7, index).bit_generator.random_raw(6))
+            calls.clear()
+            if (run_round(cfg, adv, stream).mode is Mode.CONTROL) == control:
+                assert calls == words
+                return
+        pytest.fail("no round of the wanted mode")
+
+
+def _compare_cells():
+    """The 22 (protocol, attack, filter) cells of ``ppsim compare``."""
+    return [
+        (kind, name, spec, filt)
+        for kind in ProtocolKind for name, spec in _compare_attacks(kind)
+        for filt in ("off", "default")
+    ]
+
+
+COMPARE_CELLS = _compare_cells()
+CELL_IDS = [f"{k.value}-{name}-{filt}" for k, name, _, filt in COMPARE_CELLS]
+PING_PONG = (ProtocolKind.PP_EPR, ProtocolKind.PP_SINGLE, ProtocolKind.PP_DENSE)
+
+
+def _probe(kind: ProtocolKind, lambda_e_nm: float = 190_000.0) -> StrategySpec:
+    probe = StrategyKind.IPE_DENSE if kind is ProtocolKind.PP_DENSE else StrategyKind.IPE
+    return StrategySpec(probe, lambda_e_nm)
+
+
+def assert_matches_round_by_round(cfg: ProtocolConfig, spec: StrategySpec) -> None:
+    stats, log = run_session(cfg, spec)
+    expected_stats, expected_log = round_by_round(cfg, spec)
+    assert stats == expected_stats
+    assert log == expected_log
+    # The dense workload of the benchmark digests repr(log): records must
+    # hold plain int, bool and None, never numpy scalars.
+    assert repr(log) == repr(expected_log)
+
+
+class TestPingPongBlocks:
+    """Ping-pong sessions run in blocks; the scalar engine is the exact oracle."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
+    def test_compare_cells_match_round_by_round(self, kind, name, spec, filt, seed):
+        # Two blocks: rounds 1-512 and 513-599.
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
+                             filter=FILTERS[filt], rounds=600, seed=seed, log_rounds=True)
+        assert_matches_round_by_round(cfg, spec)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("rounds", [1, 2, BLOCK_ROUNDS, BLOCK_ROUNDS + 1, 3 * BLOCK_ROUNDS + 17])
+    @pytest.mark.parametrize("attack", ["probe", "intercept"])
+    @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
+    def test_block_boundaries(self, kind, attack, rounds, seed):
+        spec = _probe(kind) if attack == "probe" else StrategySpec(StrategyKind.INTERCEPT_RESEND)
+        cfg = ProtocolConfig(kind=kind, rounds=rounds, seed=seed, log_rounds=True)
+        assert_matches_round_by_round(cfg, spec)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("filt", FILTERS)
+    @pytest.mark.parametrize("lambda_e_nm", [190_000.0, 850.0, 800.0])
+    @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
+    def test_probe_wavelengths_and_filters(self, kind, lambda_e_nm, filt, seed):
+        # 850 nm is visible but outside the default passband, so control
+        # rounds see two photons; 800 nm is inside both.
+        cfg = ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=150, seed=seed, log_rounds=True)
+        assert_matches_round_by_round(cfg, _probe(kind, lambda_e_nm))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("filt", FILTERS)
+    @pytest.mark.parametrize("basis", ["z", "x", 0.3])
+    @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
+    def test_intercept_bases_and_filters(self, kind, basis, filt, seed):
+        cfg = ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=150, seed=seed, log_rounds=True)
+        assert_matches_round_by_round(cfg, StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=basis))
+
+    @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
+    def test_control_probability_and_detector(self, kind):
+        # A rarer control round, and a detector that cannot see the signal.
+        for control_prob, window in ((0.1, (600.0, 900.0)), (0.7, (850.0, 900.0))):
+            cfg = ProtocolConfig(kind=kind, control_prob=control_prob, detector=Detector(window),
+                                 rounds=200, seed=5, log_rounds=True)
+            assert_matches_round_by_round(cfg, _probe(kind, 860.0))
+
+    @given(
+        kind=st.sampled_from(PING_PONG),
+        attack=st.sampled_from(["no_eve", "probe", "intercept"]),
+        control_prob=st.floats(0.01, 0.99),
+        signal_nm=st.sampled_from([800.0, 799.97, 650.0]),
+        lambda_e_nm=st.sampled_from([190_000.0, 850.0, 800.0, 800.5, 650.0]),
+        passband=st.sampled_from([None, (799.95, 800.05), (640.0, 900.0), (700.0, 750.0)]),
+        window=st.sampled_from([(600.0, 900.0), (700.0, 1000.0)]),
+        basis=st.floats(-3.2, 3.2),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_routing_matches_round_by_round(self, kind, attack, control_prob, signal_nm,
+                                                lambda_e_nm, passband, window, basis, seed):
+        # The tree follows whatever the filter, detector and spectroscope
+        # do to the photons; nothing about the routing is assumed.
+        spec = {"no_eve": NO_EVE, "probe": _probe(kind, lambda_e_nm),
+                "intercept": StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=basis)}[attack]
+        cfg = ProtocolConfig(kind=kind, control_prob=control_prob, signal_wavelength_nm=signal_nm,
+                             filter=None if passband is None else OpticalFilter(passband),
+                             detector=Detector(window), rounds=80, seed=seed, log_rounds=True)
+        assert_matches_round_by_round(cfg, spec)
+
+    def test_blocks_read_each_round_stream_in_its_own_layout(self):
+        # A control and a message round read different words; both read
+        # at most the words the block engine fetches.
+        for kind in PING_PONG:
+            cfg = ProtocolConfig(kind=kind)
+            adv = make_strategy(_probe(kind))
+            blocks = block_form(cfg, adv)
+            for index in range(50):
+                stream = WordStream(round_rng(3, index).bit_generator.random_raw(blocks.words))
+                run_round(cfg, adv, stream)
+                assert stream.taken <= blocks.words
+
+
+def _boundary_rows(cfg: ProtocolConfig, adv: AdversaryStrategy,
+                   words: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Pairs of rows: each row altered to put one draw at a threshold its
+    scalar run compares that draw with, then just below it.
+
+    u(w) is a multiple of 2**-53, so the draws m * 2**-53 and (m - 1) *
+    2**-53, with m = ceil(t * 2**53), sit on either side of the threshold
+    t; for t in [0.5, 1) they are t itself and the float just below it.
+    Returns the rows and, per pair, the index of the altered word.
+    """
+    rows, altered_words = [], []
+    for row in words:
+        stream = WordStream(row)
+        run_round(cfg, adv, stream)
+        for word, threshold in stream.compared:
+            m = math.ceil(threshold * 2**53)
+            if 0 < m < 2**53:
+                altered_words.append(word)
+                for draw in (m, m - 1):
+                    altered = row.copy()
+                    altered[word] = np.uint64(draw << 11)
+                    rows.append(altered)
+    return np.array(rows, dtype=np.uint64), altered_words
+
+
+class TestThresholds:
+    """Block outcomes flip at the very draw where the scalar measure flips.
+
+    The oracle tests compare outcomes of random draws, which a small error
+    in a probability almost never changes; these put the draws on the
+    probabilities themselves.
+    """
+
+    def _check(self, cfg: ProtocolConfig, spec: StrategySpec) -> dict[int, list[tuple]]:
+        """Block records equal the scalar ones on every boundary row; returns,
+        per altered word, the scalar records of each (at, below) pair."""
+        adv = make_strategy(spec)
+        blocks = block_form(cfg, adv)
+        words = _block_words(_stream_factory(cfg.seed), 0, 60, blocks.words)
+        rows, altered_words = _boundary_rows(cfg, adv, words)
+        expected = [run_round(cfg, adv, WordStream(row)) for row in rows]
+        assert blocks.run(rows).records() == expected
+        pairs: dict[int, list[tuple]] = {}
+        for word, at, below in zip(altered_words, expected[0::2], expected[1::2]):
+            pairs.setdefault(word, []).append((at, below))
+        return pairs
+
+    @pytest.mark.parametrize("filt", ["off", "default"])
+    def test_kkkp_bob_flips_at_the_scalar_threshold(self, filt):
+        pairs = self._check(kkkp_cfg(filter=FILTERS[filt], seed=19), NO_EVE)
+        assert list(pairs) == [3]  # Bob's X-basis draw
+        assert {(at.bob_bits, below.bob_bits) for at, below in pairs[3]} == {(0, 1)}
+        assert len(pairs[3]) >= 25
+
+    @pytest.mark.parametrize("known", [False, True])
+    def test_kkkp_probe_guess_flips_at_the_scalar_threshold(self, known):
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=1, theta_known=known)
+        pairs = self._check(kkkp_cfg(seed=23), spec)
+        assert {(at.eve_guess, below.eve_guess) for at, below in pairs[4]} == {(0, 1)}  # probe readout
+        assert {(at.bob_bits, below.bob_bits) for at, below in pairs[3]} == {(0, 1)}
+
+    @pytest.mark.parametrize("kind, name, spec, filt",
+                             [c for c in COMPARE_CELLS if c[0] is not ProtocolKind.KKKP],
+                             ids=[i for c, i in zip(COMPARE_CELLS, CELL_IDS) if c[0] is not ProtocolKind.KKKP])
+    def test_ping_pong_tables_flip_at_the_scalar_threshold(self, kind, name, spec, filt):
+        pairs = self._check(ProtocolConfig(kind=kind, filter=FILTERS[filt], seed=29), spec)
+        # Every round compares the mode coin (after an intercept's draw).
+        assert pairs
+        flipped = [at != below for word_pairs in pairs.values() for at, below in word_pairs]
+        assert any(flipped)
+
+
+def _engine(kind: ProtocolKind, spec: StrategySpec):
+    cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5)
+    form = block_form(cfg, make_strategy(spec))
+    return None if form is None else type(form)
+
+
+IPE = StrategySpec(StrategyKind.IPE)
+IPE_DENSE = StrategySpec(StrategyKind.IPE_DENSE)
+INTERCEPT = StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=0.3)
+KKKP_PROBE = StrategySpec(StrategyKind.KKKP_PROBE, n=4)
+
+
+class TestEngineChoice:
+    @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
+    def test_compare_cells_run_in_blocks(self, kind, name, spec, filt):
+        expected = KkkpBlocks if kind is ProtocolKind.KKKP else BranchBlocks
+        assert _engine(kind, spec) is expected
+
+    @pytest.mark.parametrize("kind, spec", [
+        (ProtocolKind.PP_DENSE, IPE),
+        (ProtocolKind.PP_EPR, IPE_DENSE),
+        (ProtocolKind.PP_SINGLE, IPE_DENSE),
+        (ProtocolKind.PP_EPR, KKKP_PROBE),
+        (ProtocolKind.PP_SINGLE, KKKP_PROBE),
+        (ProtocolKind.PP_DENSE, KKKP_PROBE),
+        (ProtocolKind.KKKP, IPE),
+        (ProtocolKind.KKKP, IPE_DENSE),
+        (ProtocolKind.KKKP, INTERCEPT),
+    ], ids=lambda v: v.value if isinstance(v, ProtocolKind) else v.kind.value)
+    def test_mismatched_pairs_run_round_by_round(self, kind, spec):
+        assert _engine(kind, spec) is None
+
+    @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
+    def test_probe_overriding_a_hook_runs_round_by_round(self, kind, monkeypatch):
+        spec = _probe(kind)
+        base = type(make_strategy(spec))
+
+        class CountingProbe(base):
+            finalized = 0
+
+            def finalize(self, ctx):
+                self.finalized += 1
+                return super().finalize(ctx)
+
+        cfg = ProtocolConfig(kind=kind, rounds=BLOCK_ROUNDS + 3, seed=11, log_rounds=True)
+        expected = run_session(cfg, spec)
+        adv = CountingProbe(spec.lambda_e_nm)
+        assert block_form(cfg, adv) is None
+        monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
+        assert run_session(cfg, spec) == expected
+        assert adv.finalized == cfg.rounds
+
+    @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
+    def test_round_zero_runs_through_run_round(self, kind, name, spec, filt, monkeypatch):
+        # Block sessions still run their first round through
+        # harness.run_round, where a profiler can stop at the first round.
+        calls = []
+
+        def counting(cfg, adv, rng):
+            calls.append(1)
+            return run_round(cfg, adv, rng)
+
+        monkeypatch.setattr(harness, "run_round", counting)
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
+                             filter=FILTERS[filt], rounds=7)
+        run_session(cfg, spec)
+        assert len(calls) == 1
+
+    def test_round_by_round_sessions_call_run_round_every_round(self, monkeypatch):
+        calls = []
+
+        def counting(cfg, adv, rng):
+            calls.append(1)
+            return run_round(cfg, adv, rng)
+
+        monkeypatch.setattr(harness, "run_round", counting)
+        run_session(ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=7), IPE)
+        assert len(calls) == 7
