@@ -1,66 +1,14 @@
 """Monte Carlo security analysis of deterministic two-way ("ping-pong")
 quantum communication protocols: honest runs, invisible-photon and
 intercept-resend eavesdropping, the narrowband filter defense, and the
-three-way blind-rotation variant."""
+three-way blind-rotation variant.
 
-from .adversaries import (
-    AdversaryStrategy,
-    RoundContext,
-    StrategyKind,
-    StrategySpec,
-    make_intercept_resend,
-    make_ipe,
-    make_ipe_dense,
-    make_kkkp_probe,
-    make_no_eve,
-    make_strategy,
-)
-from .harness import (
-    RunStats,
-    channel_mutual_information,
-    mutual_information,
-    qber,
-    round_rng,
-    run_session,
-)
-from .optics import (
-    Detector,
-    Leg,
-    OpticalFilter,
-    Photon,
-    Pulse,
-    apply_filter,
-    default_filter,
-    is_visible,
-    split_by_wavelength,
-)
-from .protocols import (
-    ConfigError,
-    Mode,
-    ProtocolConfig,
-    ProtocolKind,
-    RoundRecord,
-    kkkp_round,
-    message_bit_width,
-    pp_dense_round,
-    pp_epr_round,
-    pp_single_round,
-    run_round,
-)
-from .quantum import (
-    BellKind,
-    Prep,
-    QuantumRegister,
-    apply_unitary,
-    make_bell,
-    make_single,
-    measure,
-    measure_bell,
-    merge_registers,
-    rot,
-    rotated_basis,
-    states_equal,
-)
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario_text, scenario_to_text
+The package exports the session API; everything else is imported from
+its module (``ppsim.quantum``, ``ppsim.optics``, ``ppsim.cli``, ...)."""
+
+from .adversaries import StrategyKind, StrategySpec
+from .harness import RunStats, run_session
+from .protocols import ConfigError, ProtocolConfig, ProtocolKind
+from .scenario import Scenario
 
 __version__ = "0.1.0"

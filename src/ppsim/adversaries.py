@@ -43,7 +43,7 @@ from typing import Container, Sequence
 import numpy as np
 
 from . import quantum
-from .optics import EVE_WAVELENGTH_NM, OpticalFilter, Photon, Pulse, split_by_wavelength
+from .optics import EVE_WAVELENGTH_NM, ConfigError, OpticalFilter, Photon, Pulse, split_by_wavelength
 from .quantum import BASIS_X, BASIS_Z, BellKind, Prep, QuantumRegister
 
 # Half-width of the spectroscope band Eve uses to pick out her probe.
@@ -409,9 +409,9 @@ class StrategySpec:
 
     def validate(self) -> None:
         if self.lambda_e_nm <= 0:
-            raise ValueError(f"attack lambda_e_nm must be positive, got {self.lambda_e_nm}")
+            raise ConfigError(f"attack lambda_e_nm must be positive, got {self.lambda_e_nm}")
         if self.n < 1:
-            raise ValueError(f"attack n must be >= 1, got {self.n}")
+            raise ConfigError(f"attack n must be >= 1, got {self.n}")
         parse_basis(self.basis)
 
 
@@ -422,7 +422,7 @@ def parse_basis(basis: str | float) -> np.ndarray:
             return BASIS_Z
         if name == "x":
             return BASIS_X
-        raise ValueError(f"unknown measurement basis {basis!r} (want 'z', 'x' or radians)")
+        raise ConfigError(f"unknown measurement basis {basis!r} (want 'z', 'x' or radians)")
     return quantum.rotated_basis(float(basis))
 
 

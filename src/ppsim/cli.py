@@ -1,8 +1,8 @@
 """Command-line front end: run one scenario, sweep a field, or emit the
 protocol x attack comparison matrix.
 
-Exit codes: 0 ok, 2 scenario parse failure, 3 constraint violation,
-4 unknown sweep field, 5 I/O failure.
+Exit codes: 0 ok, 1 internal error, 2 scenario parse failure,
+3 constraint violation, 4 unknown sweep field, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -226,12 +226,15 @@ def main(argv: list[str] | None = None) -> int:
     except SweepFieldError as e:
         print(f"ppsim: sweep error: {e}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"ppsim: constraint violation: {e}", file=sys.stderr)
         return 3
     except OSError as e:
         print(f"ppsim: i/o error: {e}", file=sys.stderr)
         return 5
+    except Exception as e:
+        print(f"ppsim: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:  # console-script shim

@@ -13,7 +13,10 @@ per round.  The block engine runs round 0 through :func:`run_round` and
 the rest as numpy arrays over blocks of up to :data:`BLOCK_ROUNDS`
 rounds, which may mix control and message rounds; it reads the same
 words of the same streams and makes the same decisions from them, so
-the scalar engine is its exact oracle.
+the scalar engine is its exact oracle.  A block's words come from one
+vectorised Philox pass over its counters (:func:`_block_words`), pinned
+bit for bit to :func:`round_rng`; round 0 and round-by-round sessions
+reach their streams through :func:`_stream_factory`.
 """
 
 from __future__ import annotations
@@ -28,9 +31,19 @@ import numpy as np
 from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
 from .protocols import BlockRecord, Mode, ProtocolConfig, RoundRecord, block_form, run_round
 
-# Rounds per block of the block engine: enough to spread numpy's per-call
-# cost thin, few enough that a block's arrays stay within tens of kB.
-BLOCK_ROUNDS = 512
+# Rounds per block of the block engine: enough to spread thin the fixed
+# cost of the ~200 numpy calls of a block's Philox pass, few enough that a
+# block's arrays stay within a few hundred kB (a kkkp_probe block at
+# n = 16, 20 words a round, peaks under 2.5 MB).
+BLOCK_ROUNDS = 2048
+
+# Philox4x64-10 as numpy computes it (Salmon et al., SC'11): the round
+# multipliers M0 and M1, their 32-bit halves, and the key's Weyl increments.
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> _HALF
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = (1 << 64) - 1
 
 
 def round_rng(seed: int, index: int) -> np.random.Generator:
@@ -68,9 +81,35 @@ def _stream_factory(seed: int):
     return at
 
 
-def _block_words(stream_at, start: int, stop: int, k: int) -> np.ndarray:
-    """The first ``k`` 64-bit words of the streams of rounds ``start`` to ``stop - 1``, a row each."""
-    return np.array([stream_at(i).bit_generator.random_raw(k) for i in range(start, stop)])
+def _block_words(seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """The first ``k`` 64-bit words of the streams of rounds ``start`` to ``stop - 1``, a row each.
+
+    Philox is counter-based, so a round's words are a pure function of
+    (key, counter), and the whole block is computed as one numpy pass of
+    Philox4x64-10 over the counters its rows need.  numpy's Philox adds 1
+    to its counter before filling its four-word buffer, so words 4(j-1)
+    to 4j-1 of round i come from counter (j, 0, 0, i), j = 1, 2, ...;
+    the key is (seed, 0), as seeds stay below 2^64.  The rows equal
+    ``round_rng(seed, i).bit_generator.random_raw(k)`` bit for bit.
+    """
+    rows, blocks = stop - start, -(-k // 4)
+    # The counter words each round multiplies, x = (c0, c2), and the ones
+    # it does not, y = (c1, c3); a column per (round, block).
+    x = np.zeros((2, rows, blocks), np.uint64)
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    y = np.zeros((2, rows, blocks), np.uint64)
+    y[1] = np.arange(start, stop, dtype=np.uint64)[:, None]
+    x, y = x.reshape(2, -1), y.reshape(2, -1)
+    k0, k1 = seed, 0
+    for _ in range(10):
+        # (c0, c1, c2, c3) -> (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
+        # the high words of the 64x64-bit products summed from 32-bit halves.
+        low, high = x & _LOW32, x >> _HALF
+        mid = high * _PHILOX_MUL_LO + ((low * _PHILOX_MUL_LO) >> _HALF)
+        hi = high * _PHILOX_MUL_HI + (mid >> _HALF) + ((low * _PHILOX_MUL_HI + (mid & _LOW32)) >> _HALF)
+        x, y = hi[::-1] ^ y ^ np.array([[k0], [k1]], np.uint64), (x * _PHILOX_MUL)[::-1]
+        k0, k1 = (k0 + _PHILOX_WEYL[0]) & _U64, (k1 + _PHILOX_WEYL[1]) & _U64
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(rows, 4 * blocks)[:, :k]
 
 
 @dataclass(frozen=True)
@@ -265,7 +304,7 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     if blocks is not None:
         for start in range(1, cfg.rounds, BLOCK_ROUNDS):
             stop = min(start + BLOCK_ROUNDS, cfg.rounds)
-            block = blocks.run(_block_words(stream_at, start, stop, blocks.words))
+            block = blocks.run(_block_words(cfg.seed, start, stop, blocks.words))
             acc.add_block(block)
             if cfg.log_rounds:
                 log.extend(block.records())

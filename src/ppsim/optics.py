@@ -21,10 +21,14 @@ EVE_WAVELENGTH_NM = 190_000.0
 FILTER_HALF_WIDTH_NM = 0.05
 
 
+class ConfigError(ValueError):
+    """A configuration value violates a constraint of the optics, attack or protocol."""
+
+
 def _check_interval(name: str, interval: tuple[float, float]) -> None:
     lo, hi = interval
     if not 0 < lo < hi:
-        raise ValueError(f"{name} must satisfy 0 < lo < hi, got [{lo}, {hi}]")
+        raise ConfigError(f"{name} must satisfy 0 < lo < hi, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ import numpy as np
 from . import quantum
 from .adversaries import DENSE_DECODE, AdversaryStrategy, RoundContext
 from .optics import (
+    ConfigError,
     Detector,
     Leg,
     OpticalFilter,
@@ -53,10 +54,6 @@ TWO_PI = 2.0 * math.pi
 
 # Blind-rotation protocol: encoding rotates the polarization by +-pi/4.
 ENC_ANGLE = math.pi / 4
-
-
-class ConfigError(ValueError):
-    """A configuration value violates a protocol constraint."""
 
 
 class ProtocolKind(Enum):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ppsim import cli
 from ppsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,6 +102,24 @@ class TestExitCodes:
         scenario = write_scenario(tmp_path, {"protocol": "pp_epr", "control_prob": 1.5})
         assert main(["run", scenario]) == 3
         assert "control_prob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"protocol": "pp_epr", "filter": {"enabled": True, "passband_nm": [900, 600]}}, "passband"),
+        ({"protocol": "pp_epr", "detector_window_nm": [900, 600]}, "detector window"),
+        ({"protocol": "kkkp", "attack": {"kind": "kkkp_probe", "n": 0}}, "attack n"),
+        ({"protocol": "pp_epr", "attack": {"kind": "ipe", "lambda_e_nm": -1}}, "lambda_e_nm"),
+    ], ids=["passband", "detector_window", "probe_count", "probe_wavelength"])
+    def test_optics_and_attack_constraints_are_3(self, tmp_path, capsys, obj, field):
+        assert main(["run", write_scenario(tmp_path, obj)]) == 3
+        assert field in capsys.readouterr().err
+
+    def test_other_errors_are_internal_1(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, spec):
+            raise ValueError("not a constraint")
+
+        monkeypatch.setattr(cli, "run_session", broken)
+        assert main(["run", write_scenario(tmp_path, IPE_SCENARIO)]) == 1
+        assert capsys.readouterr().err == "ppsim: internal error: ValueError: not a constraint\n"
 
     def test_unknown_sweep_field_is_4(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)

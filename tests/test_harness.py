@@ -285,13 +285,16 @@ class TestBlockEngine:
         cfg = kkkp_cfg(rounds=rounds, seed=seed)
         assert run_session(cfg, spec) == round_by_round(cfg, spec)
 
-    def test_blocks_read_the_head_of_each_round_stream(self):
-        for seed in SEEDS:
-            for k in (3, 4, 20):
-                words = _block_words(_stream_factory(seed), 5, 5 + 9, k)
-                assert words.shape == (9, k)
-                for row, index in zip(words, range(5, 14)):
-                    assert row.tolist() == round_rng(seed, index).bit_generator.random_raw(k).tolist()
+    @pytest.mark.parametrize("seed", [0, 42, 123456789, 2**64 - 1])
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 8, 20, 21])
+    @pytest.mark.parametrize("start, stop", [
+        (0, 9), (5, 14), (BLOCK_ROUNDS - 3, BLOCK_ROUNDS + 4), (10**9, 10**9 + 5),
+    ], ids=["from_0", "from_5", "across_block_rounds", "from_1e9"])
+    def test_blocks_read_the_head_of_each_round_stream(self, seed, k, start, stop):
+        words = _block_words(seed, start, stop, k)
+        assert words.shape == (stop - start, k)
+        for row, index in zip(words, range(start, stop)):
+            assert row.tolist() == round_rng(seed, index).bit_generator.random_raw(k).tolist()
 
     def test_word_counts(self):
         def words(spec, filt=None):
@@ -493,7 +496,7 @@ class TestPingPongBlocks:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
     def test_compare_cells_match_round_by_round(self, kind, name, spec, filt, seed):
-        # Two blocks: rounds 1-512 and 513-599.
+        # Round 0, then one block of rounds 1-599; test_block_boundaries crosses blocks.
         cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
                              filter=FILTERS[filt], rounds=600, seed=seed, log_rounds=True)
         assert_matches_round_by_round(cfg, spec)
@@ -607,7 +610,7 @@ class TestThresholds:
         per altered word, the scalar records of each (at, below) pair."""
         adv = make_strategy(spec)
         blocks = block_form(cfg, adv)
-        words = _block_words(_stream_factory(cfg.seed), 0, 60, blocks.words)
+        words = _block_words(cfg.seed, 0, 60, blocks.words)
         rows, altered_words = _boundary_rows(cfg, adv, words)
         expected = [run_round(cfg, adv, WordStream(row)) for row in rows]
         assert blocks.run(rows).records() == expected
