@@ -43,7 +43,8 @@ from typing import Container, Sequence
 import numpy as np
 
 from . import quantum
-from .optics import EVE_WAVELENGTH_NM, ConfigError, OpticalFilter, Photon, Pulse, split_by_wavelength
+from .optics import (EVE_WAVELENGTH_NM, ConfigError, OpticalFilter, Photon, Pulse, check_wavelength,
+                     split_by_wavelength)
 from .quantum import BASIS_X, BASIS_Z, BellKind, Prep, QuantumRegister
 
 # Half-width of the spectroscope band Eve uses to pick out her probe.
@@ -204,8 +205,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
     block_protocols = frozenset({"pp_epr", "pp_single"})
 
     def __init__(self, lambda_e_nm: float):
-        if lambda_e_nm <= 0:
-            raise ValueError(f"probe wavelength must be positive, got {lambda_e_nm}")
+        check_wavelength("probe lambda_e_nm", lambda_e_nm)
         self.lambda_e_nm = lambda_e_nm
         self.band_nm = _probe_band(lambda_e_nm)
 
@@ -303,8 +303,7 @@ class _BlindBaseProbe(AdversaryStrategy):
     def __init__(self, n: int, lambda_e_nm: float, theta_known: bool):
         if n < 1:
             raise ValueError(f"probe photon count must be >= 1, got {n}")
-        if lambda_e_nm <= 0:
-            raise ValueError(f"probe wavelength must be positive, got {lambda_e_nm}")
+        check_wavelength("probe lambda_e_nm", lambda_e_nm)
         self.n = n
         self.lambda_e_nm = lambda_e_nm
         self.band_nm = _probe_band(lambda_e_nm)
@@ -408,8 +407,7 @@ class StrategySpec:
     theta_known: bool = False
 
     def validate(self) -> None:
-        if self.lambda_e_nm <= 0:
-            raise ConfigError(f"attack lambda_e_nm must be positive, got {self.lambda_e_nm}")
+        check_wavelength("attack lambda_e_nm", self.lambda_e_nm)
         if self.n < 1:
             raise ConfigError(f"attack n must be >= 1, got {self.n}")
         parse_basis(self.basis)

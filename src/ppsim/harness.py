@@ -16,7 +16,9 @@ words of the same streams and makes the same decisions from them, so
 the scalar engine is its exact oracle.  A block's words come from one
 vectorised Philox pass over its counters (:func:`_block_words`), pinned
 bit for bit to :func:`round_rng`; round 0 and round-by-round sessions
-reach their streams through :func:`_stream_factory`.
+reach their streams through :func:`_stream_factory`.  A block gives
+each round's leaf in a small table of leaf records: it is aggregated by
+counting its leaves, and logged as references to the shared records.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
-from .protocols import BlockRecord, Mode, ProtocolConfig, RoundRecord, block_form, run_round
+from .protocols import Mode, ProtocolConfig, RoundRecord, block_form, run_round
 
 # Rounds per block of the block engine: enough to spread thin the fixed
 # cost of the ~200 numpy calls of a block's Philox pass, few enough that a
@@ -194,7 +196,7 @@ def qber(records: Iterable[RoundRecord]) -> float:
 
 
 class _Accumulator:
-    """Streaming aggregation of round records."""
+    """Streaming aggregation of round records, each counted one or more times."""
 
     __slots__ = (
         "rounds", "message_rounds", "message_errors", "control_evaluated",
@@ -203,58 +205,27 @@ class _Accumulator:
     )
 
     def __init__(self) -> None:
-        self.rounds = 0
-        self.message_rounds = 0
-        self.message_errors = 0
-        self.control_evaluated = 0
-        self.control_failures = 0
-        self.anomalies = 0
-        self.absorbed = 0
-        self.blind = 0
-        self.guessed_messages = 0
-        self.correct_guesses = 0
+        for name in self.__slots__[:-1]:
+            setattr(self, name, 0)
         self.joint: Counter = Counter()
 
-    def add(self, rec: RoundRecord) -> None:
-        self.rounds += 1
-        self.anomalies += rec.anomaly
-        self.absorbed += rec.absorbed_count
-        self.blind += rec.eve_blind
+    def add(self, rec: RoundRecord, times: int = 1) -> None:
+        """Count ``times`` rounds that each ended in ``rec``."""
+        self.rounds += times
+        self.anomalies += rec.anomaly * times
+        self.absorbed += rec.absorbed_count * times
+        self.blind += rec.eve_blind * times
         if rec.mode is Mode.MESSAGE:
-            self.message_rounds += 1
+            self.message_rounds += times
             if rec.bob_bits != rec.alice_bits:
-                self.message_errors += 1
+                self.message_errors += times
             if rec.eve_guess is not None:
-                self.guessed_messages += 1
-                self.correct_guesses += rec.eve_guess == rec.alice_bits
-                self.joint[(rec.alice_bits, rec.eve_guess)] += 1
+                self.guessed_messages += times
+                self.correct_guesses += (rec.eve_guess == rec.alice_bits) * times
+                self.joint[(rec.alice_bits, rec.eve_guess)] += times
         elif rec.control_pass is not None:
-            self.control_evaluated += 1
-            self.control_failures += not rec.control_pass
-
-    def add_block(self, block: BlockRecord) -> None:
-        """:meth:`add` for every round of a block, in order."""
-        control = block.control
-        message = ~control
-        self.rounds += len(control)
-        self.message_rounds += int(np.count_nonzero(message))
-        self.anomalies += int(np.count_nonzero(block.anomaly))
-        self.absorbed += int(block.absorbed_count.sum())
-        self.blind += int(np.count_nonzero(block.eve_blind))
-        alice = block.alice_bits[message]
-        self.message_errors += int(np.count_nonzero(block.bob_bits[message] != alice))
-        passed = block.control_pass[control]
-        self.control_evaluated += int(np.count_nonzero(passed >= 0))
-        self.control_failures += int(np.count_nonzero(passed == 0))
-        guess = block.eve_guess[message]
-        guessed = guess >= 0
-        alice, guess = alice[guessed], guess[guessed]
-        self.guessed_messages += len(guess)
-        self.correct_guesses += int(np.count_nonzero(guess == alice))
-        # Counted pair by pair, so new pairs enter the table in the order
-        # they do round by round: the float sums behind the mutual
-        # information run in that order.
-        self.joint.update(zip(alice.tolist(), guess.tolist()))
+            self.control_evaluated += times
+            self.control_failures += (not rec.control_pass) * times
 
     def stats(self, seed: int) -> RunStats:
         guessed = self.guessed_messages
@@ -305,7 +276,10 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
         for start in range(1, cfg.rounds, BLOCK_ROUNDS):
             stop = min(start + BLOCK_ROUNDS, cfg.rounds)
             block = blocks.run(_block_words(cfg.seed, start, stop, blocks.words))
-            acc.add_block(block)
+            # Leaves in the order of their first round: (alice, guess) pairs enter
+            # the joint table, and the MI's float sums run, as round by round.
+            for rec, times in block.counts():
+                acc.add(rec, times)
             if cfg.log_rounds:
                 log.extend(block.records())
     return acc.stats(cfg.seed), log

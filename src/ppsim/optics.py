@@ -7,6 +7,7 @@ All intervals are closed and in nanometres.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,12 @@ FILTER_HALF_WIDTH_NM = 0.05
 
 class ConfigError(ValueError):
     """A configuration value violates a constraint of the optics, attack or protocol."""
+
+
+def check_wavelength(name: str, value: float) -> None:
+    """Reject a wavelength that is not a positive, finite number, NaN included."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_interval(name: str, interval: tuple[float, float]) -> None:

@@ -22,8 +22,10 @@ Conventions shared by all rounds:
 :func:`block_form` gives a session's rounds a block at a time, as
 numpy arrays over the rounds, when its strategy has a block form for
 the protocol: :class:`KkkpBlocks` for ``kkkp``, :class:`BranchBlocks`
-for the ping-pong protocols.  Both give bit for bit the records of the
-round functions above, which stay the reference.
+for the ping-pong protocols.  Both give each round of a :class:`Block`
+the leaf it ends at, in a small table of leaf records that the rounds
+share; the records are bit for bit those of the round functions above,
+which stay the reference.
 """
 
 from __future__ import annotations
@@ -31,23 +33,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import quantum
 from .adversaries import DENSE_DECODE, AdversaryStrategy, RoundContext
-from .optics import (
-    ConfigError,
-    Detector,
-    Leg,
-    OpticalFilter,
-    Photon,
-    Pulse,
-    apply_filter,
-    is_visible,
-)
+from .optics import (ConfigError, Detector, Leg, OpticalFilter, Photon, Pulse, apply_filter,
+                     check_wavelength, is_visible)
 from .quantum import BASIS_X, BASIS_Z, I2, IY, X, Z, BellKind, Prep
 
 TWO_PI = 2.0 * math.pi
@@ -86,8 +80,7 @@ class ProtocolConfig:
     def validate(self) -> None:
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.signal_wavelength_nm <= 0:
-            raise ConfigError(f"signal_wavelength_nm must be positive, got {self.signal_wavelength_nm}")
+        check_wavelength("signal_wavelength_nm", self.signal_wavelength_nm)
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.kind is ProtocolKind.KKKP:
@@ -98,53 +91,82 @@ class ProtocolConfig:
             raise ConfigError(f"control_prob must be in (0, 1), got {self.control_prob}")
 
 
-@dataclass(slots=True)
+_RECORD_FIELDS = ("mode", "alice_bits", "bob_bits", "control_pass", "eve_guess",
+                  "eve_blind", "anomaly", "absorbed_count", "kkkp_angles")
+
+
 class RoundRecord:
-    """Transcript of one round."""
+    """Transcript of one round; the rounds of a block that end at one leaf share one.
 
-    mode: Mode
-    alice_bits: int | None = None   # encoded value; message rounds only
-    bob_bits: int | None = None     # decoded value; None = erasure/decode failure
-    control_pass: bool | None = None  # None when not evaluated (message or discarded)
-    eve_guess: int | None = None
-    eve_blind: bool = False
-    anomaly: bool = False
-    absorbed_count: int = 0
-    kkkp_angles: tuple[float, float] | None = None
-
-
-class BlockRecord(NamedTuple):
-    """Transcript of a block of rounds, as arrays over the rounds.
-
-    ``control`` is the mode mask.  Where a :class:`RoundRecord` holds
-    None, ``alice_bits``, ``bob_bits``, ``eve_guess`` and
-    ``control_pass`` hold -1; ``control_pass`` holds 0 and 1 for False
-    and True.  ``kkkp_angles`` is None outside ``kkkp``.  A named tuple
-    rather than a dataclass: it costs a tenth as much to define, which
-    every process start pays.
+    Immutable: each field is a read-only view of a private slot, so
+    assigning it raises ``AttributeError``, yet a record costs no more
+    to build than a slotted dataclass.  ``==`` and ``repr`` are a
+    dataclass's.
     """
 
-    control: np.ndarray
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
-    control_pass: np.ndarray
-    eve_guess: np.ndarray
-    eve_blind: np.ndarray
-    anomaly: np.ndarray
-    absorbed_count: np.ndarray
+    __slots__ = tuple("_" + name for name in _RECORD_FIELDS)
+
+    def __init__(self, mode: Mode,
+                 alice_bits: int | None = None,     # encoded value; message rounds only
+                 bob_bits: int | None = None,       # decoded value; None = erasure/decode failure
+                 control_pass: bool | None = None,  # None when not evaluated (message or discarded)
+                 eve_guess: int | None = None, eve_blind: bool = False, anomaly: bool = False,
+                 absorbed_count: int = 0, kkkp_angles: tuple[float, float] | None = None):
+        self._mode = mode
+        self._alice_bits = alice_bits
+        self._bob_bits = bob_bits
+        self._control_pass = control_pass
+        self._eve_guess = eve_guess
+        self._eve_blind = eve_blind
+        self._anomaly = anomaly
+        self._absorbed_count = absorbed_count
+        self._kkkp_angles = kkkp_angles
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _record_values(self) == _record_values(other)
+
+    def __repr__(self) -> str:
+        fields = zip(_RECORD_FIELDS, _record_values(self))
+        return f"RoundRecord({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+
+_record_values = attrgetter(*RoundRecord.__slots__)
+for _name in _RECORD_FIELDS:
+    setattr(RoundRecord, _name, property(attrgetter("_" + _name)))
+
+
+class Block(NamedTuple):
+    """A block of rounds: round i ends at leaf ``leaves[i]``, whose record is ``table[leaves[i]]``.
+
+    ``table``, an object array, holds None at an index that is no leaf.
+    In ``kkkp`` each round also has its own ``kkkp_angles`` = (theta,
+    phi), which the leaf records leave out.
+    """
+
+    leaves: np.ndarray
+    table: np.ndarray
     kkkp_angles: tuple[np.ndarray, np.ndarray] | None
 
+    def counts(self) -> list[tuple[RoundRecord, int]]:
+        """Each leaf's record and the number of rounds that end there,
+        the leaves in the order of their first round."""
+        rows, size = len(self.leaves), len(self.table)
+        counts = np.bincount(self.leaves, minlength=size).tolist()
+        first = np.full(size, rows)
+        np.minimum.at(first, self.leaves, np.arange(rows))
+        order = sorted(range(size), key=first.tolist().__getitem__)
+        return [(self.table[leaf], counts[leaf]) for leaf in order if counts[leaf]]
+
     def records(self) -> list[RoundRecord]:
-        """One :class:`RoundRecord` per round, holding plain ``int``, ``bool`` and None."""
-        angles = (repeat(None) if self.kkkp_angles is None
-                  else zip(*(a.tolist() for a in self.kkkp_angles)))
-        return [
-            RoundRecord(Mode.CONTROL if c else Mode.MESSAGE, None if a < 0 else a,
-                        None if b < 0 else b, (False, True, None)[p], None if g < 0 else g,
-                        blind, anomaly, absorbed, ang)
-            for c, a, b, p, g, blind, anomaly, absorbed, ang in zip(
-                *(field.tolist() for field in self[:8]), angles)
-        ]
+        """One record per round: its leaf's own record, or in ``kkkp`` a
+        new record that adds the round's angles to it."""
+        if self.kkkp_angles is None:
+            return self.table[self.leaves].tolist()
+        fields = [_record_values(rec)[:8] for rec in self.table.tolist()]  # all but the angles
+        angles = zip(*(a.tolist() for a in self.kkkp_angles))
+        return [RoundRecord(*fields[leaf], ang) for leaf, ang in zip(self.leaves.tolist(), angles)]
 
 
 def _through_filter(cfg: ProtocolConfig, pulse: Pulse) -> tuple[Pulse, int]:
@@ -378,7 +400,8 @@ class KkkpBlocks:
     is worked out once per session.  Every amplitude and probability is
     computed with the float operations of :func:`kkkp_round`, in the
     same order, so a block gives bit for bit the records that
-    :func:`kkkp_round` gives round by round.
+    :func:`kkkp_round` gives round by round: a round's leaf is its
+    (alice, bob, guess), and its angles come beside the leaf table.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
@@ -387,30 +410,33 @@ class KkkpBlocks:
         self.eve = adv.kkkp_block_form(filt)
         self.first_draw = 3 + self.signal_admitted  # the strategy's first word
         self.words = self.first_draw + self.eve.draws
-        self.absorbed = (not self.signal_admitted) + self.eve.absorbed
+        absorbed = (not self.signal_admitted) + self.eve.absorbed
+        # A leaf per (alice, bob, guess), bob and guess None, 0 or 1:
+        # leaf 9 * alice + 3 * (bob + 1) + guess + 1, None counted as -1.
+        self.table = np.array([
+            RoundRecord(Mode.MESSAGE, alice, bob, None, guess, self.eve.blind, False, absorbed)
+            for alice in (0, 1) for bob in (None, 0, 1) for guess in (None, 0, 1)], object)
 
-    def run(self, words: np.ndarray) -> BlockRecord:
+    def run(self, words: np.ndarray) -> Block:
         """The rounds whose streams begin with the rows of ``words``."""
-        rows = len(words)
         theta = TWO_PI * _uniform(words[:, 0])
         phi = TWO_PI * _uniform(words[:, 1])
         bits = ((words[:, 2] >> 31) & 1).astype(np.int64)
         encode = np.where(bits == 1, -ENC_ANGLE, ENC_ANGLE) - theta
-        none = np.full(rows, -1)
-        bob_bits = none
+        leaves = 9 * bits + 4
         if self.signal_admitted:
             a0, a1 = quantum.rotate_real(1.0, 0.0, theta)  # ROT(theta)|0>
             a0, a1 = quantum.rotate_real(a0, a1, phi)
             a0, a1 = quantum.rotate_real(a0, a1, encode)
             a0, a1 = quantum.rotate_real(a0, a1, -phi)
             p1 = quantum.prob_one_real(a0, a1, BASIS_X)
-            bob_bits = (_uniform(words[:, 3]) < p1).astype(np.int64)
+            leaves += 3 * (_uniform(words[:, 3]) < p1)
+        else:
+            leaves -= 3  # an erasure
         coin = (words[:, 2] >> 63).astype(np.int64)
         guesses = self.eve.guesses(theta, encode, _uniform(words[:, self.first_draw:]), coin)
-        never = np.zeros(rows, bool)
-        return BlockRecord(never, bits, bob_bits, none, none if guesses is None else guesses,
-                           np.full(rows, self.eve.blind), never, np.full(rows, self.absorbed),
-                           (theta, phi))
+        leaves += -1 if guesses is None else guesses
+        return Block(leaves, self.table, (theta, phi))
 
 
 # A tree node either compares the uniform draw of a word with a threshold
@@ -446,27 +472,29 @@ class BranchBlocks:
     the very probability the scalar kernels compute, branch by branch,
     and no float operation is written a second time.  A block walks its
     rows down the tree by comparing their draws with the thresholds, so
-    it gives bit for bit the records the round gives round by round.
+    it gives bit for bit the records the round gives round by round: a
+    round's leaf, whose record in ``table`` is the one its tree-building
+    run returned.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
         round_fn = _ROUND_FUNCS[cfg.kind._name_]
         self.nodes: list[tuple[int, int, float]] = []   # (word, kind, threshold or width)
         self.children: list[dict[int, int]] = []        # decision -> child, per node
-        leaves: dict[int, tuple] = {}                   # leaf -> its BlockRecord values
+        leaves: dict[int, RoundRecord] = {}             # leaf -> the record of its run
         self.words = 0
         pending: list[list[int]] = [[]]
         while pending:
             draws = _BranchDraws(self, pending.pop(), pending)
             rec = round_fn(cfg, adv, draws)
-            leaves[self.add(draws.slot, -1, -1, 0)] = _block_values(rec)
+            leaves[self.add(draws.slot, -1, -1, 0)] = rec
             self.words = max(self.words, draws.words)
-        # A node whose outcomes all end in the same record is a leaf too
-        # (a Bell outcome and _pick's fallback often agree, say).
+        # A node whose outcomes all end in equal records is a leaf with that
+        # record too (a Bell outcome and _pick's fallback often agree, say).
         for node in reversed(range(len(self.nodes))):
-            ends = {leaves.get(kid) for kid in self.children[node].values()}
-            if len(ends) == 1 and None not in ends:
-                leaves[node] = ends.pop()
+            ends = [leaves.get(kid) for kid in self.children[node].values()]
+            if ends and None not in ends and ends.count(ends[0]) == len(ends):
+                leaves[node] = ends[0]
         # Per node, what decides the way on: a uniform draw below ``limit``,
         # or the bits (word >> shift) & mask of a half word.  A leaf has
         # limit 0 and mask 0, so it leads to itself.
@@ -494,10 +522,7 @@ class BranchBlocks:
             for decision, kid in self.children[node].items():
                 self.next[node, decision] = kid
                 live.append((kid, depth + 1))
-        # A column per BlockRecord field, a value per node (a leaf's or a filler).
-        filler = (False, -1, -1, -1, -1, False, False, 0)
-        self.columns = [np.array(column) for column in zip(*(
-            leaves.get(node, filler) for node in range(len(self.nodes))))]
+        self.table = np.array([leaves.get(node) for node in range(count)], object)
 
     def add(self, slot: tuple[int, int] | None, word: int, kind: int, param: float) -> int:
         """A new node, hung from ``slot`` = (parent, decision), or the root."""
@@ -508,7 +533,7 @@ class BranchBlocks:
             self.children[slot[0]][slot[1]] = node
         return node
 
-    def run(self, words: np.ndarray) -> BlockRecord:
+    def run(self, words: np.ndarray) -> Block:
         """The rounds whose streams begin with the rows of ``words``."""
         draws = _uniform(words)
         rows = np.arange(len(words))
@@ -517,17 +542,7 @@ class BranchBlocks:
             word = self.word[node]
             node = self.next[node, (draws[rows, word] < self.limit[node])
                              + ((words[rows, word] >> self.shift[node]) & self.mask[node])]
-        return BlockRecord(*(column[node] for column in self.columns), None)
-
-
-def _block_values(rec: RoundRecord) -> tuple:
-    """The :class:`BlockRecord` values of one round's record."""
-    return (rec.mode is Mode.CONTROL,
-            -1 if rec.alice_bits is None else rec.alice_bits,
-            -1 if rec.bob_bits is None else rec.bob_bits,
-            -1 if rec.control_pass is None else int(rec.control_pass),
-            -1 if rec.eve_guess is None else rec.eve_guess,
-            rec.eve_blind, rec.anomaly, rec.absorbed_count)
+        return Block(node, self.table, None)
 
 
 class _BranchDraws:

@@ -19,6 +19,7 @@ from ppsim.adversaries import (
     make_no_eve,
     make_strategy,
 )
+from ppsim.optics import ConfigError
 from ppsim.harness import round_rng, run_session
 from ppsim.optics import EVE_WAVELENGTH_NM, Leg, Photon, Pulse, default_filter
 from ppsim.protocols import (
@@ -334,6 +335,15 @@ class TestStrategyDispatch:
     def test_bad_wavelength_rejected(self):
         with pytest.raises(ValueError):
             StrategySpec(StrategyKind.IPE, lambda_e_nm=0).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [make_ipe, make_ipe_dense, lambda nm: make_kkkp_probe(2, nm)],
+                             ids=["ipe", "ipe_dense", "kkkp_probe"])
+    def test_non_finite_wavelength_rejected(self, make, value):
+        with pytest.raises(ConfigError, match="lambda_e_nm"):
+            StrategySpec(StrategyKind.IPE, lambda_e_nm=value).validate()
+        with pytest.raises(ConfigError, match="lambda_e_nm"):
+            make(value)
 
     def test_bad_basis_rejected(self):
         with pytest.raises(ValueError):

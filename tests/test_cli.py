@@ -168,6 +168,13 @@ class TestSweep:
         rows = parse_csv(out.read_text(encoding="utf-8"))
         assert int(rows[0]["anomaly_count"]) > 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_probe_wavelength_is_3(self, tmp_path, capsys, value):
+        scenario = write_scenario(tmp_path, IPE_SCENARIO)
+        assert main(["sweep", scenario, "--field", "lambda_e_nm", "--values", value,
+                     "--rounds", "300"]) == 3
+        assert "lambda_e_nm" in capsys.readouterr().err
+
     def test_probe_count_sweep_requires_probe_attack(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         assert main(["sweep", scenario, "--field", "n", "--values", "1,2"]) == 3

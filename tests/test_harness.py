@@ -25,6 +25,7 @@ from ppsim.harness import (
 )
 from ppsim.optics import Detector, OpticalFilter, default_filter
 from ppsim.protocols import (
+    Block,
     BranchBlocks,
     ConfigError,
     KkkpBlocks,
@@ -230,6 +231,35 @@ class TestRunSession:
         assert stats.eve_mutual_info_bits < 0.01
 
 
+_RECORDS = st.builds(
+    RoundRecord, mode=st.sampled_from(Mode), alice_bits=st.integers(0, 3),
+    bob_bits=st.none() | st.integers(0, 3), control_pass=st.none() | st.booleans(),
+    eve_guess=st.none() | st.integers(0, 3), eve_blind=st.booleans(), anomaly=st.booleans(),
+    absorbed_count=st.integers(0, 17),
+)
+
+
+class TestLeafCounts:
+    @given(first=_RECORDS, table=st.lists(_RECORDS, min_size=1, max_size=12), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counting_leaves_matches_adding_records(self, first, table, data):
+        # Leaves visited in the order of their first row add the (alice,
+        # guess) pairs to the joint table in the order rounds do, so even
+        # the float sums of the mutual information agree.
+        leaves = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=300))
+        block = Block(np.array(leaves), np.array(table, object), None)
+        by_counts, by_record = _Accumulator(), _Accumulator()
+        for acc in (by_counts, by_record):
+            acc.add(first)  # round 0, run round by round
+        for rec, times in block.counts():
+            by_counts.add(rec, times)
+        for leaf in leaves:
+            by_record.add(table[leaf])
+        assert by_counts.stats(0) == by_record.stats(0)
+        assert list(by_counts.joint.items()) == list(by_record.joint.items())
+        assert block.records() == [table[leaf] for leaf in leaves]
+
+
 def kkkp_cfg(**kw) -> ProtocolConfig:
     return ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, log_rounds=True, **kw)
 
@@ -245,6 +275,10 @@ def round_by_round(cfg: ProtocolConfig, spec: StrategySpec):
 
 
 SEEDS = (42, 7, 123456789)
+# The block boundary tests run under this block size, so that the scalar
+# oracle runs few rounds; one case per engine runs at the shipped size.
+SMALL_BLOCK = 64
+BOUNDARY_ROUNDS = [1, 2, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 17]
 PROBE_SPECS = [
     StrategySpec(StrategyKind.KKKP_PROBE, n=n, theta_known=known)
     for n in (1, 2, 4, 16) for known in (False, True)
@@ -275,14 +309,20 @@ class TestBlockEngine:
         assert run_session(cfg, NO_EVE) == round_by_round(cfg, NO_EVE)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("rounds", [1, 2, BLOCK_ROUNDS, BLOCK_ROUNDS + 1, 3 * BLOCK_ROUNDS + 17])
+    @pytest.mark.parametrize("rounds", BOUNDARY_ROUNDS)
     @pytest.mark.parametrize("spec", [
         NO_EVE,
         StrategySpec(StrategyKind.KKKP_PROBE, n=4),
         StrategySpec(StrategyKind.KKKP_PROBE, n=1, theta_known=True),
     ], ids=["no_eve", "n4", "n1_known"])
-    def test_block_boundaries(self, spec, rounds, seed):
+    def test_block_boundaries(self, spec, rounds, seed, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
         cfg = kkkp_cfg(rounds=rounds, seed=seed)
+        assert run_session(cfg, spec) == round_by_round(cfg, spec)
+
+    def test_block_boundaries_at_shipped_size(self):
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=4)
+        cfg = kkkp_cfg(rounds=3 * BLOCK_ROUNDS + 17, seed=7)
         assert run_session(cfg, spec) == round_by_round(cfg, spec)
 
     @pytest.mark.parametrize("seed", [0, 42, 123456789, 2**64 - 1])
@@ -502,13 +542,50 @@ class TestPingPongBlocks:
         assert_matches_round_by_round(cfg, spec)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("rounds", [1, 2, BLOCK_ROUNDS, BLOCK_ROUNDS + 1, 3 * BLOCK_ROUNDS + 17])
+    @pytest.mark.parametrize("rounds", BOUNDARY_ROUNDS)
     @pytest.mark.parametrize("attack", ["probe", "intercept"])
     @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
-    def test_block_boundaries(self, kind, attack, rounds, seed):
+    def test_block_boundaries(self, kind, attack, rounds, seed, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
         spec = _probe(kind) if attack == "probe" else StrategySpec(StrategyKind.INTERCEPT_RESEND)
         cfg = ProtocolConfig(kind=kind, rounds=rounds, seed=seed, log_rounds=True)
         assert_matches_round_by_round(cfg, spec)
+
+    def test_block_boundaries_at_shipped_size(self):
+        cfg = ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=3 * BLOCK_ROUNDS + 17, seed=7,
+                             log_rounds=True)
+        assert_matches_round_by_round(cfg, _probe(ProtocolKind.PP_DENSE))
+
+    def test_logged_rounds_share_their_leaf_records(self):
+        # Every round of a block is logged as its leaf's own record: the
+        # log holds one object per leaf reached, plus round 0's record; with
+        # a record per round this session peaked at 11.6 MiB.
+        cfg = ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=100_000, seed=3, log_rounds=True)
+        spec = _probe(ProtocolKind.PP_DENSE)
+        tracemalloc.start()
+        try:
+            stats, log = run_session(cfg, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        leaves = sum(rec is not None for rec in block_form(cfg, make_strategy(spec)).table)
+        assert len(log) == stats.rounds == 100_000
+        assert len({id(rec) for rec in log}) <= leaves + 1
+        assert peak < 3 * 2**20, peak
+
+    @pytest.mark.parametrize("kind, spec", [(ProtocolKind.PP_DENSE, _probe(ProtocolKind.PP_DENSE)),
+                                            (ProtocolKind.KKKP, StrategySpec(StrategyKind.KKKP_PROBE, n=4))],
+                             ids=["pp_dense", "kkkp"])
+    def test_logged_records_are_immutable(self, kind, spec):
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
+                             rounds=50, seed=3, log_rounds=True)
+        _, log = run_session(cfg, spec)
+        for rec in (log[0], log[-1]):  # round 0's, and a block's
+            for field in ("mode", "alice_bits", "bob_bits", "control_pass", "eve_guess",
+                          "eve_blind", "anomaly", "absorbed_count", "kkkp_angles"):
+                with pytest.raises(AttributeError):
+                    setattr(rec, field, None)
+        assert log == round_by_round(cfg, spec)[1]
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("filt", FILTERS)

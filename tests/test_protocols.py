@@ -390,3 +390,8 @@ class TestConfigValidation:
             ProtocolConfig(kind=ProtocolKind.PP_EPR, rounds=0).validate()
         with pytest.raises(ConfigError, match="signal_wavelength_nm"):
             ProtocolConfig(kind=ProtocolKind.PP_EPR, signal_wavelength_nm=-1).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_wavelength_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="signal_wavelength_nm"):
+            ProtocolConfig(kind=ProtocolKind.PP_EPR, signal_wavelength_nm=value).validate()

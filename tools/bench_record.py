@@ -9,9 +9,12 @@ Each call measures the checkout at ``--root`` and stores its figures
 under ``--label`` in ``--out``, keeping the labels already there, so one
 file holds the parent and the change side by side.  The figures:
 
-* microseconds per round of every ``ppsim compare`` cell and of
-  ``kkkp_probe`` at n = 1, 4 and 16 (10^4 rounds, seed 42, best of
-  five, measured in a fresh interpreter that imports ``<root>/src``);
+* microseconds per round of every ``ppsim compare`` cell, of
+  ``kkkp_probe`` at n = 1, 4 and 16, and of two sessions that keep
+  their round log (``log_rounds``): ``pp_dense`` under ``ipe_dense``
+  and ``kkkp`` under ``kkkp_probe`` at n = 4 (10^4 rounds, seed 42,
+  best of five, measured in a fresh interpreter that imports
+  ``<root>/src``);
 * the in-process wall time of ``ppsim compare`` at its defaults (median
   of five);
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
@@ -69,6 +72,13 @@ def measure() -> dict:
         cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, rounds=ROUNDS, seed=SEED)
         spec = StrategySpec(StrategyKind.KKKP_PROBE, n=n)
         cells[f"kkkp/kkkp_probe_n{n}"] = _best_us_per_round(lambda: run_session(cfg, spec))
+    for kind, spec, control_prob in (
+            (ProtocolKind.PP_DENSE, StrategySpec(StrategyKind.IPE_DENSE), 0.5),
+            (ProtocolKind.KKKP, StrategySpec(StrategyKind.KKKP_PROBE, n=4), 0.0)):
+        cfg = ProtocolConfig(kind=kind, control_prob=control_prob, rounds=ROUNDS, seed=SEED,
+                             log_rounds=True)
+        label = f"logged/{kind.value}/{spec.kind.value}" + ("_n4" if kind is ProtocolKind.KKKP else "")
+        cells[label] = _best_us_per_round(lambda: run_session(cfg, spec))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "matrix.csv")
         compare = [_timed(lambda: ppsim.cli.main(["compare", "-o", out])) for _ in range(REPEATS)]
