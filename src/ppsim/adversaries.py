@@ -141,10 +141,12 @@ class KkkpBlockForm:
 class AdversaryStrategy:
     """Base strategy: identity hooks, no guess."""
 
-    # The protocols (``ProtocolKind`` values) whose sessions under this
-    # strategy run in blocks.  Only the class that sets it is served, so
-    # a subclass that does not set it again runs round by round.
-    block_protocols = frozenset({"pp_epr", "pp_single", "pp_dense", "kkkp"})
+    # The protocols (``ProtocolKind`` values) this strategy's attack
+    # applies to (a scenario pairing it with another is rejected), and
+    # those whose sessions under it run in blocks.  Only the class that
+    # sets ``block_protocols`` is served, so a subclass that does not set
+    # it again runs round by round.
+    protocols = block_protocols = frozenset({"pp_epr", "pp_single", "pp_dense", "kkkp"})
 
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
         """The pulse going into the encoder."""
@@ -202,6 +204,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
     """
 
     width = 1  # guessed bits
+    protocols = frozenset({"pp_epr", "pp_single", "kkkp"})
     block_protocols = frozenset({"pp_epr", "pp_single"})
 
     def __init__(self, lambda_e_nm: float):
@@ -249,7 +252,7 @@ class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
     """
 
     width = 2
-    block_protocols = frozenset({"pp_dense"})
+    protocols = block_protocols = frozenset({"pp_dense"})
 
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_bell(BellKind.PSI_PLUS), 1  # qubit 0 stays in Eve's lab
@@ -298,7 +301,7 @@ class _BlindBaseProbe(AdversaryStrategy):
     measurement.
     """
 
-    block_protocols = frozenset({"kkkp"})
+    protocols = block_protocols = frozenset({"kkkp"})
 
     def __init__(self, n: int, lambda_e_nm: float, theta_known: bool):
         if n < 1:

@@ -16,13 +16,17 @@ words of the same streams and makes the same decisions from them, so
 the scalar engine is its exact oracle.  A block's words come from one
 vectorised Philox pass over its counters (:func:`_block_words`), pinned
 bit for bit to :func:`round_rng`; round 0 and round-by-round sessions
-reach their streams through :func:`_stream_factory`.  A block gives
-each round's leaf in a small table of leaf records: it is aggregated by
-counting its leaves, and logged as references to the shared records.
+reach their streams through :func:`_stream_factory`.  Sessions on the
+same seed, as in ``ppsim compare`` and ``ppsim sweep``, share the words
+of the blocks kept within a budget (:func:`_block_words`).  A block
+gives each round's leaf in a small table of leaf records: it is
+aggregated by counting its leaves, and logged as references to the
+shared records.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from math import log2
@@ -38,6 +42,14 @@ from .protocols import Mode, ProtocolConfig, RoundRecord, block_form, run_round
 # block's arrays stay within a few hundred kB (a kkkp_probe block at
 # n = 16, 20 words a round, peaks under 2.5 MB).
 BLOCK_ROUNDS = 2048
+
+# The words of kept blocks, keyed by (seed, start, stop), and their byte
+# budget: the five blocks of a 10^4-round session at up to 12 words a
+# round fit (ping-pong reads 4, kkkp 4 + n rounded up: n <= 8).  The lock
+# guards them and the passes.
+_WORDS_BUDGET = 1024 * 1024
+_words_lock = threading.Lock()
+_words: dict[tuple[int, int, int], np.ndarray] = {}
 
 # Philox4x64-10 as numpy computes it (Salmon et al., SC'11): the round
 # multipliers M0 and M1, their 32-bit halves, and the key's Weyl increments.
@@ -86,15 +98,41 @@ def _stream_factory(seed: int):
 def _block_words(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     """The first ``k`` 64-bit words of the streams of rounds ``start`` to ``stop - 1``, a row each.
 
+    The rows equal ``round_rng(seed, i).bit_generator.random_raw(k)`` bit
+    for bit, and are read-only.  Blocks are kept for the latest seed only;
+    a kept block with at least ``k`` words a round serves the call without
+    a Philox pass.  A block just computed is kept, or replaces its
+    narrower kept self, only while the kept words stay within
+    :data:`_WORDS_BUDGET` bytes; nothing is evicted, so a session longer
+    than the budget shares its first blocks with the next one on its
+    seed.  Results do not depend on what is kept.
+    """
+    key = (seed, start, stop)
+    with _words_lock:
+        if _words and next(iter(_words))[0] != seed:
+            _words.clear()
+        kept = _words.get(key)
+        if kept is not None and kept.shape[1] >= k:
+            return kept[:, :k]
+        words = _philox_words(seed, start, stop, -(-k // 4))
+        words.setflags(write=False)
+        held = sum(w.nbytes for w in _words.values()) - (0 if kept is None else kept.nbytes)
+        if held + words.nbytes <= _WORDS_BUDGET:
+            _words[key] = words
+    return words[:, :k]
+
+
+def _philox_words(seed: int, start: int, stop: int, blocks: int) -> np.ndarray:
+    """Words 0 to ``4 * blocks - 1`` of the streams of rounds ``start`` to ``stop - 1``, a row each.
+
     Philox is counter-based, so a round's words are a pure function of
     (key, counter), and the whole block is computed as one numpy pass of
     Philox4x64-10 over the counters its rows need.  numpy's Philox adds 1
     to its counter before filling its four-word buffer, so words 4(j-1)
     to 4j-1 of round i come from counter (j, 0, 0, i), j = 1, 2, ...;
-    the key is (seed, 0), as seeds stay below 2^64.  The rows equal
-    ``round_rng(seed, i).bit_generator.random_raw(k)`` bit for bit.
+    the key is (seed, 0), as seeds stay below 2^64.
     """
-    rows, blocks = stop - start, -(-k // 4)
+    rows = stop - start
     # The counter words each round multiplies, x = (c0, c2), and the ones
     # it does not, y = (c1, c3); a column per (round, block).
     x = np.zeros((2, rows, blocks), np.uint64)
@@ -111,7 +149,7 @@ def _block_words(seed: int, start: int, stop: int, k: int) -> np.ndarray:
         hi = high * _PHILOX_MUL_HI + (mid >> _HALF) + ((low * _PHILOX_MUL_HI + (mid & _LOW32)) >> _HALF)
         x, y = hi[::-1] ^ y ^ np.array([[k0], [k1]], np.uint64), (x * _PHILOX_MUL)[::-1]
         k0, k1 = (k0 + _PHILOX_WEYL[0]) & _U64, (k1 + _PHILOX_WEYL[1]) & _U64
-    return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(rows, 4 * blocks)[:, :k]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(rows, 4 * blocks)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ def check_wavelength(name: str, value: float) -> None:
 
 def _check_interval(name: str, interval: tuple[float, float]) -> None:
     lo, hi = interval
-    if not 0 < lo < hi:
-        raise ConfigError(f"{name} must satisfy 0 < lo < hi, got [{lo}, {hi}]")
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError(f"{name} must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .adversaries import StrategyKind, StrategySpec
+from .adversaries import StrategyKind, StrategySpec, make_strategy
 from .optics import (
     DETECTOR_WINDOW_NM,
     EVE_WAVELENGTH_NM,
     FILTER_HALF_WIDTH_NM,
     SIGNAL_WAVELENGTH_NM,
+    ConfigError,
     Detector,
     OpticalFilter,
 )
@@ -66,7 +67,9 @@ class Scenario:
 
     def validate(self) -> None:
         self.to_config().validate()
-        self.attack.validate()
+        if self.protocol.value not in make_strategy(self.attack).protocols:
+            raise ConfigError(f"attack.kind {self.attack.kind.value!r} does not apply to "
+                              f"protocol {self.protocol.value!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -113,6 +113,38 @@ class TestExitCodes:
         assert main(["run", write_scenario(tmp_path, obj)]) == 3
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"protocol": "pp_epr", "filter": {"enabled": true, "passband_nm": [600, 1e400]}}', "filter passband"),
+        ('{"protocol": "pp_epr", "detector_window_nm": [600, 1e400]}', "detector window"),
+    ], ids=["passband", "detector_window"])
+    def test_unbounded_intervals_are_3(self, tmp_path, capsys, text, field):
+        # JSON reads 1e400 as an infinite float.
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 3
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol, attack", [
+        ("pp_dense", "ipe"),
+        ("pp_epr", "ipe_dense"), ("pp_single", "ipe_dense"), ("kkkp", "ipe_dense"),
+        ("pp_epr", "kkkp_probe"), ("pp_single", "kkkp_probe"), ("pp_dense", "kkkp_probe"),
+    ])
+    def test_mismatched_protocol_and_attack_are_3(self, tmp_path, capsys, protocol, attack):
+        scenario = write_scenario(tmp_path, {"protocol": protocol, "rounds": 50, "attack": {"kind": attack}})
+        assert main(["run", scenario]) == 3
+        assert main(["sweep", scenario, "--field", "lambda_e_nm", "--values", "190000"]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"attack.kind {attack!r} does not apply to protocol {protocol!r}") == 2
+
+    @pytest.mark.parametrize("protocol, attack", [
+        *((p, a) for p in ("pp_epr", "pp_single", "pp_dense", "kkkp") for a in ("no_eve", "intercept_resend")),
+        ("pp_epr", "ipe"), ("pp_single", "ipe"), ("kkkp", "ipe"), ("pp_dense", "ipe_dense"),
+        ("kkkp", "kkkp_probe"),
+    ])
+    def test_applicable_protocol_and_attack_run(self, tmp_path, protocol, attack):
+        scenario = write_scenario(tmp_path, {"protocol": protocol, "rounds": 50, "attack": {"kind": attack}})
+        assert main(["run", scenario, "-o", str(tmp_path / "report.txt")]) == 0
+
     def test_other_errors_are_internal_1(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, spec):
             raise ValueError("not a constraint")
@@ -174,6 +206,12 @@ class TestSweep:
         assert main(["sweep", scenario, "--field", "lambda_e_nm", "--values", value,
                      "--rounds", "300"]) == 3
         assert "lambda_e_nm" in capsys.readouterr().err
+
+    def test_unbounded_passband_is_3(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, IPE_SCENARIO)
+        assert main(["sweep", scenario, "--field", "passband_half_width_nm", "--values", "inf",
+                     "--rounds", "300"]) == 3
+        assert "filter passband" in capsys.readouterr().err
 
     def test_probe_count_sweep_requires_probe_attack(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)

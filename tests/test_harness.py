@@ -1,8 +1,11 @@
 """Tests for the session runner, statistics and information estimates."""
 
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +263,21 @@ class TestLeafCounts:
         assert block.records() == [table[leaf] for leaf in leaves]
 
 
+@pytest.fixture
+def philox_passes(monkeypatch):
+    """Starts with no kept block words and lists the Philox passes run, by their arguments."""
+    monkeypatch.setattr(harness, "_words", {})
+    passes = []
+    compute = harness._philox_words
+
+    def counted(*args):
+        passes.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(harness, "_philox_words", counted)
+    return passes
+
+
 def kkkp_cfg(**kw) -> ProtocolConfig:
     return ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, log_rounds=True, **kw)
 
@@ -330,8 +348,12 @@ class TestBlockEngine:
     @pytest.mark.parametrize("start, stop", [
         (0, 9), (5, 14), (BLOCK_ROUNDS - 3, BLOCK_ROUNDS + 4), (10**9, 10**9 + 5),
     ], ids=["from_0", "from_5", "across_block_rounds", "from_1e9"])
-    def test_blocks_read_the_head_of_each_round_stream(self, seed, k, start, stop):
+    @pytest.mark.parametrize("kept", [0, 24], ids=["cold", "kept_wider"])
+    def test_blocks_read_the_head_of_each_round_stream(self, seed, k, start, stop, kept, philox_passes):
+        if kept:
+            _block_words(seed, start, stop, kept)
         words = _block_words(seed, start, stop, k)
+        assert len(philox_passes) == 1
         assert words.shape == (stop - start, k)
         for row, index in zip(words, range(start, stop)):
             assert row.tolist() == round_rng(seed, index).bit_generator.random_raw(k).tolist()
@@ -799,3 +821,87 @@ class TestEngineChoice:
         monkeypatch.setattr(harness, "run_round", counting)
         run_session(ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=7), IPE)
         assert len(calls) == 7
+
+
+class TestSharedWords:
+    """Sessions on one seed share a block's words; their results do not depend on it."""
+
+    @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
+    def test_a_second_same_seed_session_runs_no_philox_pass(self, kind, name, spec, filt,
+                                                            philox_passes, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
+                             filter=FILTERS[filt], rounds=3 * SMALL_BLOCK + 17, seed=42, log_rounds=True)
+        first = run_session(cfg, spec)
+        assert len(philox_passes) == 4
+        assert run_session(cfg, spec) == first
+        assert len(philox_passes) == 4
+        run_session(replace(cfg, seed=43), spec)
+        assert run_session(cfg, spec) == first
+        assert len(philox_passes) == 12  # the session on another seed dropped the words
+
+    def test_a_narrower_request_is_served_by_a_wider_block(self, philox_passes):
+        wide = _block_words(7, 1, 65, 8)
+        assert np.array_equal(_block_words(7, 1, 65, 3), wide[:, :3])
+        assert len(philox_passes) == 1
+        wider = _block_words(7, 1, 65, 9)
+        assert philox_passes[1] == (7, 1, 65, 3)  # three Philox blocks of four words
+        assert np.array_equal(wider[:, :8], wide)
+        _block_words(7, 1, 65, 12)
+        assert len(philox_passes) == 2
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_words_are_read_only(self, k, philox_passes):
+        # The second call is served from the block the first one computed.
+        for words in (_block_words(7, 1, 65, 8), _block_words(7, 1, 65, k)):
+            with pytest.raises(ValueError):
+                words[0, 0] = 0
+        assert len(philox_passes) == 1
+
+    @pytest.mark.parametrize("spec, kept", [
+        (NO_EVE, 5),
+        (StrategySpec(StrategyKind.KKKP_PROBE, n=8), 5),
+        (StrategySpec(StrategyKind.KKKP_PROBE, n=16), 3),
+    ], ids=["4_words", "12_words", "20_words"])
+    def test_kept_words_stay_within_the_budget(self, spec, kept, philox_passes):
+        # Rounds 1 on run in five blocks; the budget keeps the first ones,
+        # which the next session on the seed reads without a Philox pass.
+        cfg = kkkp_cfg(rounds=5 * BLOCK_ROUNDS, seed=3)
+        first = run_session(cfg, spec)
+        assert len(philox_passes) == 5
+        assert list(harness._words) == [(3, i * BLOCK_ROUNDS + 1, min((i + 1) * BLOCK_ROUNDS + 1, cfg.rounds))
+                                        for i in range(kept)]
+        assert sum(w.nbytes for w in harness._words.values()) <= harness._WORDS_BUDGET
+        assert run_session(cfg, spec) == first
+        assert len(philox_passes) == 10 - kept
+
+    def test_a_full_budget_keeps_the_blocks_it_holds(self, philox_passes, monkeypatch):
+        monkeypatch.setattr(harness, "_WORDS_BUDGET", 3 * 64 * 4 * 8)  # three 64-round blocks of 4 words
+        for start in (1, 65, 129, 193):
+            _block_words(7, start, start + 64, 4)
+        assert list(harness._words) == [(7, 1, 65), (7, 65, 129), (7, 129, 193)]
+        wide = _block_words(7, 1, 65, 8)  # too wide to replace the kept block
+        assert harness._words[(7, 1, 65)].shape == (64, 4)
+        assert np.array_equal(_block_words(7, 1, 65, 4), wide[:, :4])
+        assert len(philox_passes) == 5
+
+    def test_threads_get_the_serial_results(self, philox_passes, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
+        dense = ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=700, seed=1, log_rounds=True)
+        sessions = [
+            (dense, _probe(ProtocolKind.PP_DENSE)),
+            (dense, StrategySpec(StrategyKind.INTERCEPT_RESEND)),
+            (replace(dense, seed=2), _probe(ProtocolKind.PP_DENSE)),
+            (kkkp_cfg(rounds=700, seed=1), StrategySpec(StrategyKind.KKKP_PROBE, n=4)),
+            (kkkp_cfg(rounds=700, seed=3), NO_EVE),
+        ] * 3
+        serial = [run_session(cfg, spec) for cfg, spec in sessions]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_session, cfg, spec) for cfg, spec in sessions]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

@@ -13,13 +13,27 @@ file holds the parent and the change side by side.  The figures:
   ``kkkp_probe`` at n = 1, 4 and 16, and of two sessions that keep
   their round log (``log_rounds``): ``pp_dense`` under ``ipe_dense``
   and ``kkkp`` under ``kkkp_probe`` at n = 4 (10^4 rounds, seed 42,
-  best of five, measured in a fresh interpreter that imports
-  ``<root>/src``);
-* the in-process wall time of ``ppsim compare`` at its defaults (median
-  of five);
+  best of five);
+* the wall time (median of five) and the Philox passes of whole
+  command-line runs, on one seed each (:data:`COMMANDS`): ``ppsim
+  compare`` at its defaults (10^4 rounds) and at 10^5 rounds, and
+  ``ppsim sweep`` over five values on a ``pp_epr``/``ipe`` scenario at
+  10^4 and 10^5 rounds and on a ``kkkp_probe`` n = 1 one at 10^4
+  rounds.  Where sessions share words, the 10^5-round runs are those
+  whose sessions outgrow the budget of kept words;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``;
 * provenance: the commit, and the Python and numpy versions.
+
+Sessions on the same seed share a block's Philox words, so no timed call
+may follow another on its seed in the same interpreter: every sample,
+of a cell and of a command, runs in a fresh interpreter that imports
+``<root>/src``.  There, a cell's session is timed after one untimed
+session of the same cell on seed 43, which loads and warms the code but
+leaves no words the timed session can share; a command is timed as the
+interpreter's first call, as a command-line run pays it.  A command's
+Philox passes are the calls of ``harness._philox_words``, or of
+``harness._block_words`` in checkouts where sessions share no words.
 """
 
 from __future__ import annotations
@@ -32,19 +46,29 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from statistics import median
 from time import perf_counter
 
 ROUNDS = 10_000
 SEED = 42
+WARM_UP_SEED = 43
 REPEATS = 5
 TEST_6 = "test_6_blind_rotation_blindness"
-
-
-def _best_us_per_round(run) -> float:
-    best = min(_timed(run) for _ in range(REPEATS))
-    return round(best * 1e6 / ROUNDS, 3)
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+SWEEP_PP = ["sweep", str(GOLDEN / "readme_ipe_seed42.json"), "--field", "passband_half_width_nm",
+            "--values", "0.005,0.05,0.5,5,50"]
+SWEEP_KKKP = ["sweep", str(GOLDEN / "kkkp_probe_seed7.json"), "--rounds", "10000", "--field", "lambda_e_nm",
+              "--values", "150000,170000,190000,210000,230000"]
+# The timed command-line runs, by name: the arguments after ``ppsim``.
+COMMANDS = {
+    "compare": ["compare"],
+    "compare_rounds1e5": ["compare", "--rounds", "100000"],
+    "sweep_pp_epr_ipe": SWEEP_PP,
+    "sweep_pp_epr_ipe_rounds1e5": SWEEP_PP + ["--rounds", "100000"],
+    "sweep_kkkp_probe_n1": SWEEP_KKKP,
+}
 
 
 def _timed(call) -> float:
@@ -53,41 +77,76 @@ def _timed(call) -> float:
     return perf_counter() - start
 
 
-def measure() -> dict:
-    """The speed figures of the ppsim on sys.path, measured in this process."""
-    import numpy as np
+def _sessions() -> dict:
+    """Every timed session of the ppsim on sys.path, by label: (ProtocolConfig, StrategySpec)."""
     import ppsim.cli
-    from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, run_session
+    from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec
 
-    cells = {}
+    sessions = {}
     for kind in ProtocolKind:
         for name, spec in ppsim.cli._compare_attacks(kind):
             for filter_on in (False, True):
                 sc = ppsim.Scenario(protocol=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
                                     rounds=ROUNDS, seed=SEED, attack=spec, filter_enabled=filter_on)
-                cfg = sc.to_config()
                 label = f"{kind.value}/{name}" + ("/filter" if filter_on else "")
-                cells[label] = _best_us_per_round(lambda: run_session(cfg, spec))
+                sessions[label] = (sc.to_config(), spec)
     for n in (1, 4, 16):
         cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, rounds=ROUNDS, seed=SEED)
-        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=n)
-        cells[f"kkkp/kkkp_probe_n{n}"] = _best_us_per_round(lambda: run_session(cfg, spec))
+        sessions[f"kkkp/kkkp_probe_n{n}"] = (cfg, StrategySpec(StrategyKind.KKKP_PROBE, n=n))
     for kind, spec, control_prob in (
             (ProtocolKind.PP_DENSE, StrategySpec(StrategyKind.IPE_DENSE), 0.5),
             (ProtocolKind.KKKP, StrategySpec(StrategyKind.KKKP_PROBE, n=4), 0.0)):
         cfg = ProtocolConfig(kind=kind, control_prob=control_prob, rounds=ROUNDS, seed=SEED,
                              log_rounds=True)
         label = f"logged/{kind.value}/{spec.kind.value}" + ("_n4" if kind is ProtocolKind.KKKP else "")
-        cells[label] = _best_us_per_round(lambda: run_session(cfg, spec))
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "matrix.csv")
-        compare = [_timed(lambda: ppsim.cli.main(["compare", "-o", out])) for _ in range(REPEATS)]
-    return {
-        "us_per_round": cells,
-        "compare_wall_s": round(median(compare), 4),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
+        sessions[label] = (cfg, spec)
+    return sessions
+
+
+def measure_here(what: str):
+    """One sample, from the ppsim on sys.path: ``what`` is ``info``, a command's name or a session label."""
+    import numpy as np
+    import ppsim.cli
+    from ppsim import harness
+
+    if what == "info":
+        return {"python": platform.python_version(), "numpy": np.__version__, "labels": list(_sessions())}
+    if what in COMMANDS:
+        name = "_philox_words" if hasattr(harness, "_philox_words") else "_block_words"
+        compute, passes = getattr(harness, name), []
+
+        def counted(*args):
+            passes.append(args)
+            return compute(*args)
+
+        setattr(harness, name, counted)
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = COMMANDS[what] + ["-o", os.path.join(tmp, "out.csv")]
+            return {"wall_s": _timed(lambda: ppsim.cli.main(argv)), "philox_passes": len(passes)}
+    cfg, spec = _sessions()[what]
+    ppsim.run_session(replace(cfg, seed=WARM_UP_SEED), spec)
+    return _timed(lambda: ppsim.run_session(cfg, spec))
+
+
+def _fresh(root: Path, what: str):
+    """``measure_here(what)`` in a new interpreter that imports ``<root>/src``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, __file__, "--measure", what], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def measure(root: Path) -> dict:
+    """The speed figures of the checkout at ``root``, one fresh interpreter per sample."""
+    info = _fresh(root, "info")
+    cells = {label: round(min(_fresh(root, label) for _ in range(REPEATS)) * 1e6 / ROUNDS, 3)
+             for label in info.pop("labels")}
+    commands = {}
+    for name in COMMANDS:
+        samples = [_fresh(root, name) for _ in range(REPEATS)]
+        commands[name] = {"wall_s": round(median(sample["wall_s"] for sample in samples), 4),
+                          "philox_passes": samples[0]["philox_passes"]}
+    return {"us_per_round": cells, "commands": commands, **info}
 
 
 def tier1(root: Path) -> dict:
@@ -123,10 +182,7 @@ def commit_of(root: Path) -> str | None:
 
 
 def record(root: Path, commit: str | None) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, __file__, "--measure"], env=env,
-                          capture_output=True, text=True, check=True)
-    figures = json.loads(proc.stdout)
+    figures = measure(root)
     figures.update(tier1(root))
     figures["src_lines"] = src_lines(root)
     figures["commit"] = commit or commit_of(root)
@@ -136,14 +192,14 @@ def record(root: Path, commit: str | None) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--measure", help=argparse.SUPPRESS)
     parser.add_argument("--root", default=".", help="the ppsim checkout to measure")
     parser.add_argument("--label", help="key of this checkout's figures, e.g. parent or change")
     parser.add_argument("--commit", default=None, help="commit to record when --root is no git work tree")
     parser.add_argument("--out", help="the BENCH_<n>.json file to update")
     args = parser.parse_args(argv)
     if args.measure:
-        json.dump(measure(), sys.stdout)
+        json.dump(measure_here(args.measure), sys.stdout)
         return 0
     if not args.label or not args.out:
         parser.error("--label and --out are required")
