@@ -20,18 +20,19 @@ probe absorbed by the receiver's filter) it emits a uniformly random
 guess and flags the round as blind, keeping the accuracy statistic
 well-defined while recording that the attack was neutralized.
 
-A strategy's class lists in ``block_protocols`` the protocols whose
-sessions may run a block of rounds at a time, as numpy arrays over the
-rounds (see ``protocols.block_form``).  For a ping-pong protocol the
-block form is the hooks themselves, run once per branch of the round:
-listing the protocol promises that they read the round's stream only
-through ``quantum``'s measurements and :meth:`RoundContext.random_bits`,
-and route photons by wavelength alone.  For ``kkkp`` the strategy also
-gives the array form ``kkkp_block_form``.  ``no_eve`` lists every
-protocol, ``intercept_resend`` the ping-pong ones, ``ipe`` and
-``ipe_dense`` the variants they are built for, and ``kkkp_probe``
-``kkkp``.  Any other pair, and any subclass that overrides a hook
-without setting ``block_protocols`` again, runs round by round.
+A strategy's class lists in ``protocols`` the protocols its attack
+applies to (a scenario pairing it with another is rejected), and gives
+in ``width`` the number of bits its guess holds.  A session whose
+strategy's own class lists the protocol runs a block of rounds at a
+time, as numpy arrays over the rounds (see ``protocols.block_form``).
+For a ping-pong protocol the block form is the hooks themselves, run
+once per branch of the round: listing the protocol promises that they
+read the round's stream only through ``quantum``'s measurements and
+:meth:`RoundContext.random_bits`, and route photons by wavelength alone.
+For ``kkkp`` the own class must also define the array form
+``kkkp_block_form``, as ``no_eve`` and ``kkkp_probe`` do; ``ipe`` and
+``intercept_resend`` run ``kkkp`` round by round.  So does any
+subclass that overrides a hook without listing ``protocols`` again.
 """
 
 from __future__ import annotations
@@ -142,11 +143,10 @@ class AdversaryStrategy:
     """Base strategy: identity hooks, no guess."""
 
     # The protocols (``ProtocolKind`` values) this strategy's attack
-    # applies to (a scenario pairing it with another is rejected), and
-    # those whose sessions under it run in blocks.  Only the class that
-    # sets ``block_protocols`` is served, so a subclass that does not set
-    # it again runs round by round.
-    protocols = block_protocols = frozenset({"pp_epr", "pp_single", "pp_dense", "kkkp"})
+    # applies to.  Only the class that sets it runs in blocks, so a
+    # subclass that does not set it again runs round by round.
+    protocols = frozenset({"pp_epr", "pp_single", "pp_dense", "kkkp"})
+    width = 1  # bits per guess; a guess of another width than the message's is not scored
 
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
         """The pulse going into the encoder."""
@@ -164,7 +164,7 @@ class AdversaryStrategy:
 
         It must give the same guesses from the same draws as the three
         hooks.  It is used only when the strategy's own class lists
-        ``kkkp`` in ``block_protocols``.
+        ``kkkp`` in ``protocols`` and defines this method.
         """
         return KkkpBlockForm()
 
@@ -203,9 +203,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
     legitimate photon.
     """
 
-    width = 1  # guessed bits
     protocols = frozenset({"pp_epr", "pp_single", "kkkp"})
-    block_protocols = frozenset({"pp_epr", "pp_single"})
 
     def __init__(self, lambda_e_nm: float):
         check_wavelength("probe lambda_e_nm", lambda_e_nm)
@@ -252,7 +250,7 @@ class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
     """
 
     width = 2
-    protocols = block_protocols = frozenset({"pp_dense"})
+    protocols = frozenset({"pp_dense"})
 
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_bell(BellKind.PSI_PLUS), 1  # qubit 0 stays in Eve's lab
@@ -274,7 +272,7 @@ class _InterceptResend(AdversaryStrategy):
     guesses a message bit (the measurement happens before the encoding).
     """
 
-    block_protocols = frozenset({"pp_epr", "pp_single", "pp_dense"})
+    protocols = AdversaryStrategy.protocols
 
     def __init__(self, basis: np.ndarray):
         self.basis = basis
@@ -301,7 +299,7 @@ class _BlindBaseProbe(AdversaryStrategy):
     measurement.
     """
 
-    protocols = block_protocols = frozenset({"kkkp"})
+    protocols = frozenset({"kkkp"})
 
     def __init__(self, n: int, lambda_e_nm: float, theta_known: bool):
         if n < 1:
@@ -331,8 +329,7 @@ class _BlindBaseProbe(AdversaryStrategy):
             for p in captured:
                 quantum.rotate(p.register, p.qubit, ctx.kkkp_theta)
             basis = BASIS_X
-        qubits = [(p.register, p.qubit) for p in captured]
-        zeros = quantum.measure_each(qubits, basis, ctx.rng).count(0)
+        zeros = [quantum.measure(p.register, p.qubit, basis, ctx.rng)[0] for p in captured].count(0)
         # Majority vote over the probe readouts; fair coin on a tie.
         half = len(captured) / 2.0
         if zeros > half:

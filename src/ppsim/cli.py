@@ -103,11 +103,10 @@ def _apply_sweep_value(sc: Scenario, field: str, token: str) -> Scenario:
         return replace(sc, attack=replace(sc.attack, lambda_e_nm=value))
     if field == "control_prob":
         return replace(sc, control_prob=value)
-    if field == "n":
-        if sc.attack.kind is not StrategyKind.KKKP_PROBE:
-            raise ConfigError(f"attack kind {sc.attack.kind.value!r} has no probe count to sweep")
-        return replace(sc, attack=replace(sc.attack, n=value))
-    raise SweepFieldError(f"unknown sweep field {field!r}; expected one of {', '.join(SWEEP_FIELDS)}")
+    # "n": cmd_sweep rejects any other field before it loads the scenario.
+    if sc.attack.kind is not StrategyKind.KKKP_PROBE:
+        raise ConfigError(f"attack kind {sc.attack.kind.value!r} has no probe count to sweep")
+    return replace(sc, attack=replace(sc.attack, n=value))
 
 
 def _sweep_row(token: str, stats: RunStats) -> str:

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import log2
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
-from .protocols import Mode, ProtocolConfig, RoundRecord, block_form, run_round
+from .protocols import Mode, ProtocolConfig, RoundRecord, block_form, message_bit_width, run_round
 
 # Rounds per block of the block engine: enough to spread thin the fixed
 # cost of the ~200 numpy calls of a block's Philox pass, few enough that a
@@ -296,7 +296,9 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     log are those of :func:`run_round` round by round.  Every other
     session runs round by round.  Every round runs in the calling
     thread, and ``workers`` has no effect: the result is the same for
-    any value.
+    any value.  A guess of another width than the protocol's messages
+    (a one-bit guess on ``pp_dense``, say) is not scored: its
+    ``eve_accuracy`` and ``eve_mutual_info_bits`` are None.
     """
     cfg.validate()
     strategy.validate()
@@ -320,4 +322,7 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
                 acc.add(rec, times)
             if cfg.log_rounds:
                 log.extend(block.records())
-    return acc.stats(cfg.seed), log
+    stats = acc.stats(cfg.seed)
+    if adv.width != message_bit_width(cfg.kind):
+        stats = replace(stats, eve_accuracy=None, eve_mutual_info_bits=None)
+    return stats, log

@@ -439,11 +439,6 @@ class KkkpBlocks:
         return Block(leaves, self.table, (theta, phi))
 
 
-# A tree node either compares the uniform draw of a word with a threshold
-# or takes the top bits of one half of a word.
-_LT, _LOW, _HIGH = 0, 1, 2
-
-
 def _reachable(lo: float, hi: float) -> bool:
     """Whether ``rng.random()`` can return a u with lo <= u < hi."""
     m = max(math.ceil(lo * _GRID), 0)
@@ -453,84 +448,65 @@ def _reachable(lo: float, hi: float) -> bool:
 class BranchBlocks:
     """The rounds of a ping-pong session a block at a time, as a decision tree over the draws.
 
-    Under a strategy that lists the protocol in ``block_protocols``, a
-    round reads its stream only by comparing a uniform draw with a
-    threshold (the mode coin, and the Born rule in ``quantum.measure``
-    and ``quantum.measure_bell``) or by taking the top bits of a 32-bit
-    half word (``RoundContext.random_bits``), and every photon's route
-    follows from wavelengths fixed for the session.  Every reachable run
-    of the round is then a path through a small tree: a node compares
-    one word's draw with a threshold or reads one half word, a leaf is
-    the record the round returns.  Which words a path reads, and in
-    which halves, follows from the decisions on it, the mode coin first
-    among them (after an intercept's draw), so control and message
-    rounds each have their own layout.
+    Under a strategy whose own class lists the protocol in
+    ``protocols``, a round reads its stream only by comparing a uniform
+    draw with a threshold (the mode coin, and the Born rule in
+    ``quantum.measure`` and ``quantum.measure_bell``) or by taking the top
+    bits of a 32-bit half word (``RoundContext.random_bits``), and every
+    photon's route follows from wavelengths fixed for the session.  Every
+    reachable run of the round is then a path through a small tree: a
+    node compares one word's draw with a threshold or reads one half
+    word, a leaf is the record the round returns.  Which words a path
+    reads, and in which halves, follows from the decisions on it, the
+    mode coin first among them (after an intercept's draw), so control
+    and message rounds each have their own layout.
 
-    The tree is built once per session by running the round function
-    itself on stand-in streams (:class:`_BranchDraws`) that take each
-    decision one way and then the others.  Every threshold is therefore
-    the very probability the scalar kernels compute, branch by branch,
-    and no float operation is written a second time.  A block walks its
-    rows down the tree by comparing their draws with the thresholds, so
-    it gives bit for bit the records the round gives round by round: a
-    round's leaf, whose record in ``table`` is the one its tree-building
-    run returned.
+    The tree is built in one pass, by running the round function itself
+    on stand-in streams (:class:`_BranchDraws`) that take each decision
+    one way and queue the others; each node goes into the columns
+    :meth:`run` reads as the run that reaches it first makes it.  Every
+    threshold is therefore the very probability the scalar kernels
+    compute, branch by branch, and no float operation is written a
+    second time.  A block walks its rows down the tree by comparing their
+    draws with the thresholds, so it gives bit for bit the records the
+    round gives round by round: a round's leaf, whose record in ``table``
+    is the one its tree-building run returned.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
         round_fn = _ROUND_FUNCS[cfg.kind._name_]
-        self.nodes: list[tuple[int, int, float]] = []   # (word, kind, threshold or width)
-        self.children: list[dict[int, int]] = []        # decision -> child, per node
-        leaves: dict[int, RoundRecord] = {}             # leaf -> the record of its run
-        self.words = 0
-        pending: list[list[int]] = [[]]
-        while pending:
-            draws = _BranchDraws(self, pending.pop(), pending)
-            rec = round_fn(cfg, adv, draws)
-            leaves[self.add(draws.slot, -1, -1, 0)] = rec
-            self.words = max(self.words, draws.words)
-        # A node whose outcomes all end in equal records is a leaf with that
-        # record too (a Bell outcome and _pick's fallback often agree, say).
-        for node in reversed(range(len(self.nodes))):
-            ends = [leaves.get(kid) for kid in self.children[node].values()]
-            if ends and None not in ends and ends.count(ends[0]) == len(ends):
-                leaves[node] = ends[0]
         # Per node, what decides the way on: a uniform draw below ``limit``,
-        # or the bits (word >> shift) & mask of a half word.  A leaf has
-        # limit 0 and mask 0, so it leads to itself.
-        count = len(self.nodes)
-        self.word = np.zeros(count, np.intp)
-        self.limit = np.zeros(count)
-        self.shift = np.zeros(count, np.uint64)
-        self.mask = np.zeros(count, np.uint64)
-        arity = max([2] + [1 << param for _, kind, param in self.nodes if kind > _LT])
-        self.next = np.repeat(np.arange(count)[:, None], arity, axis=1)
-        self.depth = 0
-        live = [(0, 0)]
-        while live:
-            node, depth = live.pop()
-            self.depth = max(self.depth, depth)
-            if node in leaves:
-                continue
-            word, kind, param = self.nodes[node]
-            self.word[node] = word
-            if kind == _LT:
-                self.limit[node] = param
-            else:  # (w & 0xFFFFFFFF) >> (32 - width) for a low half
-                self.shift[node] = (32 if kind == _LOW else 64) - param
-                self.mask[node] = (1 << param) - 1
-            for decision, kid in self.children[node].items():
-                self.next[node, decision] = kid
-                live.append((kid, depth + 1))
-        self.table = np.array([leaves.get(node) for node in range(count)], object)
+        # or the bits (word >> shift) & mask of a half word; ``next`` maps
+        # the decision to a child.  A leaf has limit 0 and mask 0, so it
+        # leads to itself, and its record in ``table``.
+        self.word, self.limit, self.shift, self.mask, self.next, self.table = [], [], [], [], [], []
+        self.words = self.depth = 0
+        pending = [([], None)]  # (decisions to replay, the slot the next node hangs from)
+        while pending:
+            draws = _BranchDraws(self, *pending.pop(), pending)
+            self.table[self.add(draws.slot, 0, 0.0, 0, 0, 0)] = round_fn(cfg, adv, draws)
+            self.words = max(self.words, draws.words)
+            self.depth = max(self.depth, len(draws.taken))
+        arity = max(map(len, self.next))
+        self.next = np.array([row + [i] * (arity - len(row)) for i, row in enumerate(self.next)], np.intp)
+        self.word = np.array(self.word, np.intp)
+        self.limit = np.array(self.limit)
+        self.shift = np.array(self.shift, np.uint64)
+        self.mask = np.array(self.mask, np.uint64)
+        self.table = np.array(self.table, object)
 
-    def add(self, slot: tuple[int, int] | None, word: int, kind: int, param: float) -> int:
-        """A new node, hung from ``slot`` = (parent, decision), or the root."""
-        node = len(self.nodes)
-        self.nodes.append((word, kind, param))
-        self.children.append({})
+    def add(self, slot: tuple[int, int] | None, word: int, limit: float, shift: int, mask: int,
+            arity: int) -> int:
+        """A new node with ``arity`` decisions, hung from ``slot`` = (parent, decision), or the root."""
+        node = len(self.table)
+        self.word.append(word)
+        self.limit.append(limit)
+        self.shift.append(shift)
+        self.mask.append(mask)
+        self.next.append([node] * arity)
+        self.table.append(None)
         if slot is not None:
-            self.children[slot[0]][slot[1]] = node
+            self.next[slot[0]][slot[1]] = node
         return node
 
     def run(self, words: np.ndarray) -> Block:
@@ -552,18 +528,17 @@ class _BranchDraws:
     ``bit_generator.ctypes.next_uint32``) hand out :class:`_Draw`
     objects and consume words as numpy does: a uniform takes a whole
     word; a 32-bit draw takes a fresh word's low half and buffers the
-    high half for the next one.  At a decision with more than one
-    reachable outcome, the run follows ``path`` while it lasts, then
-    takes the first outcome and queues each other one on ``pending`` as
-    a path of its own.
+    high half for the next one.  A run replays the decisions of ``path``,
+    then makes a node at each decision with more than one reachable
+    outcome: it hangs the node from ``slot`` = (node, decision), takes
+    the first outcome, which becomes the slot of the next node, and
+    queues each other one on ``pending`` as (its path, its slot).
     """
 
-    def __init__(self, tree: BranchBlocks, path: list[int], pending: list[list[int]]):
-        self.tree = tree
-        self.path = path
-        self.pending = pending
+    def __init__(self, tree: BranchBlocks, path: list[int], slot: tuple[int, int] | None,
+                 pending: list[tuple[list[int], tuple[int, int] | None]]):
+        self.tree, self.path, self.slot, self.pending = tree, path, slot, pending
         self.taken: list[int] = []
-        self.slot: tuple[int, int] | None = None  # where the next node hangs
         self.words = 0
         self.high: int | None = None  # the word whose high half is buffered
         self.bounds: dict[int, tuple[float, float]] = {}  # word -> [lo, hi) holding its draw
@@ -572,64 +547,66 @@ class _BranchDraws:
 
     def random(self) -> _Draw:
         self.words += 1
-        return _Draw(self, self.words - 1, _LT)
+        return _Draw(self, self.words - 1, 0)
 
     def next_uint32(self, state: None) -> _Draw:
         if self.high is None:
             self.high = self.words
             self.words += 1
-            return _Draw(self, self.high, _LOW)
+            return _Draw(self, self.high, 0)
         word, self.high = self.high, None
-        return _Draw(self, word, _HIGH)
+        return _Draw(self, word, 32)
 
-    def decide(self, word: int, kind: int, param: float, outcomes: Sequence[int]) -> int:
+    def decide(self, word: int, limit: float, shift: int, mask: int, outcomes: Sequence[int]) -> int:
         if len(outcomes) == 1:
             return outcomes[0]
         step = len(self.taken)
         if step < len(self.path):
-            node = 0 if self.slot is None else self.tree.children[self.slot[0]][self.slot[1]]
             outcome = self.path[step]
         else:
-            node, outcome = self.tree.add(self.slot, word, kind, param), outcomes[0]
-            self.pending.extend(self.taken + [other] for other in outcomes[1:])
+            node, outcome = self.tree.add(self.slot, word, limit, shift, mask, len(outcomes)), outcomes[0]
+            self.pending.extend((self.taken + [other], (node, other)) for other in outcomes[1:])
+            self.slot = (node, outcome)
         self.taken.append(outcome)
-        self.slot = (node, outcome)
         return outcome
 
 
+@dataclass(slots=True)
 class _Draw:
     """A draw of :class:`_BranchDraws`: ``u < threshold`` and ``half >> shift`` are decisions."""
 
-    __slots__ = ("draws", "word", "kind")
-
-    def __init__(self, draws: _BranchDraws, word: int, kind: int):
-        self.draws = draws
-        self.word = word
-        self.kind = kind
+    draws: _BranchDraws
+    word: int
+    half: int  # where the half word starts in its word: 0 for the low half, 32 for the high
 
     def __lt__(self, threshold: float) -> bool:
         lo, hi = self.draws.bounds.get(self.word, (0.0, 1.0))
         below = _reachable(lo, min(hi, threshold))
         above = _reachable(max(lo, threshold), hi)
-        outcome = self.draws.decide(self.word, _LT, threshold, (0, 1) if below and above else (int(below),))
+        outcomes = (0, 1) if below and above else (int(below),)
+        outcome = self.draws.decide(self.word, threshold, 0, 0, outcomes)
         self.draws.bounds[self.word] = (lo, min(hi, threshold)) if outcome else (max(lo, threshold), hi)
         return bool(outcome)
 
     def __rshift__(self, shift: int) -> int:
         width = 32 - shift
-        return self.draws.decide(self.word, self.kind, width, range(1 << width))
+        return self.draws.decide(self.word, 0.0, self.half + shift, (1 << width) - 1, range(1 << width))
 
 
 def block_form(cfg: ProtocolConfig, adv: AdversaryStrategy) -> KkkpBlocks | BranchBlocks | None:
     """The block form of a session, or None if it runs round by round.
 
     A session runs in blocks when the strategy's own class lists its
-    protocol in ``block_protocols``: a ``kkkp`` session as
-    :class:`KkkpBlocks`, a ping-pong session as :class:`BranchBlocks`.
+    protocol in ``protocols``: a ping-pong session as
+    :class:`BranchBlocks`, a ``kkkp`` session as :class:`KkkpBlocks` if
+    that class also defines ``kkkp_block_form``.
     """
-    if cfg.kind.value not in vars(type(adv)).get("block_protocols", ()):
+    own = vars(type(adv))
+    if cfg.kind.value not in own.get("protocols", ()):
         return None
-    return KkkpBlocks(cfg, adv) if cfg.kind is ProtocolKind.KKKP else BranchBlocks(cfg, adv)
+    if cfg.kind is not ProtocolKind.KKKP:
+        return BranchBlocks(cfg, adv)
+    return KkkpBlocks(cfg, adv) if "kkkp_block_form" in own else None
 
 
 # Keyed by member name: a str hashes in C, while hashing the member itself

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -263,30 +262,6 @@ def measure(
         return _collapse_qubit(reg, basis, rng.random()), reg
     _check_index(reg, qubit)
     return _collapse_vector(reg, qubit, basis, rng.random()), reg
-
-
-def measure_each(
-    qubits: Sequence[tuple[QuantumRegister, int]], basis: np.ndarray, rng: np.random.Generator
-) -> list[int]:
-    """Measure each ``(register, qubit)`` in turn in one basis; returns the outcomes.
-
-    Same draws, outcomes and collapses as calling :func:`measure` on each
-    pair in order: numpy fills ``rng.random(k)`` with the values that k
-    calls of ``rng.random()`` return, so the pairs share one batched
-    draw.  Every index is checked before anything is drawn.
-    """
-    for reg, qubit in qubits:
-        if reg.n != 1 or qubit != 0:
-            _check_index(reg, qubit)
-    # A single draw is cheaper as a scalar; rng.random(0) draws nothing.
-    draws = [rng.random()] if len(qubits) == 1 else rng.random(len(qubits)).tolist()
-    outcomes = []
-    for (reg, qubit), r in zip(qubits, draws):
-        if reg.n == 1:
-            outcomes.append(_collapse_qubit(reg, basis, r))
-        else:
-            outcomes.append(_collapse_vector(reg, qubit, basis, r))
-    return outcomes
 
 
 def _collapse_qubit(reg: QuantumRegister, basis: np.ndarray, r: float) -> int:

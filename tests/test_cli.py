@@ -157,6 +157,10 @@ class TestExitCodes:
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         assert main(["sweep", scenario, "--field", "wavelength", "--values", "1"]) == 4
 
+    def test_unknown_sweep_field_is_4_before_the_scenario_is_read(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        assert main(["sweep", missing, "--field", "wavelength", "--values", "1"]) == 4
+
     def test_unreadable_scenario_is_5(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json")]) == 5
 

@@ -795,6 +795,29 @@ class TestEngineChoice:
         assert run_session(cfg, spec) == expected
         assert adv.finalized == cfg.rounds
 
+    @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
+    def test_probe_listing_its_protocols_again_runs_in_blocks(self, kind, monkeypatch):
+        spec = _probe(kind)
+        base = type(make_strategy(spec))
+
+        class ListingProbe(base):  # overrides a hook, and lists its protocols again
+            protocols = base.protocols
+
+            def finalize(self, ctx):
+                return super().finalize(ctx)
+
+        cfg = ProtocolConfig(kind=kind, rounds=BLOCK_ROUNDS + 3, seed=11, log_rounds=True)
+        adv = ListingProbe(spec.lambda_e_nm)
+        assert type(block_form(cfg, adv)) is BranchBlocks
+        monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
+        assert run_session(cfg, spec) == round_by_round(cfg, spec)
+
+    def test_kkkp_probe_listing_kkkp_without_a_block_form_runs_round_by_round(self):
+        class ListingProbe(type(make_strategy(KKKP_PROBE))):
+            protocols = frozenset({"kkkp"})
+
+        assert block_form(kkkp_cfg(), ListingProbe(4, 190_000.0, False)) is None
+
     @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
     def test_round_zero_runs_through_run_round(self, kind, name, spec, filt, monkeypatch):
         # Block sessions still run their first round through
@@ -821,6 +844,23 @@ class TestEngineChoice:
         monkeypatch.setattr(harness, "run_round", counting)
         run_session(ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=7), IPE)
         assert len(calls) == 7
+
+
+class TestGuessWidth:
+    @pytest.mark.parametrize("kind, spec", [
+        (ProtocolKind.PP_DENSE, IPE),
+        (ProtocolKind.PP_DENSE, KKKP_PROBE),
+        (ProtocolKind.PP_EPR, IPE_DENSE),
+        (ProtocolKind.PP_SINGLE, IPE_DENSE),
+        (ProtocolKind.KKKP, IPE_DENSE),
+    ], ids=lambda v: v.value if isinstance(v, ProtocolKind) else v.kind.value)
+    def test_a_guess_of_another_width_is_not_scored(self, kind, spec):
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
+                             rounds=500, seed=42)
+        stats, _ = run_session(cfg, spec)
+        guessed, _ = round_by_round(cfg, spec)
+        assert guessed.eve_accuracy is not None and guessed.eve_mutual_info_bits is not None
+        assert stats == replace(guessed, eve_accuracy=None, eve_mutual_info_bits=None)
 
 
 class TestSharedWords:

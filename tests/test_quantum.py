@@ -421,37 +421,6 @@ class TestTwoQubitFastPath:
             q.measure_bell(reg, 0, 2, RNG(0))
 
 
-class TestMeasureEach:
-    def test_matches_measuring_in_turn(self):
-        # One batched draw must reproduce the per-qubit draws, outcomes and
-        # collapses, including for qubits inside larger registers.
-        states = RNG(44)
-        for basis in (q.BASIS_Z, q.BASIS_X, q.rotated_basis(1.3)):
-            batch = [(random_state(states, 1), 0) for _ in range(6)]
-            batch.append((random_state(states, 2), 1))
-            batch.append((random_state(states, 1), 0))
-            turn = [(q.QuantumRegister(reg.amplitudes.copy(), reg.n), i) for reg, i in batch]
-            batch_rng, turn_rng = RNG(45), RNG(45)
-            outcomes = q.measure_each(batch, basis, batch_rng)
-            assert outcomes == [q.measure(reg, i, basis, turn_rng)[0] for reg, i in turn]
-            for (a, _), (b, _) in zip(batch, turn):
-                np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
-            assert batch_rng.integers(0, 2**62) == turn_rng.integers(0, 2**62)
-
-    def test_empty_batch_draws_nothing(self):
-        a, b = RNG(46), RNG(46)
-        assert q.measure_each([], q.BASIS_Z, a) == []
-        assert a.random() == b.random()
-
-    def test_index_checked_before_any_draw(self):
-        rng, ref = RNG(47), RNG(47)
-        reg = q.make_single(q.Prep.PLUS)
-        with pytest.raises(IndexError):
-            q.measure_each([(reg, 0), (q.make_single(q.Prep.ZERO), 1)], q.BASIS_Z, rng)
-        assert q.states_equal(reg, q.make_single(q.Prep.PLUS))
-        assert rng.random() == ref.random()
-
-
 class _Draw:
     """Stands in for a generator whose next uniform draw is ``r``."""
 

@@ -21,6 +21,15 @@ file holds the parent and the change side by side.  The figures:
   10^4 and 10^5 rounds and on a ``kkkp_probe`` n = 1 one at 10^4
   rounds.  Where sessions share words, the 10^5-round runs are those
   whose sessions outgrow the budget of kept words;
+* a warm in-process split of ``ppsim compare --seed 1 --rounds 2000``
+  (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
+  ping-pong trees and the ``kkkp`` set-up), the time in
+  ``harness._philox_words`` and the rest.  Each of
+  :data:`SPLIT_INTERPRETERS` fresh interpreters runs one untimed pass and
+  then :data:`SPLIT_PASSES` timed ones, and keeps the best of each part;
+  the figures are the medians over the interpreters.  A warm pass reads
+  the words the untimed pass kept, so its Philox part is 0 where
+  sessions share words;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``;
 * provenance: the commit, and the Python and numpy versions.
@@ -61,6 +70,10 @@ SWEEP_PP = ["sweep", str(GOLDEN / "readme_ipe_seed42.json"), "--field", "passban
             "--values", "0.005,0.05,0.5,5,50"]
 SWEEP_KKKP = ["sweep", str(GOLDEN / "kkkp_probe_seed7.json"), "--rounds", "10000", "--field", "lambda_e_nm",
               "--values", "150000,170000,190000,210000,230000"]
+# The split run, passes per interpreter, and interpreters per checkout.
+SPLIT_ARGS = ["compare", "--seed", "1", "--rounds", "2000"]
+SPLIT_PASSES = 15
+SPLIT_INTERPRETERS = 5
 # The timed command-line runs, by name: the arguments after ``ppsim``.
 COMMANDS = {
     "compare": ["compare"],
@@ -103,16 +116,53 @@ def _sessions() -> dict:
     return sessions
 
 
+def _philox_name(harness) -> str:
+    """The harness function that runs a Philox pass."""
+    return "_philox_words" if hasattr(harness, "_philox_words") else "_block_words"
+
+
+def _split_here() -> dict:
+    """Best of :data:`SPLIT_PASSES` warm passes of :data:`SPLIT_ARGS`, in seconds per part."""
+    import ppsim.cli
+    from ppsim import harness
+
+    spent = {"block_form": 0.0, "philox_words": 0.0}
+    for name, part in (("block_form", "block_form"), (_philox_name(harness), "philox_words")):
+        def timed(*args, inner=getattr(harness, name), part=part):
+            start = perf_counter()
+            try:
+                return inner(*args)
+            finally:
+                spent[part] += perf_counter() - start
+
+        setattr(harness, name, timed)
+    best = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")]
+        for timed_pass in range(SPLIT_PASSES + 1):  # pass 0 warms up
+            spent.update(dict.fromkeys(spent, 0.0))
+            total = _timed(lambda: ppsim.cli.main(argv))
+            parts = dict(spent, rest=total - sum(spent.values()), total=total)
+            if timed_pass:
+                best = {part: min(value, best.get(part, value)) for part, value in parts.items()}
+    return best
+
+
 def measure_here(what: str):
-    """One sample, from the ppsim on sys.path: ``what`` is ``info``, a command's name or a session label."""
+    """One sample, from the ppsim on sys.path.
+
+    ``what`` is ``info``, ``split``, a command's name or a session label.
+    """
     import numpy as np
     import ppsim.cli
     from ppsim import harness
 
     if what == "info":
         return {"python": platform.python_version(), "numpy": np.__version__, "labels": list(_sessions())}
+    if what == "split":
+        return _split_here()
     if what in COMMANDS:
-        name = "_philox_words" if hasattr(harness, "_philox_words") else "_block_words"
+        name = _philox_name(harness)
         compute, passes = getattr(harness, name), []
 
         def counted(*args):
@@ -146,7 +196,9 @@ def measure(root: Path) -> dict:
         samples = [_fresh(root, name) for _ in range(REPEATS)]
         commands[name] = {"wall_s": round(median(sample["wall_s"] for sample in samples), 4),
                           "philox_passes": samples[0]["philox_passes"]}
-    return {"us_per_round": cells, "commands": commands, **info}
+    splits = [_fresh(root, "split") for _ in range(SPLIT_INTERPRETERS)]
+    split = {part: round(median(sample[part] for sample in splits) * 1e3, 3) for part in splits[0]}
+    return {"us_per_round": cells, "commands": commands, "compare_split_ms": split, **info}
 
 
 def tier1(root: Path) -> dict:
