@@ -37,6 +37,7 @@ subclass that overrides a hook without listing ``protocols`` again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Container, Sequence
@@ -421,6 +422,8 @@ def parse_basis(basis: str | float) -> np.ndarray:
         if name == "x":
             return BASIS_X
         raise ConfigError(f"unknown measurement basis {basis!r} (want 'z', 'x' or radians)")
+    if not math.isfinite(basis):
+        raise ConfigError(f"attack basis angle must be finite, got {basis}")
     return quantum.rotated_basis(float(basis))
 
 

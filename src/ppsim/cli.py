@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .adversaries import StrategyKind, StrategySpec
 from .harness import RunStats, run_session
@@ -43,31 +43,29 @@ class SweepFieldError(ValueError):
     """The requested sweep field is not sweepable."""
 
 
-def _fmt_rate(x: float) -> str:
-    return f"{x:.9f}"
+def _columns(stats: RunStats) -> dict[str, str]:
+    """Every statistic's printed text, keyed by its CSV column, in the order of RunStats.
+
+    A count prints as an integer, a rate with nine decimals, and an
+    absent value as an empty string.
+    """
+    return {
+        "eve_mi_bits" if name == "eve_mutual_info_bits" else name:
+            "" if value is None else f"{value:.9f}" if isinstance(value, float) else str(value)
+        for name, value in vars(stats).items()
+    }
 
 
-def _fmt_opt(x: float | None) -> str:
-    return "" if x is None else _fmt_rate(x)
+def _row(lead: list[str], header: str, stats: RunStats) -> str:
+    """A CSV row: the ``lead`` fields, then the statistics ``header`` names after them."""
+    columns = _columns(stats)
+    return ",".join(lead + [columns[key] for key in header.split(",")[len(lead):]])
 
 
 def format_run_report(stats: RunStats) -> str:
-    lines = [
-        f"rounds={stats.rounds}",
-        f"message_rounds={stats.message_rounds}",
-        f"control_rounds_evaluated={stats.control_rounds_evaluated}",
-        f"qber={_fmt_rate(stats.qber)}",
-        f"control_failure_rate={_fmt_rate(stats.control_failure_rate)}",
-        f"anomaly_count={stats.anomaly_count}",
-        f"absorbed_total={stats.absorbed_total}",
-    ]
-    if stats.eve_accuracy is not None:
-        lines.append(f"eve_accuracy={_fmt_rate(stats.eve_accuracy)}")
-    if stats.eve_mutual_info_bits is not None:
-        lines.append(f"eve_mutual_info_bits={_fmt_rate(stats.eve_mutual_info_bits)}")
-    lines.append(f"blind_rounds={stats.blind_rounds}")
-    lines.append(f"seed={stats.seed}")
-    return "\n".join(lines) + "\n"
+    """A ``field=value`` line per statistic present, named as in RunStats."""
+    return "".join(f"{field.name}={text}\n"
+                   for field, text in zip(fields(RunStats), _columns(stats).values()) if text)
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -109,18 +107,6 @@ def _apply_sweep_value(sc: Scenario, field: str, token: str) -> Scenario:
     return replace(sc, attack=replace(sc.attack, n=value))
 
 
-def _sweep_row(token: str, stats: RunStats) -> str:
-    return ",".join([
-        token,
-        _fmt_rate(stats.qber),
-        _fmt_rate(stats.control_failure_rate),
-        _fmt_opt(stats.eve_accuracy),
-        _fmt_opt(stats.eve_mutual_info_bits),
-        str(stats.anomaly_count),
-        str(stats.absorbed_total),
-    ])
-
-
 def cmd_sweep(scenario_path: str, field: str, values: str, output: str | None,
               seed: int | None = None, rounds: int | None = None) -> int:
     if field not in SWEEP_FIELDS:
@@ -132,7 +118,7 @@ def cmd_sweep(scenario_path: str, field: str, values: str, output: str | None,
         sc = _apply_sweep_value(base, field, token)
         sc.validate()
         stats, _ = run_session(sc.to_config(), sc.attack)
-        lines.append(_sweep_row(token, stats))
+        lines.append(_row([token], SWEEP_HEADER, stats))
     _write_output(output, "\n".join(lines) + "\n")
     return 0
 
@@ -161,22 +147,8 @@ def cmd_compare(output: str | None, seed: int | None = None, rounds: int | None 
                 sc = replace(base, attack=attack, filter_enabled=filter_on)
                 sc.validate()
                 stats, _ = run_session(sc.to_config(), sc.attack)
-                lines.append(",".join([
-                    kind.value,
-                    attack_name,
-                    "on" if filter_on else "off",
-                    str(stats.rounds),
-                    str(stats.message_rounds),
-                    str(stats.control_rounds_evaluated),
-                    _fmt_rate(stats.qber),
-                    _fmt_rate(stats.control_failure_rate),
-                    str(stats.anomaly_count),
-                    str(stats.absorbed_total),
-                    _fmt_opt(stats.eve_accuracy),
-                    _fmt_opt(stats.eve_mutual_info_bits),
-                    str(stats.blind_rounds),
-                    str(stats.seed),
-                ]))
+                lines.append(_row([kind.value, attack_name, "on" if filter_on else "off"],
+                                  COMPARE_HEADER, stats))
     _write_output(output, "\n".join(lines) + "\n")
     return 0
 

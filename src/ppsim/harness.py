@@ -30,7 +30,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from math import log2
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -216,30 +216,18 @@ def channel_mutual_information(counts: JointCounts) -> float:
     return mutual_information(reweighted)
 
 
-def qber(records: Iterable[RoundRecord]) -> float:
-    """Fraction of message rounds decoded incorrectly.
-
-    Any differing bit, a decode failure or an erasure makes the round
-    one error.
-    """
-    messages = errors = 0
-    for rec in records:
-        if rec.mode is Mode.MESSAGE:
-            messages += 1
-            if rec.bob_bits != rec.alice_bits:
-                errors += 1
-    if messages == 0:
-        raise ValueError("QBER needs at least one message round")
-    return errors / messages
-
-
 class _Accumulator:
-    """Streaming aggregation of round records, each counted one or more times."""
+    """Streaming aggregation of round records, each counted one or more times.
+
+    Each count is kept once.  Eve's scored guesses are the (alice, guess)
+    table ``joint`` of the message rounds she guessed: :meth:`stats`
+    reads her guessed rounds as its sum, her correct ones as its
+    diagonal, and her mutual information from it.
+    """
 
     __slots__ = (
         "rounds", "message_rounds", "message_errors", "control_evaluated",
-        "control_failures", "anomalies", "absorbed", "blind",
-        "guessed_messages", "correct_guesses", "joint",
+        "control_failures", "anomalies", "absorbed", "blind", "joint",
     )
 
     def __init__(self) -> None:
@@ -258,15 +246,14 @@ class _Accumulator:
             if rec.bob_bits != rec.alice_bits:
                 self.message_errors += times
             if rec.eve_guess is not None:
-                self.guessed_messages += times
-                self.correct_guesses += (rec.eve_guess == rec.alice_bits) * times
                 self.joint[(rec.alice_bits, rec.eve_guess)] += times
         elif rec.control_pass is not None:
             self.control_evaluated += times
             self.control_failures += (not rec.control_pass) * times
 
     def stats(self, seed: int) -> RunStats:
-        guessed = self.guessed_messages
+        guessed = sum(self.joint.values())
+        correct = sum(c for (alice, guess), c in self.joint.items() if alice == guess)
         return RunStats(
             rounds=self.rounds,
             message_rounds=self.message_rounds,
@@ -277,7 +264,7 @@ class _Accumulator:
             ),
             anomaly_count=self.anomalies,
             absorbed_total=self.absorbed,
-            eve_accuracy=self.correct_guesses / guessed if guessed else None,
+            eve_accuracy=correct / guessed if guessed else None,
             eve_mutual_info_bits=channel_mutual_information(self.joint) if guessed else None,
             blind_rounds=self.blind,
             seed=seed,

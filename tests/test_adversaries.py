@@ -349,5 +349,10 @@ class TestStrategyDispatch:
         with pytest.raises(ValueError):
             StrategySpec(StrategyKind.INTERCEPT_RESEND, basis="diagonal").validate()
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_basis_angle_rejected(self, angle):
+        with pytest.raises(ConfigError, match="basis"):
+            StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=angle).validate()
+
     def test_rotated_basis_accepted(self):
         StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=0.7).validate()

@@ -7,6 +7,7 @@ import pytest
 
 from ppsim import cli
 from ppsim.cli import main
+from ppsim.harness import run_session
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,6 +125,33 @@ class TestExitCodes:
         assert main(["run", str(path)]) == 3
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("angle", ["1e400", "-1e309"])
+    def test_non_finite_basis_angle_is_3(self, tmp_path, capsys, angle):
+        # JSON reads both angles as infinite floats.
+        path = tmp_path / "scenario.json"
+        text = '{"protocol": "pp_epr", "attack": {"kind": "intercept_resend", "basis": %s}}' % angle
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 3
+        assert "basis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1 << 64, -1])
+    def test_seed_outside_64_bits_is_3(self, tmp_path, capsys, seed):
+        assert main(["run", write_scenario(tmp_path, dict(IPE_SCENARIO, seed=seed))]) == 3
+        assert "seed must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"protocol": "pp_epr", "attack": "ipe"}, "attack must be an object"),
+        ({"protocol": "pp_epr", "filter": True}, "filter must be an object"),
+        ({"protocol": "pp_epr", "control_prob": "0.5"}, "control_prob must be a number"),
+        ({"protocol": "pp_epr", "attack": {"kind": "ipe", "lambda_e_nm": True}}, "lambda_e_nm must be"),
+        ({"protocol": "pp_epr", "attack": {"kind": "intercept_resend", "basis": True}}, "basis must be"),
+        ({"protocol": "pp_epr", "attack": {"kind": "intercept_resend", "basis": [0.5]}}, "basis must be"),
+    ], ids=["attack_not_object", "filter_not_object", "string_number", "boolean_number",
+            "boolean_basis", "list_basis"])
+    def test_ill_typed_values_are_2(self, tmp_path, capsys, obj, message):
+        assert main(["run", write_scenario(tmp_path, obj)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("protocol, attack", [
         ("pp_dense", "ipe"),
         ("pp_epr", "ipe_dense"), ("pp_single", "ipe_dense"), ("kkkp", "ipe_dense"),
@@ -216,6 +244,38 @@ class TestSweep:
         assert main(["sweep", scenario, "--field", "passband_half_width_nm", "--values", "inf",
                      "--rounds", "300"]) == 3
         assert "filter passband" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_passband_half_width_is_3(self, tmp_path, capsys, value):
+        scenario = write_scenario(tmp_path, IPE_SCENARIO)
+        assert main(["sweep", scenario, "--field", "passband_half_width_nm", "--values", value,
+                     "--rounds", "300"]) == 3
+        assert "passband_half_width_nm must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("attack", [{"kind": "no_eve"}, {"kind": "intercept_resend"}])
+    def test_probe_wavelength_sweep_requires_probe_attack(self, tmp_path, capsys, attack):
+        scenario = write_scenario(tmp_path, dict(IPE_SCENARIO, attack=attack))
+        assert main(["sweep", scenario, "--field", "lambda_e_nm", "--values", "190000",
+                     "--rounds", "300"]) == 3
+        assert "has no probe wavelength" in capsys.readouterr().err
+
+    def test_control_prob_sweep(self, tmp_path, monkeypatch):
+        sessions = []
+
+        def recorded(cfg, spec):
+            stats, log = run_session(cfg, spec)
+            sessions.append(stats)
+            return stats, log
+
+        monkeypatch.setattr(cli, "run_session", recorded)
+        scenario = write_scenario(tmp_path, IPE_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", scenario, "--field", "control_prob", "--values", "0.1,0.5,0.9",
+                     "--rounds", "2000", "-o", str(out)]) == 0
+        rows = parse_csv(out.read_text(encoding="utf-8"))
+        assert [r["value"] for r in rows] == ["0.1", "0.5", "0.9"]
+        messages = [s.message_rounds for s in sessions]
+        assert messages[0] > messages[1] > messages[2] > 0
 
     def test_probe_count_sweep_requires_probe_attack(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)

@@ -22,7 +22,6 @@ from ppsim.harness import (
     _stream_factory,
     channel_mutual_information,
     mutual_information,
-    qber,
     round_rng,
     run_session,
 )
@@ -114,27 +113,37 @@ class TestChannelMutualInformation:
 
 
 class TestQber:
+    """QBER as reported: through ``_Accumulator.add`` and ``.stats``."""
+
     def _msg(self, alice, bob):
         return RoundRecord(mode=Mode.MESSAGE, alice_bits=alice, bob_bits=bob)
 
+    def _stats(self, records):
+        acc = _Accumulator()
+        for rec in records:
+            acc.add(rec)
+        return acc.stats(seed=0)
+
     def test_all_correct(self):
-        assert qber([self._msg(b, b) for b in (0, 1, 0)]) == 0.0
+        assert self._stats([self._msg(b, b) for b in (0, 1, 0)]).qber == 0.0
 
     def test_partial_dense_mismatch_counts_as_one_error(self):
         # one of two bits wrong (0b10 vs 0b00) is one errored round
         records = [self._msg(0b10, 0b00), self._msg(0b11, 0b11)]
-        assert qber(records) == 0.5
+        assert self._stats(records).qber == 0.5
 
     def test_erasure_counts_as_error(self):
-        assert qber([self._msg(1, None), self._msg(1, 1)]) == 0.5
+        assert self._stats([self._msg(1, None), self._msg(1, 1)]).qber == 0.5
 
     def test_control_rounds_ignored(self):
-        records = [RoundRecord(mode=Mode.CONTROL, control_pass=True), self._msg(0, 0)]
-        assert qber(records) == 0.0
+        records = [RoundRecord(mode=Mode.CONTROL, control_pass=False), self._msg(0, 0)]
+        assert self._stats(records).qber == 0.0
 
-    def test_no_message_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            qber([RoundRecord(mode=Mode.CONTROL, control_pass=True)])
+    def test_no_message_rounds_reads_zero(self):
+        # A rate with no evidence behind it reads 0 for now; it is to be
+        # reported as absent instead.
+        stats = self._stats([RoundRecord(mode=Mode.CONTROL, control_pass=True)])
+        assert (stats.message_rounds, stats.qber) == (0, 0.0)
 
 
 class TestRoundStreams:

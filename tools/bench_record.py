@@ -31,7 +31,7 @@ file holds the parent and the change side by side.  The figures:
   the words the untimed pass kept, so its Philox part is 0 where
   sessions share words;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
-* the line count of ``<root>/src``;
+* the line count of ``<root>/src``, in total and by module;
 * provenance: the commit, and the Python and numpy versions.
 
 Sessions on the same seed share a block's Philox words, so no timed call
@@ -219,9 +219,12 @@ def tier1(root: Path) -> dict:
     }
 
 
-def src_lines(root: Path) -> int:
-    return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in sorted((root / "src").rglob("*.py")))
+def src_lines_by_module(root: Path) -> dict[str, int]:
+    """The line count of each module under ``<root>/src``, keyed by its dotted name."""
+    src = root / "src"
+    return {".".join(path.relative_to(src).with_suffix("").parts):
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in sorted(src.rglob("*.py"))}
 
 
 def commit_of(root: Path) -> str | None:
@@ -236,7 +239,8 @@ def commit_of(root: Path) -> str | None:
 def record(root: Path, commit: str | None) -> dict:
     figures = measure(root)
     figures.update(tier1(root))
-    figures["src_lines"] = src_lines(root)
+    figures["src_lines_by_module"] = src_lines_by_module(root)
+    figures["src_lines"] = sum(figures["src_lines_by_module"].values())
     figures["commit"] = commit or commit_of(root)
     figures["cpus"] = os.cpu_count()
     return figures
