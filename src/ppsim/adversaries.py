@@ -125,17 +125,17 @@ class KkkpBlockForm:
     absorbed = 0
     blind = False
 
-    def guesses(self, theta: np.ndarray, encode: np.ndarray, draws: np.ndarray,
-                coin: np.ndarray) -> np.ndarray | None:
+    def guesses(self, theta: tuple[np.ndarray, np.ndarray], encode: tuple[np.ndarray, np.ndarray],
+                draws: np.ndarray, coin: np.ndarray) -> np.ndarray | None:
         """The guess in each round of a block, or None for a strategy that never guesses.
 
         The arguments are arrays over the rounds.  ``theta`` is the
-        sender's blinding angle and ``encode`` the net rotation
-        ROT(s*pi/4 - theta) her encoder applies to every photon it
-        receives.  Row i of ``draws`` holds the uniform draws the
-        strategy makes in round i, in order, and ``coin`` the value
-        ``ctx.random_bits(1)`` returns if the strategy calls it (at most
-        once a round).
+        ``quantum.cos_sin`` of the sender's blinding angle and ``encode``
+        that of the net rotation ROT(s*pi/4 - theta) her encoder applies
+        to every photon it receives.  Row i of ``draws`` holds the
+        uniform draws the strategy makes in round i, in order, and
+        ``coin`` the value ``ctx.random_bits(1)`` returns if the strategy
+        calls it (at most once a round).
         """
         return None
 
@@ -359,8 +359,8 @@ class _BlindBaseProbeBlocks(KkkpBlockForm):
         self.absorbed = 0 if admitted else n
         self.blind = not admitted
 
-    def guesses(self, theta: np.ndarray, encode: np.ndarray, draws: np.ndarray,
-                coin: np.ndarray) -> np.ndarray:
+    def guesses(self, theta: tuple[np.ndarray, np.ndarray], encode: tuple[np.ndarray, np.ndarray],
+                draws: np.ndarray, coin: np.ndarray) -> np.ndarray:
         if self.blind:
             return coin
         a0, a1 = quantum.rotate_real(1.0, 0.0, encode)

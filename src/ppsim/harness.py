@@ -40,7 +40,7 @@ from .protocols import Mode, ProtocolConfig, RoundRecord, block_form, message_bi
 # Rounds per block of the block engine: enough to spread thin the fixed
 # cost of the ~200 numpy calls of a block's Philox pass, few enough that a
 # block's arrays stay within a few hundred kB (a kkkp_probe block at
-# n = 16, 20 words a round, peaks under 2.5 MB).
+# n = 16, 20 words a round, peaks under 2.5 MB); wider rounds, fewer rows.
 BLOCK_ROUNDS = 2048
 
 # The words of kept blocks, keyed by (seed, start, stop), and their byte
@@ -56,8 +56,7 @@ _words: dict[tuple[int, int, int], np.ndarray] = {}
 _PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
 _LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 _PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> _HALF
-_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_U64 = (1 << 64) - 1
+_PHILOX_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
 
 
 def round_rng(seed: int, index: int) -> np.random.Generator:
@@ -130,25 +129,33 @@ def _philox_words(seed: int, start: int, stop: int, blocks: int) -> np.ndarray:
     Philox4x64-10 over the counters its rows need.  numpy's Philox adds 1
     to its counter before filling its four-word buffer, so words 4(j-1)
     to 4j-1 of round i come from counter (j, 0, 0, i), j = 1, 2, ...;
-    the key is (seed, 0), as seeds stay below 2^64.
+    the key is (seed, 0), as seeds stay below 2^64.  Its rounds run in
+    place, on four work arrays allocated once per pass.
     """
     rows = stop - start
     # The counter words each round multiplies, x = (c0, c2), and the ones
     # it does not, y = (c1, c3); a column per (round, block).
-    x = np.zeros((2, rows, blocks), np.uint64)
-    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    y = np.zeros((2, rows, blocks), np.uint64)
-    y[1] = np.arange(start, stop, dtype=np.uint64)[:, None]
-    x, y = x.reshape(2, -1), y.reshape(2, -1)
-    k0, k1 = seed, 0
+    x, y = np.zeros((2, 2, rows * blocks), np.uint64)
+    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rows)
+    y[1] = np.repeat(np.arange(start, stop, dtype=np.uint64), blocks)
+    key = np.array([[seed], [0]], np.uint64)
+    low, high, mid, tmp = np.empty((4,) + x.shape, np.uint64)
     for _ in range(10):
         # (c0, c1, c2, c3) -> (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
         # the high words of the 64x64-bit products summed from 32-bit halves.
-        low, high = x & _LOW32, x >> _HALF
-        mid = high * _PHILOX_MUL_LO + ((low * _PHILOX_MUL_LO) >> _HALF)
-        hi = high * _PHILOX_MUL_HI + (mid >> _HALF) + ((low * _PHILOX_MUL_HI + (mid & _LOW32)) >> _HALF)
-        x, y = hi[::-1] ^ y ^ np.array([[k0], [k1]], np.uint64), (x * _PHILOX_MUL)[::-1]
-        k0, k1 = (k0 + _PHILOX_WEYL[0]) & _U64, (k1 + _PHILOX_WEYL[1]) & _U64
+        np.bitwise_and(x, _LOW32, out=low)
+        np.right_shift(x, _HALF, out=high)
+        np.right_shift(np.multiply(low, _PHILOX_MUL_LO, out=mid), _HALF, out=mid)
+        mid += np.multiply(high, _PHILOX_MUL_LO, out=tmp)  # high*M_lo + (low*M_lo >> 32)
+        low *= _PHILOX_MUL_HI
+        low += np.bitwise_and(mid, _LOW32, out=tmp)
+        high *= _PHILOX_MUL_HI
+        high += np.right_shift(mid, _HALF, out=mid)
+        high += np.right_shift(low, _HALF, out=low)  # the high words
+        y ^= high[::-1]
+        y ^= key
+        x, y = y, np.multiply(x, _PHILOX_MUL, out=x)[::-1]
+        key += _PHILOX_WEYL
     return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(rows, 4 * blocks)
 
 
@@ -300,8 +307,9 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
         if cfg.log_rounds:
             log.append(rec)
     if blocks is not None:
-        for start in range(1, cfg.rounds, BLOCK_ROUNDS):
-            stop = min(start + BLOCK_ROUNDS, cfg.rounds)
+        rows = min(BLOCK_ROUNDS, max(1, BLOCK_ROUNDS * 20 // blocks.words))
+        for start in range(1, cfg.rounds, rows):
+            stop = min(start + rows, cfg.rounds)
             block = blocks.run(_block_words(cfg.seed, start, stop, blocks.words))
             # Leaves in the order of their first round: (alice, guess) pairs enter
             # the joint table, and the MI's float sums run, as round by round.

@@ -402,6 +402,7 @@ class KkkpBlocks:
     same order, so a block gives bit for bit the records that
     :func:`kkkp_round` gives round by round: a round's leaf is its
     (alice, bob, guess), and its angles come beside the leaf table.
+    Each angle's cosine and sine are computed once; ROT(-phi) reuses phi's.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
@@ -419,22 +420,22 @@ class KkkpBlocks:
 
     def run(self, words: np.ndarray) -> Block:
         """The rounds whose streams begin with the rows of ``words``."""
-        theta = TWO_PI * _uniform(words[:, 0])
-        phi = TWO_PI * _uniform(words[:, 1])
+        theta, phi = TWO_PI * _uniform(words[:, :2].T)
         bits = ((words[:, 2] >> 31) & 1).astype(np.int64)
         encode = np.where(bits == 1, -ENC_ANGLE, ENC_ANGLE) - theta
+        theta_cs, (c_phi, s_phi), encode_cs = map(quantum.cos_sin, (theta, phi, encode))
         leaves = 9 * bits + 4
         if self.signal_admitted:
-            a0, a1 = quantum.rotate_real(1.0, 0.0, theta)  # ROT(theta)|0>
-            a0, a1 = quantum.rotate_real(a0, a1, phi)
-            a0, a1 = quantum.rotate_real(a0, a1, encode)
-            a0, a1 = quantum.rotate_real(a0, a1, -phi)
+            a0, a1 = quantum.rotate_real(1.0, 0.0, theta_cs)  # ROT(theta)|0>
+            a0, a1 = quantum.rotate_real(a0, a1, (c_phi, s_phi))
+            a0, a1 = quantum.rotate_real(a0, a1, encode_cs)
+            a0, a1 = quantum.rotate_real(a0, a1, (c_phi, -s_phi))  # ROT(-phi)
             p1 = quantum.prob_one_real(a0, a1, BASIS_X)
             leaves += 3 * (_uniform(words[:, 3]) < p1)
         else:
             leaves -= 3  # an erasure
         coin = (words[:, 2] >> 63).astype(np.int64)
-        guesses = self.eve.guesses(theta, encode, _uniform(words[:, self.first_draw:]), coin)
+        guesses = self.eve.guesses(theta_cs, encode_cs, _uniform(words[:, self.first_draw:]), coin)
         leaves += -1 if guesses is None else guesses
         return Block(leaves, self.table, (theta, phi))
 

@@ -222,19 +222,23 @@ def rotate(reg: QuantumRegister, qubit: int, theta: float) -> QuantumRegister:
     return apply_unitary(reg, qubit, rot(theta))
 
 
-def rotate_real(a0, a1, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cos_sin(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine of each angle, from the ``math`` functions :func:`rotate` calls."""
+    angles = theta.tolist()
+    return (np.fromiter(map(math.cos, angles), float, len(angles)),
+            np.fromiter(map(math.sin, angles), float, len(angles)))
+
+
+def rotate_real(a0, a1, cs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """ROT(theta) on many 1-qubit states with real amplitudes, as arrays over the states.
 
-    ``a0``/``a1`` are the amplitudes (arrays or scalars), ``theta`` one
-    angle per state.  Bit for bit the amplitudes :func:`rotate` gives:
-    the imaginary parts of such states stay (signed) zeros, which add
-    nothing to a real part, the cosines and sines come from the same
-    ``math`` functions, and numpy rounds each product and sum as Python
-    does.
+    ``a0``/``a1`` are the amplitudes (arrays or scalars), ``cs`` the
+    :func:`cos_sin` of one angle per state; ``(c, -s)`` rotates by its
+    negative, as libm's cos is even and its sin odd.  Bit for bit the
+    amplitudes :func:`rotate` gives: imaginary parts stay (signed)
+    zeros, which add nothing to a real part, and numpy rounds as Python.
     """
-    angles = theta.tolist()
-    c = np.fromiter(map(math.cos, angles), float, len(angles))
-    s = np.fromiter(map(math.sin, angles), float, len(angles))
+    c, s = cs
     return c * a0 - s * a1, s * a0 + c * a1
 
 

@@ -118,11 +118,18 @@ def _as_int(obj: dict, key: str, default: int) -> int:
     return value
 
 
+def _to_float(key: str, value: int | float) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ScenarioError(f"{key} is beyond float range") from None
+
+
 def _as_number(obj: dict, key: str, default: float) -> float:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return _to_float(key, value)
 
 
 def _as_interval(obj: dict, key: str, default: tuple[float, float] | None) -> tuple[float, float] | None:
@@ -135,7 +142,7 @@ def _as_interval(obj: dict, key: str, default: tuple[float, float] | None) -> tu
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ScenarioError(f"{key} must be a [lo, hi] number pair, got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return (_to_float(key, value[0]), _to_float(key, value[1]))
 
 
 def _parse_attack(obj: Any) -> StrategySpec:
@@ -154,7 +161,7 @@ def _parse_attack(obj: Any) -> StrategySpec:
     return StrategySpec(
         kind=kind,
         lambda_e_nm=_as_number(obj, "lambda_e_nm", EVE_WAVELENGTH_NM),
-        basis=basis if isinstance(basis, str) else float(basis),
+        basis=basis if isinstance(basis, str) else _to_float("attack.basis", basis),
         n=_as_int(obj, "n", 1),
         theta_known=_as_bool(obj, "theta_known", False),
     )

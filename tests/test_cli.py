@@ -134,6 +134,15 @@ class TestExitCodes:
         assert main(["run", str(path)]) == 3
         assert "basis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"protocol": "pp_epr", "control_prob": 10**400}, "control_prob"),
+        ({"protocol": "pp_epr", "filter": {"enabled": True, "passband_nm": [600, 10**400]}}, "passband_nm"),
+        ({"protocol": "pp_epr", "attack": {"kind": "intercept_resend", "basis": -10**400}}, "attack.basis"),
+    ], ids=["control_prob", "interval", "basis"])
+    def test_integer_beyond_float_range_is_2(self, tmp_path, capsys, obj, field):
+        assert main(["run", write_scenario(tmp_path, obj)]) == 2
+        assert f"{field} is beyond float range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [1 << 64, -1])
     def test_seed_outside_64_bits_is_3(self, tmp_path, capsys, seed):
         assert main(["run", write_scenario(tmp_path, dict(IPE_SCENARIO, seed=seed))]) == 3

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsim import adversaries, harness
+from ppsim import adversaries, harness, quantum
 from ppsim.adversaries import AdversaryStrategy, RoundContext, StrategyKind, StrategySpec, make_strategy
 from ppsim.cli import _compare_attacks
 from ppsim.harness import (
@@ -430,6 +430,36 @@ class TestBlockEngine:
             tracemalloc.stop()
         assert stats.rounds == 100_000
         assert peak < 4 * 2**20, peak
+
+    def test_wide_rounds_get_fewer_rows_per_block(self, philox_passes):
+        # 4100 words a round: blocks of 2048 * 20 // 4100 = 9 rows.
+        cfg = kkkp_cfg(rounds=20, seed=5)
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=4096)
+        assert run_session(cfg, spec) == round_by_round(cfg, spec)
+        assert [(start, stop) for _, start, stop, _ in philox_passes] == [(1, 10), (10, 19), (19, 20)]
+        # One 199-row block would peak near 29 MiB.
+        harness._words.clear()
+        tracemalloc.start()
+        try:
+            run_session(replace(cfg, rounds=200, log_rounds=False), spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize("known", [False, True], ids=["blind", "known"])
+    def test_each_angle_takes_one_cos_sin_per_block(self, known, monkeypatch):
+        calls = []
+        compute = quantum.cos_sin
+
+        def counted(angles):
+            calls.append(len(angles))
+            return compute(angles)
+
+        monkeypatch.setattr(quantum, "cos_sin", counted)
+        blocks = KkkpBlocks(kkkp_cfg(), make_strategy(StrategySpec(StrategyKind.KKKP_PROBE, n=4, theta_known=known)))
+        blocks.run(_block_words(1, 1, 101, blocks.words))
+        assert calls == [100] * 3
 
 
 class WordStream:

@@ -434,20 +434,32 @@ class _Draw:
 class TestRealBlockKernels:
     """The array kernels of the block engine reproduce the scalar kernels bit for bit."""
 
-    def test_rotate_real_matches_rotate(self):
+    @pytest.mark.parametrize("sign", [1, -1], ids=["angle", "negated"])
+    def test_rotate_real_matches_rotate(self, sign):
+        # (c, -s) rotates by the negative angle, as the block engine's ROT(-phi) does.
         rng = RNG(48)
         thetas = rng.uniform(-7, 7, (3, 64))
         regs = [q.make_single(float(t)) for t in rng.uniform(-7, 7, 64)]
         a0 = np.array([reg.amplitudes[0].real for reg in regs])
         a1 = np.array([reg.amplitudes[1].real for reg in regs])
         for angles in thetas:
-            a0, a1 = q.rotate_real(a0, a1, angles)
+            c, s = q.cos_sin(angles)
+            a0, a1 = q.rotate_real(a0, a1, (c, sign * s))
             for reg, theta in zip(regs, angles.tolist()):
-                q.rotate(reg, 0, theta)
+                q.rotate(reg, 0, sign * theta)
             amps = np.array([reg.amplitudes for reg in regs])
             assert a0.tolist() == amps[:, 0].real.tolist()
             assert a1.tolist() == amps[:, 1].real.tolist()
             assert not amps.imag.any()
+
+    @settings(max_examples=2000, deadline=None)
+    @given(m=st.integers(0, 2**53 - 1))
+    def test_libm_cos_is_even_and_sin_odd_on_the_draw_grid(self, m):
+        # The block engine turns ROT(phi)'s pair into ROT(-phi)'s as (c, -s);
+        # phi = 2*pi*u with u = m * 2**-53, as rng.random() draws it.
+        theta = 2 * math.pi * (m * 2.0**-53)
+        assert math.cos(-theta) == math.cos(theta)
+        assert math.sin(-theta) == -math.sin(theta)
 
     @pytest.mark.parametrize("basis", [q.BASIS_Z, q.BASIS_X, q.rotated_basis(0.7)], ids=["z", "x", "rot"])
     def test_prob_one_real_is_the_scalar_threshold(self, basis):
@@ -455,7 +467,7 @@ class TestRealBlockKernels:
         # probability, so p1 and the float just below it bracket that
         # probability with no room in between.
         angles = RNG(49).uniform(-7, 7, 64)
-        p1 = q.prob_one_real(*q.rotate_real(1.0, 0.0, angles), basis)
+        p1 = q.prob_one_real(*q.rotate_real(1.0, 0.0, q.cos_sin(angles)), basis)
         for theta, p in zip(angles.tolist(), p1.tolist()):
             assert q.measure(q.make_single(theta), 0, basis, _Draw(p))[0] == 0
             below = float(np.nextafter(p, 0.0))

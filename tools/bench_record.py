@@ -30,6 +30,11 @@ file holds the parent and the change side by side.  The figures:
   the figures are the medians over the interpreters.  A warm pass reads
   the words the untimed pass kept, so its Philox part is 0 where
   sessions share words;
+* the same warm split of ``kkkp`` sessions under ``kkkp_probe`` at
+  n = 1, 4 and 16 (:data:`KKKP_SPLIT_ROUNDS` rounds, seed 1), each
+  pass starting with no kept words: the time in
+  ``harness._philox_words``, in ``protocols.KkkpBlocks.run`` and the
+  rest;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``, in total and by module;
 * provenance: the commit, and the Python and numpy versions.
@@ -70,8 +75,9 @@ SWEEP_PP = ["sweep", str(GOLDEN / "readme_ipe_seed42.json"), "--field", "passban
             "--values", "0.005,0.05,0.5,5,50"]
 SWEEP_KKKP = ["sweep", str(GOLDEN / "kkkp_probe_seed7.json"), "--rounds", "10000", "--field", "lambda_e_nm",
               "--values", "150000,170000,190000,210000,230000"]
-# The split run, passes per interpreter, and interpreters per checkout.
+# The split runs, passes per interpreter, and interpreters per checkout.
 SPLIT_ARGS = ["compare", "--seed", "1", "--rounds", "2000"]
+KKKP_SPLIT_ROUNDS = 2000
 SPLIT_PASSES = 15
 SPLIT_INTERPRETERS = 5
 # The timed command-line runs, by name: the arguments after ``ppsim``.
@@ -121,31 +127,66 @@ def _philox_name(harness) -> str:
     return "_philox_words" if hasattr(harness, "_philox_words") else "_block_words"
 
 
-def _split_here() -> dict:
-    """Best of :data:`SPLIT_PASSES` warm passes of :data:`SPLIT_ARGS`, in seconds per part."""
-    import ppsim.cli
-    from ppsim import harness
+def _best_split(parts: dict, run_pass) -> dict:
+    """Best of :data:`SPLIT_PASSES` warm calls of ``run_pass``, in seconds per part.
 
-    spent = {"block_form": 0.0, "philox_words": 0.0}
-    for name, part in (("block_form", "block_form"), (_philox_name(harness), "philox_words")):
-        def timed(*args, inner=getattr(harness, name), part=part):
+    ``parts`` maps a part's name to the (owner, attribute) of the
+    function whose calls it times; the rest and the total come beside
+    them.  The functions are restored afterwards.
+    """
+    spent = dict.fromkeys(parts, 0.0)
+    saved = {part: getattr(owner, name) for part, (owner, name) in parts.items()}
+    for part, (owner, name) in parts.items():
+        def timed(*args, inner=saved[part], part=part):
             start = perf_counter()
             try:
                 return inner(*args)
             finally:
                 spent[part] += perf_counter() - start
 
-        setattr(harness, name, timed)
+        setattr(owner, name, timed)
     best = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")]
+    try:
         for timed_pass in range(SPLIT_PASSES + 1):  # pass 0 warms up
             spent.update(dict.fromkeys(spent, 0.0))
-            total = _timed(lambda: ppsim.cli.main(argv))
-            parts = dict(spent, rest=total - sum(spent.values()), total=total)
+            total = _timed(run_pass)
+            split = dict(spent, rest=total - sum(spent.values()), total=total)
             if timed_pass:
-                best = {part: min(value, best.get(part, value)) for part, value in parts.items()}
+                best = {part: min(value, best.get(part, value)) for part, value in split.items()}
+    finally:
+        for part, (owner, name) in parts.items():
+            setattr(owner, name, saved[part])
     return best
+
+
+def _split_here() -> dict:
+    """The split of :data:`SPLIT_ARGS` passes, in seconds per part."""
+    import ppsim.cli
+    from ppsim import harness
+
+    parts = {"block_form": (harness, "block_form"), "philox_words": (harness, _philox_name(harness))}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")]
+        return _best_split(parts, lambda: ppsim.cli.main(argv))
+
+
+def _kkkp_split_here() -> dict:
+    """The split of :data:`KKKP_SPLIT_ROUNDS`-round ``kkkp_probe`` sessions, in seconds per part, by n.
+
+    Every pass starts with no kept words, so that it runs its Philox passes.
+    """
+    from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols
+
+    parts = {"philox_words": (harness, _philox_name(harness)), "kkkp_blocks_run": (protocols.KkkpBlocks, "run")}
+    cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, rounds=KKKP_SPLIT_ROUNDS, seed=1)
+    kept = getattr(harness, "_words", {})
+
+    def run_pass(spec):
+        kept.clear()
+        harness.run_session(cfg, spec)
+
+    return {f"n{n}": _best_split(parts, lambda: run_pass(StrategySpec(StrategyKind.KKKP_PROBE, n=n)))
+            for n in (1, 4, 16)}
 
 
 def measure_here(what: str):
@@ -161,6 +202,8 @@ def measure_here(what: str):
         return {"python": platform.python_version(), "numpy": np.__version__, "labels": list(_sessions())}
     if what == "split":
         return _split_here()
+    if what == "kkkp_split":
+        return _kkkp_split_here()
     if what in COMMANDS:
         name = _philox_name(harness)
         compute, passes = getattr(harness, name), []
@@ -198,7 +241,12 @@ def measure(root: Path) -> dict:
                           "philox_passes": samples[0]["philox_passes"]}
     splits = [_fresh(root, "split") for _ in range(SPLIT_INTERPRETERS)]
     split = {part: round(median(sample[part] for sample in splits) * 1e3, 3) for part in splits[0]}
-    return {"us_per_round": cells, "commands": commands, "compare_split_ms": split, **info}
+    kkkp_splits = [_fresh(root, "kkkp_split") for _ in range(SPLIT_INTERPRETERS)]
+    kkkp_split = {n: {part: round(median(sample[n][part] for sample in kkkp_splits) * 1e3, 3)
+                      for part in parts}
+                  for n, parts in kkkp_splits[0].items()}
+    return {"us_per_round": cells, "commands": commands, "compare_split_ms": split,
+            "kkkp_split_ms": kkkp_split, **info}
 
 
 def tier1(root: Path) -> dict:
