@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 from .adversaries import StrategyKind, StrategySpec
 from .harness import RunStats, run_session
 from .optics import EVE_WAVELENGTH_NM
-from .protocols import ConfigError, ProtocolKind
+from .protocols import ConfigError, ProtocolKind, has_control_mode
 from .scenario import (
     DEFAULT_ROUNDS,
     DEFAULT_SEED,
@@ -138,7 +138,7 @@ def cmd_compare(output: str | None, seed: int | None = None, rounds: int | None 
     for kind in ProtocolKind:
         base = Scenario(
             protocol=kind,
-            control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
+            control_prob=0.5 if has_control_mode(kind) else 0.0,
             rounds=rounds if rounds is not None else DEFAULT_ROUNDS,
             seed=seed if seed is not None else DEFAULT_SEED,
         )

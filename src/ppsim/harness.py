@@ -295,7 +295,6 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     ``eve_accuracy`` and ``eve_mutual_info_bits`` are None.
     """
     cfg.validate()
-    strategy.validate()
     adv: AdversaryStrategy = make_strategy(strategy)
     stream_at = _stream_factory(cfg.seed)
     acc = _Accumulator()

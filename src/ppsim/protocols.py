@@ -1,17 +1,20 @@
-"""Round-by-round state machines for the four two-way protocols.
+"""One round of the four two-way protocols, written once.
 
-Each round function executes one full protocol round against an
-adversary: the sender's preparation, the adversary's hook on the pulse
-going into the encoder (``on_b_to_a``), the optional input filter at the
-encoder's lab, the control/message mode branch, the adversary's hook on
-the pulse coming back out of the encoder (``on_a_to_b``, message rounds
-only), the decoder's measurement and the adversary's ``finalize``.  The
-returned :class:`RoundRecord` is the complete per-round transcript.
+All four protocols run the same round (:func:`_round`) against an
+adversary: the signal is prepared (in ``kkkp`` also sent out and
+blinded by the decoder); the pulse travels into the encoder, through
+the adversary's ``on_b_to_a`` and the optional input filter at the
+encoder's lab; protocols with a control mode then toss the mode coin.
+A control round ends with the encoder's check of the visible photons.
+A message round encodes the message bits, sends the pulse back out of
+the encoder through ``on_a_to_b`` and ends with the decoder's
+measurement.  Every round ends with the adversary's ``finalize``, and
+the returned :class:`RoundRecord` is its complete transcript.
 
 Conventions shared by all rounds:
 
-* The encoding unitary is applied to every photon that made it through
-  the encoder's input filter, legitimate or not; the optics are
+* The encoding is applied to every photon that made it through the
+  encoder's input filter, legitimate or not; the optics are
   wavelength-agnostic.
 * A control-mode measurement that sees two or more photons inside the
   detector window flags an anomaly.  The decoder applies the same rule
@@ -19,13 +22,21 @@ Conventions shared by all rounds:
 * A missing signal photon at the decoder is an erasure: the decoded
   bits are recorded as ``None`` and count as an error.
 
+Each protocol supplies only its own parts (a :class:`_Protocol`): the
+preparation, the control check, the encoding, the decoding, its message
+width and whether it has a control mode.  ``pp_epr`` and ``pp_dense``
+send half of a Bell pair and differ only in their unitary and decode
+tables; ``pp_single`` sends one of four BB84 states; ``kkkp``, the
+three-way blind-rotation protocol, sends a blinded rotated photon and
+has no control mode.
+
 :func:`block_form` gives a session's rounds a block at a time, as
 numpy arrays over the rounds, when its strategy has a block form for
 the protocol: :class:`KkkpBlocks` for ``kkkp``, :class:`BranchBlocks`
 for the ping-pong protocols.  Both give each round of a :class:`Block`
 the leaf it ends at, in a small table of leaf records that the rounds
-share; the records are bit for bit those of the round functions above,
-which stay the reference.
+share; the records are bit for bit those of :func:`run_round`, which
+stays the reference.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from . import quantum
 from .adversaries import DENSE_DECODE, AdversaryStrategy, RoundContext
 from .optics import (ConfigError, Detector, Leg, OpticalFilter, Photon, Pulse, apply_filter,
                      check_wavelength, is_visible)
-from .quantum import BASIS_X, BASIS_Z, I2, IY, X, Z, BellKind, Prep
+from .quantum import BASIS_X, BASIS_Z, I2, IY, X, Z, BellKind, Prep, QuantumRegister
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,7 +74,11 @@ class Mode(Enum):
 
 
 def message_bit_width(kind: ProtocolKind) -> int:
-    return 2 if kind is ProtocolKind.PP_DENSE else 1
+    return _PROTOCOLS[kind._name_].width
+
+
+def has_control_mode(kind: ProtocolKind) -> bool:
+    return _PROTOCOLS[kind._name_].has_control
 
 
 @dataclass(frozen=True)
@@ -83,12 +98,11 @@ class ProtocolConfig:
         check_wavelength("signal_wavelength_nm", self.signal_wavelength_nm)
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.kind is ProtocolKind.KKKP:
-            # The three-way protocol defines no control mode.
-            if self.control_prob != 0:
-                raise ConfigError(f"control_prob must be 0 for kkkp, got {self.control_prob}")
-        elif not 0 < self.control_prob < 1:
-            raise ConfigError(f"control_prob must be in (0, 1), got {self.control_prob}")
+        if has_control_mode(self.kind):
+            if not 0 < self.control_prob < 1:
+                raise ConfigError(f"control_prob must be in (0, 1), got {self.control_prob}")
+        elif self.control_prob != 0:  # the protocol defines no control mode
+            raise ConfigError(f"control_prob must be 0 for {self.kind.value}, got {self.control_prob}")
 
 
 _RECORD_FIELDS = ("mode", "alice_bits", "bob_bits", "control_pass", "eve_guess",
@@ -169,208 +183,177 @@ class Block(NamedTuple):
         return [RoundRecord(*fields[leaf], ang) for leaf, ang in zip(self.leaves.tolist(), angles)]
 
 
-def _through_filter(cfg: ProtocolConfig, pulse: Pulse) -> tuple[Pulse, int]:
-    if cfg.filter is None:
-        return pulse, 0
-    return apply_filter(cfg.filter, pulse)
-
-
 def _visible(cfg: ProtocolConfig, pulse: Pulse) -> list[Photon]:
     return [p for p in pulse.photons if is_visible(cfg.detector, p)]
 
 
-def _find(pulse: Pulse, photon_id: int) -> Photon | None:
-    for p in pulse.photons:
-        if p.id == photon_id:
-            return p
-    return None
+def _announce(visible: list[Photon], basis: np.ndarray, rng: np.random.Generator) -> int | None:
+    """Measure every visible photon in ``basis``; the first one's outcome, or None if none is."""
+    outcomes = [quantum.measure(p.register, p.qubit, basis, rng)[0] for p in visible]
+    return outcomes[0] if outcomes else None
 
 
-# Two-bit value -> encoding unitary (high bit = phase flip, low bit = bit flip).
-_DENSE_ENCODE = (I2, X, Z, quantum.ZX)
+class _Protocol:
+    """A protocol's own parts of :func:`_round`.
 
-# Bell outcome name -> bit; Phi outcomes are decoding failures, not bits.
-_EPR_DECODE = {BellKind.PSI_PLUS._name_: 0, BellKind.PSI_MINUS._name_: 1}
+    ``prepare(cfg, ctx)`` returns the signal photon and what the later
+    parts need of the preparation; ``check(ctx, visible, prep)`` is the
+    control-mode verdict on the photons the encoder sees (protocols with
+    ``has_control`` only); ``encoding(bits, prep)`` is the operation and
+    its argument applied to every photon in the encoder;
+    ``decode(returned, prep, rng)`` reads the message off the signal
+    that came back; ``angles(prep)`` is the record's ``kkkp_angles``.
+    A message holds ``width`` bits, the encoding of value j being
+    ``unitaries[j]``.
+    """
 
+    has_control = True
+    width = 1
+    unitaries: tuple[np.ndarray, ...]
 
-def _pp_pair_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
-                   rng: np.random.Generator, dense: bool) -> RoundRecord:
-    ctx = RoundContext(rng=rng)
+    def encoding(self, bits: int, prep: object) -> tuple:
+        return quantum.apply_unitary, self.unitaries[bits]
 
-    pair = quantum.make_bell(BellKind.PSI_PLUS)  # qubit 0 home, qubit 1 travel
-    travel = Photon(ctx.new_photon_id(), cfg.signal_wavelength_nm, pair, 1)
-    pulse = adv.on_b_to_a(Pulse(Leg.B_TO_A, [travel]), ctx)
-    pulse, absorbed = _through_filter(cfg, pulse)
-
-    if rng.random() < cfg.control_prob:
-        visible = _visible(cfg, pulse)
-        anomaly = len(visible) >= 2
-        if visible:
-            announced, _ = quantum.measure(visible[0].register, visible[0].qubit, BASIS_Z, rng)
-            for extra in visible[1:]:
-                quantum.measure(extra.register, extra.qubit, BASIS_Z, rng)
-            home, _ = quantum.measure(pair, 0, BASIS_Z, rng)
-            control_pass = announced != home  # Psi+ anticorrelates in Z
-        else:
-            control_pass = False  # expected photon never arrived
-        return RoundRecord(
-            mode=Mode.CONTROL, control_pass=control_pass, anomaly=anomaly,
-            absorbed_count=absorbed, eve_guess=adv.finalize(ctx), eve_blind=ctx.blind,
-        )
-
-    width = 2 if dense else 1
-    bits = ctx.random_bits(width)
-    encoding = _DENSE_ENCODE[bits] if dense else (Z if bits else I2)
-    for p in pulse.photons:
-        quantum.apply_unitary(p.register, p.qubit, encoding)
-
-    back = adv.on_a_to_b(Pulse(Leg.A_TO_B, list(pulse.photons)), ctx)
-    anomaly = len(_visible(cfg, back)) >= 2
-    returned = _find(back, travel.id)
-    if returned is None:
-        bob_bits = None
-    else:
-        outcome, _ = quantum.measure_bell(pair, 0, returned.qubit, rng)
-        decode = DENSE_DECODE if dense else _EPR_DECODE
-        bob_bits = decode.get(outcome._name_)
-    return RoundRecord(
-        mode=Mode.MESSAGE, alice_bits=bits, bob_bits=bob_bits, anomaly=anomaly,
-        absorbed_count=absorbed, eve_guess=adv.finalize(ctx), eve_blind=ctx.blind,
-    )
+    def angles(self, prep: object) -> tuple[float, float] | None:
+        return None
 
 
-def pp_epr_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
-                 rng: np.random.Generator) -> RoundRecord:
-    """One round of the entangled-pair ping-pong protocol.
+class _PairProtocol(_Protocol):
+    """Entangled-pair ping-pong (``pp_epr``, and ``pp_dense`` with two bits per photon).
 
     Bob keeps the home half of a |Psi+> pair and sends the travel half;
-    Alice either Z-measures it (control) or encodes j via Z^j and
-    returns it; Bob Bell-measures home+travel and decodes Psi+ -> 0,
-    Psi- -> 1.
+    Alice either Z-measures it (control) or encodes j via ``unitaries[j]``
+    and returns it; Bob Bell-measures home+travel and decodes the
+    outcome through ``decoded`` (an outcome missing there is a failure).
     """
-    return _pp_pair_round(cfg, adv, rng, dense=False)
+
+    def __init__(self, unitaries: tuple[np.ndarray, ...], decoded: dict[str, int]):
+        self.unitaries, self.decoded = unitaries, decoded
+        self.width = (len(unitaries) - 1).bit_length()
+
+    def prepare(self, cfg: ProtocolConfig, ctx: RoundContext) -> tuple[Photon, QuantumRegister]:
+        pair = quantum.make_bell(BellKind.PSI_PLUS)  # qubit 0 home, qubit 1 travel
+        return Photon(ctx.new_photon_id(), cfg.signal_wavelength_nm, pair, 1), pair
+
+    def check(self, ctx: RoundContext, visible: list[Photon], pair: QuantumRegister) -> bool:
+        announced = _announce(visible, BASIS_Z, ctx.rng)
+        if announced is None:
+            return False  # expected photon never arrived
+        home, _ = quantum.measure(pair, 0, BASIS_Z, ctx.rng)
+        return announced != home  # Psi+ anticorrelates in Z
+
+    def decode(self, returned: Photon, pair: QuantumRegister, rng: np.random.Generator) -> int | None:
+        outcome, _ = quantum.measure_bell(pair, 0, returned.qubit, rng)
+        return self.decoded.get(outcome._name_)
 
 
-def pp_dense_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
-                   rng: np.random.Generator) -> RoundRecord:
-    """One round of the dense-coding variant: two bits per travel photon."""
-    return _pp_pair_round(cfg, adv, rng, dense=True)
+class _SingleProtocol(_Protocol):
+    """Single-photon ping-pong.
 
-
-_SINGLE_PREPS = (Prep.ZERO, Prep.ONE, Prep.PLUS, Prep.MINUS)
-
-
-def pp_single_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
-                    rng: np.random.Generator) -> RoundRecord:
-    """One round of the single-photon ping-pong variant.
-
-    Bob prepares a random state from {|0>, |1>, |+>, |->}; Alice encodes
+    Bob prepares a random state from {|0>, |1>, |+>, |->}, kept as its
+    index: bit 1 set for the X basis, bit 0 the value.  Alice encodes
     j=0 as identity and j=1 as the double flip IY, which inverts the
     value in both preparation bases.  In control mode Alice measures in
     a random basis and the check is evaluated only when her basis
     matches Bob's preparation basis; otherwise the check is discarded.
     """
-    ctx = RoundContext(rng=rng)
 
-    prep = _SINGLE_PREPS[ctx.random_bits(2)]
-    prep_is_z = prep in (Prep.ZERO, Prep.ONE)
-    prep_value = 0 if prep in (Prep.ZERO, Prep.PLUS) else 1
-    prep_basis = BASIS_Z if prep_is_z else BASIS_X
+    preps = (Prep.ZERO, Prep.ONE, Prep.PLUS, Prep.MINUS)
+    unitaries = (I2, IY)
 
-    reg = quantum.make_single(prep)
-    travel = Photon(ctx.new_photon_id(), cfg.signal_wavelength_nm, reg, 0)
-    pulse = adv.on_b_to_a(Pulse(Leg.B_TO_A, [travel]), ctx)
-    pulse, absorbed = _through_filter(cfg, pulse)
+    def prepare(self, cfg: ProtocolConfig, ctx: RoundContext) -> tuple[Photon, int]:
+        prep = ctx.random_bits(2)
+        reg = quantum.make_single(self.preps[prep])
+        return Photon(ctx.new_photon_id(), cfg.signal_wavelength_nm, reg, 0), prep
 
-    if rng.random() < cfg.control_prob:
-        alice_in_z = bool(ctx.random_bits(1))
-        basis = BASIS_Z if alice_in_z else BASIS_X
-        visible = _visible(cfg, pulse)
-        anomaly = len(visible) >= 2
-        announced: int | None = None
-        if visible:
-            announced, _ = quantum.measure(visible[0].register, visible[0].qubit, basis, rng)
-            for extra in visible[1:]:
-                quantum.measure(extra.register, extra.qubit, basis, rng)
-        if alice_in_z != prep_is_z:
-            control_pass = None  # mismatched bases: check discarded
-        else:
-            control_pass = announced == prep_value if announced is not None else False
-        return RoundRecord(
-            mode=Mode.CONTROL, control_pass=control_pass, anomaly=anomaly,
-            absorbed_count=absorbed, eve_guess=adv.finalize(ctx), eve_blind=ctx.blind,
-        )
+    def check(self, ctx: RoundContext, visible: list[Photon], prep: int) -> bool | None:
+        alice_in_z = ctx.random_bits(1)
+        announced = _announce(visible, BASIS_Z if alice_in_z else BASIS_X, ctx.rng)
+        if alice_in_z != (prep < 2):
+            return None  # mismatched bases: check discarded
+        return announced == (prep & 1) if announced is not None else False
 
-    bits = ctx.random_bits(1)
-    encoding = IY if bits else I2
-    for p in pulse.photons:
-        quantum.apply_unitary(p.register, p.qubit, encoding)
-
-    back = adv.on_a_to_b(Pulse(Leg.A_TO_B, list(pulse.photons)), ctx)
-    anomaly = len(_visible(cfg, back)) >= 2
-    returned = _find(back, travel.id)
-    if returned is None:
-        bob_bits = None
-    else:
-        outcome, _ = quantum.measure(returned.register, returned.qubit, prep_basis, rng)
-        bob_bits = int(outcome != prep_value)
-    return RoundRecord(
-        mode=Mode.MESSAGE, alice_bits=bits, bob_bits=bob_bits, anomaly=anomaly,
-        absorbed_count=absorbed, eve_guess=adv.finalize(ctx), eve_blind=ctx.blind,
-    )
+    def decode(self, returned: Photon, prep: int, rng: np.random.Generator) -> int:
+        basis = BASIS_X if prep & 2 else BASIS_Z
+        outcome, _ = quantum.measure(returned.register, returned.qubit, basis, rng)
+        return int(outcome != (prep & 1))
 
 
-def kkkp_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
-               rng: np.random.Generator) -> RoundRecord:
-    """One round of the three-way blind-rotation protocol.
+class _KkkpProtocol(_Protocol):
+    """Three-way blind-rotation protocol; it defines no control mode.
 
     Leg 1: Alice sends ROT(theta)|0> with theta drawn uniformly.  Bob
-    blinds it with ROT(phi), phi uniform, and returns it (leg 2).
-    Alice unwinds her own angle and encodes by rotating +-pi/4, applying
-    both rotations to every photon in her apparatus, then sends the
-    pulse back (leg 3).  Bob unwinds phi and discriminates ROT(+pi/4)|0>
-    from ROT(-pi/4)|0>, i.e. measures in the X basis.
-
-    As in every protocol, the adversary sees the pulse going into the
-    encoder (leg 2) and the pulse coming back out of it (leg 3); leg 1
-    passes untouched.  Every round is a message round; the protocol
-    defines no control mode.
+    blinds it with ROT(phi), phi uniform, and returns it (leg 2, into
+    the encoder).  Alice unwinds her own angle and encodes by rotating
+    +-pi/4, then sends the pulse back (leg 3, out of the encoder).  Bob
+    unwinds phi and discriminates ROT(+pi/4)|0> from ROT(-pi/4)|0>, i.e.
+    measures in the X basis.  Leg 1 passes the adversary untouched.
     """
-    # TWO_PI * rng.random() is bit-identical to rng.uniform(0.0, TWO_PI)
-    # (numpy computes low + (high - low) * random()) and costs a third.
-    theta = TWO_PI * rng.random()
-    ctx = RoundContext(rng=rng, kkkp_theta=theta)
-    reg = quantum.make_single(theta)
-    signal = Photon(ctx.new_photon_id(), cfg.signal_wavelength_nm, reg, 0)
 
-    phi = TWO_PI * rng.random()
-    quantum.rotate(reg, 0, phi)
+    has_control = False
 
-    pulse = adv.on_b_to_a(Pulse(Leg.B_TO_A, [signal]), ctx)
-    pulse, absorbed = _through_filter(cfg, pulse)
+    def prepare(self, cfg: ProtocolConfig, ctx: RoundContext) -> tuple[Photon, tuple[float, float]]:
+        # TWO_PI * rng.random() is bit-identical to rng.uniform(0.0, TWO_PI)
+        # (numpy computes low + (high - low) * random()) and costs a third.
+        theta = ctx.kkkp_theta = TWO_PI * ctx.rng.random()
+        reg = quantum.make_single(theta)
+        signal = Photon(ctx.new_photon_id(), cfg.signal_wavelength_nm, reg, 0)
+        phi = TWO_PI * ctx.rng.random()
+        quantum.rotate(reg, 0, phi)
+        return signal, (theta, phi)
 
-    bits = ctx.random_bits(1)
-    s = 1.0 if bits == 0 else -1.0
-    # ROT(-theta) followed by ROT(s*pi/4); rotations commute, so the
-    # pair collapses to one rotation.
-    encode = s * ENC_ANGLE - theta
-    for p in pulse.photons:
-        quantum.rotate(p.register, p.qubit, encode)
+    def encoding(self, bits: int, angles: tuple[float, float]) -> tuple:
+        # ROT(-theta) followed by ROT(+-pi/4); rotations commute, so the
+        # pair collapses to one rotation.
+        return quantum.rotate, (-ENC_ANGLE if bits else ENC_ANGLE) - angles[0]
 
-    back = adv.on_a_to_b(Pulse(Leg.A_TO_B, list(pulse.photons)), ctx)
-    anomaly = len(_visible(cfg, back)) >= 2
-    returned = _find(back, signal.id)
-    if returned is None:
-        bob_bits = None
-    else:
-        quantum.rotate(returned.register, returned.qubit, -phi)
+    def decode(self, returned: Photon, angles: tuple[float, float], rng: np.random.Generator) -> int:
+        quantum.rotate(returned.register, returned.qubit, -angles[1])
         outcome, _ = quantum.measure(returned.register, returned.qubit, BASIS_X, rng)
-        bob_bits = outcome  # + result <-> ROT(+pi/4)|0> <-> j = 0
-    return RoundRecord(
-        mode=Mode.MESSAGE, alice_bits=bits, bob_bits=bob_bits, anomaly=anomaly,
-        absorbed_count=absorbed, eve_guess=adv.finalize(ctx), eve_blind=ctx.blind,
-        kkkp_angles=(theta, phi),
-    )
+        return outcome  # + result <-> ROT(+pi/4)|0> <-> j = 0
+
+    def angles(self, angles: tuple[float, float]) -> tuple[float, float]:
+        return angles
+
+
+# Bell outcome name -> bit; Phi outcomes are decoding failures, not bits.
+_EPR_DECODE = {BellKind.PSI_PLUS._name_: 0, BellKind.PSI_MINUS._name_: 1}
+
+# Keyed by member name: a str hashes in C, while hashing the member itself
+# runs Enum.__hash__ in Python, once per round.
+_PROTOCOLS: dict[str, _Protocol] = {
+    ProtocolKind.PP_EPR.name: _PairProtocol((I2, Z), _EPR_DECODE),
+    ProtocolKind.PP_SINGLE.name: _SingleProtocol(),
+    # Two-bit value -> unitary (high bit = phase flip, low bit = bit flip).
+    ProtocolKind.PP_DENSE.name: _PairProtocol((I2, X, Z, quantum.ZX), DENSE_DECODE),
+    ProtocolKind.KKKP.name: _KkkpProtocol(),
+}
+
+
+def _round(cfg: ProtocolConfig, adv: AdversaryStrategy, rng: np.random.Generator,
+           proto: _Protocol) -> RoundRecord:
+    """One round of ``proto``; the block forms read its draws in this order."""
+    ctx = RoundContext(rng=rng)
+    signal, prep = proto.prepare(cfg, ctx)
+    pulse = adv.on_b_to_a(Pulse(Leg.B_TO_A, [signal]), ctx)
+    pulse, absorbed = (pulse, 0) if cfg.filter is None else apply_filter(cfg.filter, pulse)
+    if proto.has_control and rng.random() < cfg.control_prob:
+        mode, bits, bob_bits = Mode.CONTROL, None, None
+        visible = _visible(cfg, pulse)
+        control_pass = proto.check(ctx, visible, prep)
+    else:
+        mode, control_pass = Mode.MESSAGE, None
+        bits = ctx.random_bits(proto.width)
+        apply, encoding = proto.encoding(bits, prep)
+        for p in pulse.photons:
+            apply(p.register, p.qubit, encoding)
+        back = adv.on_a_to_b(Pulse(Leg.A_TO_B, list(pulse.photons)), ctx)
+        visible = _visible(cfg, back)
+        returned = next((p for p in back.photons if p.id == signal.id), None)
+        bob_bits = None if returned is None else proto.decode(returned, prep, rng)
+    return RoundRecord(mode, bits, bob_bits, control_pass, eve_guess=adv.finalize(ctx),
+                       eve_blind=ctx.blind, anomaly=len(visible) >= 2, absorbed_count=absorbed,
+                       kkkp_angles=proto.angles(prep))
 
 
 # rng.random() returns the multiples of 2**-53 in [0, 1).
@@ -398,9 +381,9 @@ class KkkpBlocks:
 
     Photon routing depends only on wavelengths, so the filter's verdict
     is worked out once per session.  Every amplitude and probability is
-    computed with the float operations of :func:`kkkp_round`, in the
+    computed with the float operations of :func:`run_round`, in the
     same order, so a block gives bit for bit the records that
-    :func:`kkkp_round` gives round by round: a round's leaf is its
+    :func:`run_round` gives round by round: a round's leaf is its
     (alice, bob, guess), and its angles come beside the leaf table.
     Each angle's cosine and sine are computed once; ROT(-phi) reuses phi's.
     """
@@ -459,10 +442,11 @@ class BranchBlocks:
     node compares one word's draw with a threshold or reads one half
     word, a leaf is the record the round returns.  Which words a path
     reads, and in which halves, follows from the decisions on it, the
-    mode coin first among them (after an intercept's draw), so control
-    and message rounds each have their own layout.
+    mode coin first among them (after ``pp_single``'s preparation bits
+    and an intercept's draw), so control and message rounds each have
+    their own layout.
 
-    The tree is built in one pass, by running the round function itself
+    The tree is built in one pass, by running the round (:func:`_round`) itself
     on stand-in streams (:class:`_BranchDraws`) that take each decision
     one way and queue the others; each node goes into the columns
     :meth:`run` reads as the run that reaches it first makes it.  Every
@@ -475,7 +459,7 @@ class BranchBlocks:
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
-        round_fn = _ROUND_FUNCS[cfg.kind._name_]
+        proto = _PROTOCOLS[cfg.kind._name_]
         # Per node, what decides the way on: a uniform draw below ``limit``,
         # or the bits (word >> shift) & mask of a half word; ``next`` maps
         # the decision to a child.  A leaf has limit 0 and mask 0, so it
@@ -485,7 +469,7 @@ class BranchBlocks:
         pending = [([], None)]  # (decisions to replay, the slot the next node hangs from)
         while pending:
             draws = _BranchDraws(self, *pending.pop(), pending)
-            self.table[self.add(draws.slot, 0, 0.0, 0, 0, 0)] = round_fn(cfg, adv, draws)
+            self.table[self.add(draws.slot, 0, 0.0, 0, 0, 0)] = _round(cfg, adv, draws, proto)
             self.words = max(self.words, draws.words)
             self.depth = max(self.depth, len(draws.taken))
         arity = max(map(len, self.next))
@@ -610,17 +594,7 @@ def block_form(cfg: ProtocolConfig, adv: AdversaryStrategy) -> KkkpBlocks | Bran
     return KkkpBlocks(cfg, adv) if "kkkp_block_form" in own else None
 
 
-# Keyed by member name: a str hashes in C, while hashing the member itself
-# runs Enum.__hash__ in Python, once per round.
-_ROUND_FUNCS = {
-    ProtocolKind.PP_EPR.name: pp_epr_round,
-    ProtocolKind.PP_SINGLE.name: pp_single_round,
-    ProtocolKind.PP_DENSE.name: pp_dense_round,
-    ProtocolKind.KKKP.name: kkkp_round,
-}
-
-
 def run_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
               rng: np.random.Generator) -> RoundRecord:
     """Execute one round of the configured protocol."""
-    return _ROUND_FUNCS[cfg.kind._name_](cfg, adv, rng)
+    return _round(cfg, adv, rng, _PROTOCOLS[cfg.kind._name_])

@@ -23,7 +23,7 @@ from .optics import (
     Detector,
     OpticalFilter,
 )
-from .protocols import ProtocolConfig, ProtocolKind
+from .protocols import ProtocolConfig, ProtocolKind, has_control_mode
 
 DEFAULT_ROUNDS = 10_000
 DEFAULT_SEED = 42
@@ -203,7 +203,7 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ScenarioError(f"filter must be an object, got {filt!r}")
     _reject_unknown(filt, {"enabled", "passband_nm"}, "filter")
 
-    default_c = 0.0 if protocol is ProtocolKind.KKKP else DEFAULT_CONTROL_PROB
+    default_c = DEFAULT_CONTROL_PROB if has_control_mode(protocol) else 0.0
     signal = _as_number(obj, "signal_wavelength_nm", SIGNAL_WAVELENGTH_NM)
     default_passband = (signal - FILTER_HALF_WIDTH_NM, signal + FILTER_HALF_WIDTH_NM)
     sc = Scenario(

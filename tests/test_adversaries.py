@@ -26,10 +26,7 @@ from ppsim.protocols import (
     Mode,
     ProtocolConfig,
     ProtocolKind,
-    kkkp_round,
-    pp_dense_round,
-    pp_epr_round,
-    pp_single_round,
+    run_round,
 )
 from ppsim.quantum import BASIS_X, BASIS_Z, Prep
 
@@ -100,7 +97,7 @@ class TestInvisiblePhotonEavesdropping:
         rng = RNG(20)
         adv = make_ipe()
         for _ in range(60):
-            rec = pp_epr_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             assert rec.eve_guess == rec.alice_bits
             assert not rec.eve_blind
 
@@ -109,12 +106,12 @@ class TestInvisiblePhotonEavesdropping:
         rng = RNG(21)
         adv = make_ipe()
         for _ in range(60):
-            rec = pp_single_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             assert rec.eve_guess == rec.alice_bits
 
     def test_control_round_leaves_eve_blind(self):
         cfg = epr_cfg(control_prob=ALWAYS_CONTROL)
-        rec = pp_epr_round(cfg, make_ipe(), RNG(22))
+        rec = run_round(cfg, make_ipe(), RNG(22))
         assert rec.mode is Mode.CONTROL
         assert rec.eve_blind
         assert rec.eve_guess in (0, 1)
@@ -154,7 +151,7 @@ class TestDenseInvisiblePhotonEavesdropping:
         adv = make_ipe_dense()
         seen = set()
         for _ in range(80):
-            rec = pp_dense_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             assert rec.eve_guess == rec.alice_bits
             seen.add(rec.alice_bits)
         assert seen == {0, 1, 2, 3}
@@ -175,7 +172,7 @@ class TestInterceptResend:
         rng = RNG(24)
         adv = make_intercept_resend(BASIS_Z)
         for _ in range(200):
-            rec = pp_epr_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             assert rec.control_pass
 
     def test_z_collapse_randomizes_epr_messages(self):
@@ -216,7 +213,7 @@ class TestBlindBaseProbe:
         rng = RNG(26)
         adv = make_kkkp_probe(n=1, theta_known=True)
         for _ in range(60):
-            rec = kkkp_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             assert rec.eve_guess == rec.alice_bits
 
     def test_unknown_angle_gives_coin_flip_accuracy(self):
@@ -265,7 +262,7 @@ class TestBlindBaseProbe:
         adv = _ZReadoutProbe(n)
         table = np.zeros((2, n + 1), dtype=int)
         for _ in range(30_000):
-            rec = kkkp_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             table[rec.alice_bits, adv.zero_counts[-1]] += 1
         _, p_value, _, _ = chi2_contingency(table)
         assert p_value > 0.0027

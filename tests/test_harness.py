@@ -807,12 +807,16 @@ class TestEngineChoice:
         (ProtocolKind.PP_EPR, KKKP_PROBE),
         (ProtocolKind.PP_SINGLE, KKKP_PROBE),
         (ProtocolKind.PP_DENSE, KKKP_PROBE),
-        (ProtocolKind.KKKP, IPE),
         (ProtocolKind.KKKP, IPE_DENSE),
-        (ProtocolKind.KKKP, INTERCEPT),
     ], ids=lambda v: v.value if isinstance(v, ProtocolKind) else v.kind.value)
     def test_mismatched_pairs_run_round_by_round(self, kind, spec):
         assert _engine(kind, spec) is None
+
+    @pytest.mark.parametrize("spec", [IPE, INTERCEPT], ids=lambda v: v.kind.value)
+    def test_kkkp_pairs_without_a_kkkp_block_form_run_round_by_round(self, spec):
+        # Accepted pairs: the strategy lists kkkp but has no kkkp_block_form.
+        assert ProtocolKind.KKKP.value in type(make_strategy(spec)).protocols
+        assert _engine(ProtocolKind.KKKP, spec) is None
 
     @pytest.mark.parametrize("kind", PING_PONG, ids=lambda k: k.value)
     def test_probe_overriding_a_hook_runs_round_by_round(self, kind, monkeypatch):

@@ -1,4 +1,4 @@
-"""Round-level tests for the four protocol state machines."""
+"""Round-level tests for the four protocols, which share one round."""
 
 import math
 import sys
@@ -9,18 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsim import quantum
-from ppsim.adversaries import AdversaryStrategy, make_ipe, make_ipe_dense, make_no_eve
+from ppsim.adversaries import AdversaryStrategy, make_ipe, make_ipe_dense, make_kkkp_probe, make_no_eve
 from ppsim.optics import EVE_WAVELENGTH_NM, Leg, Photon, Pulse, default_filter
 from ppsim.protocols import (
     ConfigError,
     Mode,
     ProtocolConfig,
     ProtocolKind,
-    kkkp_round,
     message_bit_width,
-    pp_dense_round,
-    pp_epr_round,
-    pp_single_round,
     run_round,
 )
 from ppsim.quantum import Prep
@@ -70,7 +66,7 @@ class TestHonestRounds:
         rng = RNG(102)
         evaluated = discarded = 0
         for _ in range(500):
-            rec = pp_single_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_no_eve(), rng)
             assert rec.mode is Mode.CONTROL
             if rec.control_pass is None:
                 discarded += 1
@@ -87,7 +83,7 @@ class TestMessageEncoding:
         rng = RNG(103)
         seen = set()
         for _ in range(60):
-            rec = pp_epr_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_no_eve(), rng)
             assert rec.mode is Mode.MESSAGE
             assert rec.bob_bits == rec.alice_bits
             seen.add(rec.alice_bits)
@@ -98,7 +94,7 @@ class TestMessageEncoding:
         rng = RNG(104)
         seen = set()
         for _ in range(120):
-            rec = pp_dense_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_no_eve(), rng)
             assert rec.bob_bits == rec.alice_bits
             seen.add(rec.alice_bits)
         assert seen == {0, 1, 2, 3}
@@ -107,14 +103,14 @@ class TestMessageEncoding:
         cfg = config(ProtocolKind.PP_SINGLE, control_prob=ALWAYS_MESSAGE)
         rng = RNG(105)
         for _ in range(120):
-            rec = pp_single_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_no_eve(), rng)
             assert rec.bob_bits == rec.alice_bits
 
     def test_kkkp_decodes_under_random_angles(self):
         cfg = config(ProtocolKind.KKKP)
         rng = RNG(106)
         for _ in range(200):
-            rec = kkkp_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_no_eve(), rng)
             assert rec.mode is Mode.MESSAGE
             assert rec.bob_bits == rec.alice_bits
             theta, phi = rec.kkkp_angles
@@ -125,7 +121,7 @@ class TestMessageEncoding:
         for seed in range(20):
             ref = RNG(seed)
             expected = (ref.uniform(0.0, 2 * math.pi), ref.uniform(0.0, 2 * math.pi))
-            assert kkkp_round(cfg, make_no_eve(), RNG(seed)).kkkp_angles == expected
+            assert run_round(cfg, make_no_eve(), RNG(seed)).kkkp_angles == expected
 
     def test_bit_widths(self):
         assert message_bit_width(ProtocolKind.PP_DENSE) == 2
@@ -169,7 +165,7 @@ class TestEncoderTouchesEveryPhoton:
         rng = RNG(107)
         for _ in range(20):
             adv = _MarkerInjector()
-            rec = pp_epr_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             expected = quantum.make_single(Prep.MINUS if rec.alice_bits else Prep.PLUS)
             assert quantum.states_equal(adv.marker.register, expected)
 
@@ -178,7 +174,7 @@ class TestEncoderTouchesEveryPhoton:
         rng = RNG(108)
         for _ in range(20):
             adv = _MarkerInjector()
-            rec = pp_single_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             expected = quantum.make_single(Prep.PLUS)
             if rec.alice_bits:
                 quantum.apply_unitary(expected, 0, quantum.IY)
@@ -190,7 +186,7 @@ class TestEncoderTouchesEveryPhoton:
         encodings = (quantum.I2, quantum.X, quantum.Z, quantum.ZX)
         for _ in range(30):
             adv = _MarkerInjector()
-            rec = pp_dense_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             expected = quantum.make_single(Prep.PLUS)
             quantum.apply_unitary(expected, 0, encodings[rec.alice_bits])
             assert quantum.states_equal(adv.marker.register, expected)
@@ -202,7 +198,7 @@ class TestEncoderTouchesEveryPhoton:
         rng = RNG(110)
         for _ in range(20):
             adv = _MarkerInjector()
-            rec = kkkp_round(cfg, adv, rng)
+            rec = run_round(cfg, adv, rng)
             theta, _ = rec.kkkp_angles
             s = 1.0 if rec.alice_bits == 0 else -1.0
             expected = quantum.make_single(Prep.PLUS)
@@ -296,7 +292,7 @@ class TestHookContract:
         rng = RNG(116)
         for _ in range(10):
             adv = _HookRecorder()
-            rec = kkkp_round(config(ProtocolKind.KKKP), adv, rng)
+            rec = run_round(config(ProtocolKind.KKKP), adv, rng)
             theta, phi = rec.kkkp_angles
             s = 1.0 if rec.alice_bits == 0 else -1.0
             (_, _, into), (_, _, out), _ = adv.calls
@@ -309,7 +305,7 @@ class TestVisibleProbeDetection:
     def test_in_band_probe_triggers_control_anomaly(self):
         cfg = config(ProtocolKind.PP_EPR, control_prob=ALWAYS_CONTROL)
         rng = RNG(112)
-        rec = pp_epr_round(cfg, make_ipe(lambda_e_nm=800.0), rng)
+        rec = run_round(cfg, make_ipe(lambda_e_nm=800.0), rng)
         assert rec.mode is Mode.CONTROL
         assert rec.anomaly
         assert rec.control_pass  # the legitimate pair still anticorrelates
@@ -320,7 +316,7 @@ class TestVisibleProbeDetection:
         cfg = config(ProtocolKind.PP_EPR, control_prob=ALWAYS_MESSAGE)
         rng = RNG(113)
         for _ in range(40):
-            rec = pp_epr_round(cfg, make_ipe(lambda_e_nm=800.0), rng)
+            rec = run_round(cfg, make_ipe(lambda_e_nm=800.0), rng)
             assert rec.bob_bits == rec.alice_bits
             assert rec.eve_guess == rec.alice_bits
 
@@ -329,7 +325,7 @@ class TestRoundDispatch:
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_dispatch_hashes_no_enum_member(self, kind):
         # Enum.__hash__ runs in Python; the kind is fixed for a session, so
-        # picking the round function must not pay for it every round.
+        # picking the protocol's parts must not pay for it every round.
         hashed = []
 
         def profile(frame, event, arg):
@@ -344,17 +340,23 @@ class TestRoundDispatch:
             sys.setprofile(None)
         assert hashed == []
 
-    @pytest.mark.parametrize("kind, make_adv", [
-        (ProtocolKind.PP_EPR, make_no_eve), (ProtocolKind.PP_EPR, make_ipe),
-        (ProtocolKind.PP_SINGLE, make_no_eve), (ProtocolKind.PP_SINGLE, make_ipe),
-        (ProtocolKind.PP_DENSE, make_no_eve), (ProtocolKind.PP_DENSE, make_ipe_dense),
-    ], ids=lambda v: v.value if isinstance(v, ProtocolKind) else v.__name__[5:])
-    @pytest.mark.parametrize("control_prob, mode", [
-        (ALWAYS_MESSAGE, Mode.MESSAGE), (ALWAYS_CONTROL, Mode.CONTROL),
-    ], ids=["message", "control"])
+    @pytest.mark.parametrize("kind, make_adv, control_prob, mode", [
+        pytest.param(kind, make_adv, control_prob, mode, id=f"{name}-{kind.value}-{make_adv.__name__[5:]}")
+        for name, control_prob, mode in [("message", ALWAYS_MESSAGE, Mode.MESSAGE),
+                                         ("control", ALWAYS_CONTROL, Mode.CONTROL)]
+        for kind, make_adv in [
+            (ProtocolKind.PP_EPR, make_no_eve), (ProtocolKind.PP_EPR, make_ipe),
+            (ProtocolKind.PP_SINGLE, make_no_eve), (ProtocolKind.PP_SINGLE, make_ipe),
+            (ProtocolKind.PP_DENSE, make_no_eve), (ProtocolKind.PP_DENSE, make_ipe_dense),
+        ]
+    ] + [
+        pytest.param(ProtocolKind.KKKP, make_adv, 0.0, Mode.MESSAGE, id=f"message-kkkp-{name}")
+        for name, make_adv in [("no_eve", make_no_eve), ("kkkp_probe", lambda: make_kkkp_probe(4))]
+    ])
     def test_pp_rounds_hash_no_enum_member(self, kind, make_adv, control_prob, mode):
         # Bell states, named preparations and Bell outcomes are looked up by
-        # member name, so a whole round runs no Enum.__hash__.
+        # member name, so a whole round runs no Enum.__hash__, wherever the
+        # round's body runs.
         cfg = config(kind, control_prob=control_prob)
         adv = make_adv()
         hashed = []
