@@ -111,8 +111,10 @@ def cmd_sweep(scenario_path: str, field: str, values: str, output: str | None,
               seed: int | None = None, rounds: int | None = None) -> int:
     if field not in SWEEP_FIELDS:
         raise SweepFieldError(f"unknown sweep field {field!r}; expected one of {', '.join(SWEEP_FIELDS)}")
-    base = with_overrides(load_scenario(scenario_path), seed=seed, rounds=rounds)
     tokens = [t.strip() for t in values.split(",") if t.strip()]
+    if not tokens:
+        raise ScenarioError(f"--values gives no value to sweep {field} over")
+    base = with_overrides(load_scenario(scenario_path), seed=seed, rounds=rounds)
     lines = [SWEEP_HEADER]
     for token in tokens:
         sc = _apply_sweep_value(base, field, token)

@@ -385,7 +385,8 @@ class KkkpBlocks:
     same order, so a block gives bit for bit the records that
     :func:`run_round` gives round by round: a round's leaf is its
     (alice, bob, guess), and its angles come beside the leaf table.
-    Each angle's cosine and sine are computed once; ROT(-phi) reuses phi's.
+    Each angle's cosine and sine are computed once by numpy, equal to :func:`run_round`'s
+    ``math`` ones as ``test_cos_sin_is_libm_bit_for_bit`` pins; ROT(-phi) reuses phi's.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):

@@ -226,12 +226,21 @@ class TestSweep:
     def test_header_matches_contract(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", scenario, "--field", "control_prob", "--values", "",
-                     "-o", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == (
+        assert main(["sweep", scenario, "--field", "control_prob", "--values", "0.5",
+                     "-o", str(out), "--rounds", "10"]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[0] == (
             "value,qber,control_failure_rate,eve_accuracy,eve_mi_bits,"
-            "anomaly_count,absorbed_total\n"
+            "anomaly_count,absorbed_total"
         )
+
+    @pytest.mark.parametrize("values", ["", " , "], ids=["empty", "commas"])
+    def test_no_values_is_2(self, tmp_path, capsys, values):
+        scenario = write_scenario(tmp_path, IPE_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", scenario, "--field", "control_prob", "--values", values,
+                     "-o", str(out)]) == 2
+        assert "no value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_visible_probe_wavelength_raises_anomalies(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)

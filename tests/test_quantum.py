@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsim import quantum as q
+from ppsim.protocols import ENC_ANGLE, TWO_PI
 
 RNG = np.random.default_rng  # convenience for seeded generators
 
@@ -460,6 +461,36 @@ class TestRealBlockKernels:
         theta = 2 * math.pi * (m * 2.0**-53)
         assert math.cos(-theta) == math.cos(theta)
         assert math.sin(-theta) == -math.sin(theta)
+
+    @staticmethod
+    def _assert_cos_sin_is_libm(m: np.ndarray):
+        # The angles of a block, as KkkpBlocks.run computes them from the
+        # grid index m of a draw: theta and both encode angles +-pi/4 - theta.
+        theta = TWO_PI * (m.astype(np.float64) * 2.0**-53)
+        angles = np.concatenate([theta, ENC_ANGLE - theta, -ENC_ANGLE - theta])
+        got = q.cos_sin(angles)
+        listed = angles.tolist()
+        for ufunc, libm, name in zip(got, (math.cos, math.sin), ("cos", "sin")):
+            want = np.fromiter(map(libm, listed), float, len(listed))
+            # Bit patterns, so that -0.0 and 0.0 differ.
+            wrong = np.flatnonzero(ufunc.view(np.uint64) != want.view(np.uint64))
+            assert not wrong.size, f"{name} differs from math.{name} at {angles[wrong[:5]].tolist()}"
+
+    @settings(max_examples=500, deadline=None)
+    @given(ms=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
+    def test_cos_sin_is_libm_bit_for_bit(self, ms):
+        # The block engine's numpy cos/sin must be the math.cos/math.sin the
+        # per-round engine calls, or a block's records drift from the oracle's.
+        self._assert_cos_sin_is_libm(np.array(ms, dtype=np.uint64))
+
+    def test_cos_sin_is_libm_next_to_multiples_of_half_pi(self):
+        # Argument reduction is hardest next to q*pi/2: 2 * 10**4 grid angles
+        # on each side of q*pi/4, q = 0..8, so that theta or an encode angle
+        # lies next to every multiple of pi/2 in [-2pi, 2pi].
+        centres = [q8 * 2**50 for q8 in range(9)]
+        m = np.concatenate([np.arange(max(c - 20_000, 0), min(c + 20_000, 2**53), dtype=np.uint64)
+                            for c in centres])
+        self._assert_cos_sin_is_libm(m)
 
     @pytest.mark.parametrize("basis", [q.BASIS_Z, q.BASIS_X, q.rotated_basis(0.7)], ids=["z", "x", "rot"])
     def test_prob_one_real_is_the_scalar_threshold(self, basis):

@@ -33,11 +33,15 @@ file holds the parent and the change side by side.  The figures:
 * the same warm split of ``kkkp`` sessions under ``kkkp_probe`` at
   n = 1, 4 and 16 (:data:`KKKP_SPLIT_ROUNDS` rounds, seed 1), each
   pass starting with no kept words: the time in
-  ``harness._philox_words``, in ``protocols.KkkpBlocks.run`` and the
-  rest;
+  ``harness._philox_words``, in ``protocols.KkkpBlocks.run`` and, within
+  it, in ``quantum.cos_sin``, and the rest.  ``cos_sin`` is reported
+  beside ``kkkp_blocks_run``, whose figure includes it, and the rest
+  excludes it once;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``, in total and by module;
-* provenance: the commit, and the Python and numpy versions.
+* provenance: the commit, the Python and numpy versions, and the CPU
+  target numpy dispatches its float64 ``cos`` loop to (None where numpy
+  does not say), the kernel behind the block engine's cosines and sines.
 
 Sessions on the same seed share a block's Philox words, so no timed call
 may follow another on its seed in the same interpreter: every sample,
@@ -127,12 +131,14 @@ def _philox_name(harness) -> str:
     return "_philox_words" if hasattr(harness, "_philox_words") else "_block_words"
 
 
-def _best_split(parts: dict, run_pass) -> dict:
+def _best_split(parts: dict, run_pass, nested: tuple[str, ...] = ()) -> dict:
     """Best of :data:`SPLIT_PASSES` warm calls of ``run_pass``, in seconds per part.
 
     ``parts`` maps a part's name to the (owner, attribute) of the
     function whose calls it times; the rest and the total come beside
-    them.  The functions are restored afterwards.
+    them.  A part named in ``nested`` runs only inside another part, so
+    its time is in that part's figure too and is not subtracted from the
+    rest.  The functions are restored afterwards.
     """
     spent = dict.fromkeys(parts, 0.0)
     saved = {part: getattr(owner, name) for part, (owner, name) in parts.items()}
@@ -150,7 +156,8 @@ def _best_split(parts: dict, run_pass) -> dict:
         for timed_pass in range(SPLIT_PASSES + 1):  # pass 0 warms up
             spent.update(dict.fromkeys(spent, 0.0))
             total = _timed(run_pass)
-            split = dict(spent, rest=total - sum(spent.values()), total=total)
+            outer = sum(value for part, value in spent.items() if part not in nested)
+            split = dict(spent, rest=total - outer, total=total)
             if timed_pass:
                 best = {part: min(value, best.get(part, value)) for part, value in split.items()}
     finally:
@@ -175,9 +182,10 @@ def _kkkp_split_here() -> dict:
 
     Every pass starts with no kept words, so that it runs its Philox passes.
     """
-    from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols
+    from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols, quantum
 
-    parts = {"philox_words": (harness, _philox_name(harness)), "kkkp_blocks_run": (protocols.KkkpBlocks, "run")}
+    parts = {"philox_words": (harness, _philox_name(harness)), "kkkp_blocks_run": (protocols.KkkpBlocks, "run"),
+             "cos_sin": (quantum, "cos_sin")}
     cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, rounds=KKKP_SPLIT_ROUNDS, seed=1)
     kept = getattr(harness, "_words", {})
 
@@ -185,8 +193,18 @@ def _kkkp_split_here() -> dict:
         kept.clear()
         harness.run_session(cfg, spec)
 
-    return {f"n{n}": _best_split(parts, lambda: run_pass(StrategySpec(StrategyKind.KKKP_PROBE, n=n)))
+    return {f"n{n}": _best_split(parts, lambda: run_pass(StrategySpec(StrategyKind.KKKP_PROBE, n=n)),
+                                 nested=("cos_sin",))
             for n in (1, 4, 16)}
+
+
+def _cos_dispatch() -> str | None:
+    """The CPU target of numpy's float64 ``cos`` loop, or None where numpy does not report it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_targets_info__
+        return __cpu_targets_info__["cos"]["dd"]["current"]
+    except (ImportError, KeyError):
+        return None
 
 
 def measure_here(what: str):
@@ -199,7 +217,8 @@ def measure_here(what: str):
     from ppsim import harness
 
     if what == "info":
-        return {"python": platform.python_version(), "numpy": np.__version__, "labels": list(_sessions())}
+        return {"python": platform.python_version(), "numpy": np.__version__,
+                "numpy_cos_dispatch": _cos_dispatch(), "labels": list(_sessions())}
     if what == "split":
         return _split_here()
     if what == "kkkp_split":
