@@ -111,9 +111,11 @@ def cmd_sweep(scenario_path: str, field: str, values: str, output: str | None,
               seed: int | None = None, rounds: int | None = None) -> int:
     if field not in SWEEP_FIELDS:
         raise SweepFieldError(f"unknown sweep field {field!r}; expected one of {', '.join(SWEEP_FIELDS)}")
-    tokens = [t.strip() for t in values.split(",") if t.strip()]
-    if not tokens:
+    tokens = [t.strip() for t in values.split(",")]
+    if not any(tokens):
         raise ScenarioError(f"--values gives no value to sweep {field} over")
+    if not all(tokens):
+        raise ScenarioError(f"--values {values!r} lists an empty value")
     base = with_overrides(load_scenario(scenario_path), seed=seed, rounds=rounds)
     lines = [SWEEP_HEADER]
     for token in tokens:

@@ -424,10 +424,23 @@ class KkkpBlocks:
         return Block(leaves, self.table, (theta, phi))
 
 
-def _reachable(lo: float, hi: float) -> bool:
-    """Whether ``rng.random()`` can return a u with lo <= u < hi."""
-    m = max(math.ceil(lo * _GRID), 0)
-    return m < _GRID and m < hi * _GRID
+# A decision outcome that holds less than this share of its draw's remaining
+# grid points is rare: its branch is built only when a row first reaches it.
+# Float rounding makes such branches, as when a Born probability reads
+# 0.9999999999999996 for 1; in the ``ppsim compare`` trees their shares are
+# below 2**-50, and any value from 2**-50 to 2**-10 picks the same ones.
+_RARE = 2.0**-32
+
+
+# A run of the round still to make: (path, node, level), where ``path``
+# holds every outcome from the root to ``node``, which has ``level``
+# decisions above it.
+_Branch = tuple[list[int], int, int]
+
+
+def _grid_points(lo: float, hi: float) -> int:
+    """How many of the values ``rng.random()`` returns lie in [lo, hi)."""
+    return max(0, min(math.ceil(hi * _GRID), 1 << 53) - max(math.ceil(lo * _GRID), 0))
 
 
 class BranchBlocks:
@@ -447,64 +460,86 @@ class BranchBlocks:
     and an intercept's draw), so control and message rounds each have
     their own layout.
 
-    The tree is built in one pass, by running the round (:func:`_round`) itself
-    on stand-in streams (:class:`_BranchDraws`) that take each decision
-    one way and queue the others; each node goes into the columns
-    :meth:`run` reads as the run that reaches it first makes it.  Every
-    threshold is therefore the very probability the scalar kernels
-    compute, branch by branch, and no float operation is written a
-    second time.  A block walks its rows down the tree by comparing their
-    draws with the thresholds, so it gives bit for bit the records the
-    round gives round by round: a round's leaf, whose record in ``table``
-    is the one its tree-building run returned.
+    The tree is built by running the round (:func:`_round`) itself on
+    stand-in streams (:class:`_BranchDraws`) that take each decision one
+    way and queue the others; each node goes into the columns :meth:`run`
+    reads as the run that reaches it makes it.  Every threshold is
+    therefore the very probability the scalar kernels compute, branch by
+    branch, and no float operation is written a second time.  A branch
+    holding less than :data:`_RARE` of its draw's grid points, most often
+    one that float rounding makes, is left a stub: it is built, and its
+    stub node expanded in place, when a row first reaches it.  A block
+    walks its rows down the tree by comparing their draws with the
+    thresholds, so it gives bit for bit the records the round gives
+    round by round: a round's leaf, whose record in ``table`` is the one
+    the run down its path returned.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
-        proto = _PROTOCOLS[cfg.kind._name_]
-        # Per node, what decides the way on: a uniform draw below ``limit``,
-        # or the bits (word >> shift) & mask of a half word; ``next`` maps
-        # the decision to a child.  A leaf has limit 0 and mask 0, so it
-        # leads to itself, and its record in ``table``.
-        self.word, self.limit, self.shift, self.mask, self.next, self.table = [], [], [], [], [], []
+        self.cfg, self.adv, self.proto = cfg, adv, _PROTOCOLS[cfg.kind._name_]
+        # Per node, (word, limit, shift, mask, next): what decides the way
+        # on is a uniform draw below ``limit``, or the bits (word >> shift)
+        # & mask of a half word; ``next`` maps the decision to a child.  A
+        # leaf or a stub has limit 0, mask 0 and leads to itself; a leaf
+        # has its record in ``records``.
+        self.nodes: list[tuple[int, float, int, int, list[int]]] = []
+        self.records: list[RoundRecord | None] = []
+        self.stubs: dict[int, _Branch] = {}  # stub node -> the run that builds it
         self.words = self.depth = 0
-        pending = [([], None)]  # (decisions to replay, the slot the next node hangs from)
-        while pending:
-            draws = _BranchDraws(self, *pending.pop(), pending)
-            self.table[self.add(draws.slot, 0, 0.0, 0, 0, 0)] = _round(cfg, adv, draws, proto)
-            self.words = max(self.words, draws.words)
-            self.depth = max(self.depth, len(draws.taken))
-        arity = max(map(len, self.next))
-        self.next = np.array([row + [i] * (arity - len(row)) for i, row in enumerate(self.next)], np.intp)
-        self.word = np.array(self.word, np.intp)
-        self.limit = np.array(self.limit)
-        self.shift = np.array(self.shift, np.uint64)
-        self.mask = np.array(self.mask, np.uint64)
-        self.table = np.array(self.table, object)
+        self._build([([], self.add(), 0)])
 
-    def add(self, slot: tuple[int, int] | None, word: int, limit: float, shift: int, mask: int,
-            arity: int) -> int:
-        """A new node with ``arity`` decisions, hung from ``slot`` = (parent, decision), or the root."""
-        node = len(self.table)
-        self.word.append(word)
-        self.limit.append(limit)
-        self.shift.append(shift)
-        self.mask.append(mask)
-        self.next.append([node] * arity)
-        self.table.append(None)
-        if slot is not None:
-            self.next[slot[0]][slot[1]] = node
+    def add(self) -> int:
+        """A new node that leads to itself: a leaf or a stub until a run gives it a decision."""
+        node = len(self.nodes)
+        self.nodes.append((0, 0.0, 0, 0, [node]))
+        self.records.append(None)
         return node
 
-    def run(self, words: np.ndarray) -> Block:
-        """The rounds whose streams begin with the rows of ``words``."""
+    def _build(self, pending: list[_Branch]) -> None:
+        """Make each pending run and the runs it queues, then the arrays :meth:`run` reads."""
+        while pending:
+            draws = _BranchDraws(self, *pending.pop(), pending)
+            self.records[draws.node] = _round(self.cfg, self.adv, draws, self.proto)
+            self.words = max(self.words, draws.words)
+            self.depth = max(self.depth, draws.level)
+        word, limit, shift, mask, nexts = zip(*self.nodes)
+        arity = max(map(len, nexts))
+        self.next = np.array([row + [i] * (arity - len(row)) for i, row in enumerate(nexts)], np.intp)
+        self.word = np.array(word, np.intp)
+        self.limit = np.array(limit)
+        self.shift = np.array(shift, np.uint64)
+        self.mask = np.array(mask, np.uint64)
+        self.table = np.array(self.records, object)
+        self.is_stub = np.zeros(len(self.nodes), bool)
+        self.is_stub[list(self.stubs)] = True
+
+    def run(self, words: np.ndarray) -> Block | None:
+        """The rounds whose streams begin with the rows of ``words``.
+
+        Rows that end on a stub have it built, once per stub, and walk on.
+        None if a branch built on the way reads more than the words a row
+        holds: the caller runs the rows again on :attr:`words` words.
+        """
         draws = _uniform(words)
-        rows = np.arange(len(words))
-        node = np.zeros(len(words), np.intp)
+        node = self._walk(words, draws, np.zeros(len(words), np.intp))
+        while self.stubs:
+            at = np.flatnonzero(self.is_stub[node])
+            if not len(at):
+                break
+            self._build([self.stubs.pop(stub) for stub in np.unique(node[at]).tolist()])
+            if self.words > words.shape[1]:
+                return None
+            node[at] = self._walk(words[at], draws[at], node[at])
+        return Block(node, self.table, None)
+
+    def _walk(self, words: np.ndarray, draws: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Where each row ends when it walks from ``node`` down the tree."""
+        rows = np.arange(len(node))
         for _ in range(self.depth):
             word = self.word[node]
             node = self.next[node, (draws[rows, word] < self.limit[node])
                              + ((words[rows, word] >> self.shift[node]) & self.mask[node])]
-        return Block(node, self.table, None)
+        return node
 
 
 class _BranchDraws:
@@ -514,22 +549,25 @@ class _BranchDraws:
     ``bit_generator.ctypes.next_uint32``) hand out :class:`_Draw`
     objects and consume words as numpy does: a uniform takes a whole
     word; a 32-bit draw takes a fresh word's low half and buffers the
-    high half for the next one.  A run replays the decisions of ``path``,
-    then makes a node at each decision with more than one reachable
-    outcome: it hangs the node from ``slot`` = (node, decision), takes
-    the first outcome, which becomes the slot of the next node, and
-    queues each other one on ``pending`` as (its path, its slot).
+    high half for the next one.  A run replays the outcomes of ``path``,
+    one per decision, with no test and no node; past them it fills
+    ``node`` with each decision that has more than one reachable outcome
+    (see :meth:`decide`), and at the round's end ``node`` is its leaf.
     """
 
-    def __init__(self, tree: BranchBlocks, path: list[int], slot: tuple[int, int] | None,
-                 pending: list[tuple[list[int], tuple[int, int] | None]]):
-        self.tree, self.path, self.slot, self.pending = tree, path, slot, pending
-        self.taken: list[int] = []
+    def __init__(self, tree: BranchBlocks, path: list[int], node: int, level: int,
+                 pending: list[_Branch]):
+        self.tree, self.node, self.level, self.pending = tree, node, level, pending
+        self.replay = iter(path)
+        self.taken = list(path)
         self.words = 0
         self.high: int | None = None  # the word whose high half is buffered
         self.bounds: dict[int, tuple[float, float]] = {}  # word -> [lo, hi) holding its draw
-        self.bit_generator = self.ctypes = self
         self.state = None
+
+    # Read as attributes, not stored, so that no cycle keeps a run, and the
+    # tree it refers to, alive until the garbage collector runs.
+    bit_generator = ctypes = property(lambda self: self)
 
     def random(self) -> _Draw:
         self.words += 1
@@ -543,16 +581,33 @@ class _BranchDraws:
         word, self.high = self.high, None
         return _Draw(self, word, 32)
 
-    def decide(self, word: int, limit: float, shift: int, mask: int, outcomes: Sequence[int]) -> int:
-        if len(outcomes) == 1:
-            return outcomes[0]
-        step = len(self.taken)
-        if step < len(self.path):
-            outcome = self.path[step]
-        else:
-            node, outcome = self.tree.add(self.slot, word, limit, shift, mask, len(outcomes)), outcomes[0]
-            self.pending.extend((self.taken + [other], (node, other)) for other in outcomes[1:])
-            self.slot = (node, outcome)
+    def decide(self, word: int, limit: float, shift: int, mask: int, counts: Sequence[int]) -> int:
+        """The outcome of a decision past the path, outcome o holding ``counts[o]`` of the draws.
+
+        A decision with one reachable outcome makes no node.  Otherwise
+        every outcome is reachable (a draw's two sides, or a half word's
+        values) and the decision fills ``node``: the run takes the first
+        outcome that is not rare (the first one, if all are), and each
+        other one gets a new node, queued on ``pending`` or, if rare,
+        kept as a stub.
+        """
+        reachable = [o for o, count in enumerate(counts) if count]
+        outcome = reachable[0]
+        if len(reachable) > 1:
+            floor = _RARE * sum(counts)
+            rare = [count < floor for count in counts]
+            outcome = rare.index(False) if False in rare else 0
+            nexts = [self.tree.add() for _ in counts]
+            self.tree.nodes[self.node] = (word, limit, shift, mask, nexts)
+            self.level += 1
+            for other, node in enumerate(nexts):
+                if other != outcome:
+                    branch = (self.taken + [other], node, self.level)
+                    if rare[other]:
+                        self.tree.stubs[node] = branch
+                    else:
+                        self.pending.append(branch)
+            self.node = nexts[outcome]
         self.taken.append(outcome)
         return outcome
 
@@ -567,16 +622,19 @@ class _Draw:
 
     def __lt__(self, threshold: float) -> bool:
         lo, hi = self.draws.bounds.get(self.word, (0.0, 1.0))
-        below = _reachable(lo, min(hi, threshold))
-        above = _reachable(max(lo, threshold), hi)
-        outcomes = (0, 1) if below and above else (int(below),)
-        outcome = self.draws.decide(self.word, threshold, 0, 0, outcomes)
+        outcome = next(self.draws.replay, None)
+        if outcome is None:
+            counts = (_grid_points(max(lo, threshold), hi), _grid_points(lo, min(hi, threshold)))
+            outcome = self.draws.decide(self.word, threshold, 0, 0, counts)
         self.draws.bounds[self.word] = (lo, min(hi, threshold)) if outcome else (max(lo, threshold), hi)
         return bool(outcome)
 
     def __rshift__(self, shift: int) -> int:
-        width = 32 - shift
-        return self.draws.decide(self.word, 0.0, self.half + shift, (1 << width) - 1, range(1 << width))
+        outcome = next(self.draws.replay, None)
+        if outcome is None:
+            values = 1 << (32 - shift)
+            outcome = self.draws.decide(self.word, 0.0, self.half + shift, values - 1, (1,) * values)
+        return outcome
 
 
 def block_form(cfg: ProtocolConfig, adv: AdversaryStrategy) -> KkkpBlocks | BranchBlocks | None:

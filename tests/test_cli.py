@@ -242,6 +242,15 @@ class TestSweep:
         assert "no value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["0.5,,0.25", "0.5,0.25,"], ids=["inner", "trailing"])
+    def test_empty_token_is_2(self, tmp_path, capsys, values):
+        scenario = write_scenario(tmp_path, IPE_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", scenario, "--field", "control_prob", "--values", values,
+                     "--rounds", "10", "-o", str(out)]) == 2
+        assert "empty value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_visible_probe_wavelength_raises_anomalies(self, tmp_path):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         out = tmp_path / "sweep.csv"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsim import adversaries, harness, quantum
+from ppsim import adversaries, harness, protocols, quantum
 from ppsim.adversaries import AdversaryStrategy, RoundContext, StrategyKind, StrategySpec, make_strategy
 from ppsim.cli import _compare_attacks
 from ppsim.harness import (
@@ -591,6 +591,32 @@ def assert_matches_round_by_round(cfg: ProtocolConfig, spec: StrategySpec) -> No
     assert repr(log) == repr(expected_log)
 
 
+# Ping-pong sessions under any routing of the photons: the attack, the
+# signal and probe wavelengths, the filter's passband and the detector's window.
+ROUTINGS = dict(
+    kind=st.sampled_from(PING_PONG),
+    attack=st.sampled_from(["no_eve", "probe", "intercept"]),
+    control_prob=st.floats(0.01, 0.99),
+    signal_nm=st.sampled_from([800.0, 799.97, 650.0]),
+    lambda_e_nm=st.sampled_from([190_000.0, 850.0, 800.0, 800.5, 650.0]),
+    passband=st.sampled_from([None, (799.95, 800.05), (640.0, 900.0), (700.0, 750.0)]),
+    window=st.sampled_from([(600.0, 900.0), (700.0, 1000.0)]),
+    basis=st.floats(-3.2, 3.2),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def _routing_session(kind, attack, control_prob, signal_nm, lambda_e_nm, passband, window, basis,
+                     seed) -> tuple[ProtocolConfig, StrategySpec]:
+    """The 80-round logged session a draw of :data:`ROUTINGS` stands for."""
+    spec = {"no_eve": NO_EVE, "probe": _probe(kind, lambda_e_nm),
+            "intercept": StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=basis)}[attack]
+    cfg = ProtocolConfig(kind=kind, control_prob=control_prob, signal_wavelength_nm=signal_nm,
+                         filter=None if passband is None else OpticalFilter(passband),
+                         detector=Detector(window), rounds=80, seed=seed, log_rounds=True)
+    return cfg, spec
+
+
 class TestPingPongBlocks:
     """Ping-pong sessions run in blocks; the scalar engine is the exact oracle."""
 
@@ -674,28 +700,12 @@ class TestPingPongBlocks:
                                  rounds=200, seed=5, log_rounds=True)
             assert_matches_round_by_round(cfg, _probe(kind, 860.0))
 
-    @given(
-        kind=st.sampled_from(PING_PONG),
-        attack=st.sampled_from(["no_eve", "probe", "intercept"]),
-        control_prob=st.floats(0.01, 0.99),
-        signal_nm=st.sampled_from([800.0, 799.97, 650.0]),
-        lambda_e_nm=st.sampled_from([190_000.0, 850.0, 800.0, 800.5, 650.0]),
-        passband=st.sampled_from([None, (799.95, 800.05), (640.0, 900.0), (700.0, 750.0)]),
-        window=st.sampled_from([(600.0, 900.0), (700.0, 1000.0)]),
-        basis=st.floats(-3.2, 3.2),
-        seed=st.integers(0, 2**64 - 1),
-    )
+    @given(**ROUTINGS)
     @settings(max_examples=40, deadline=None)
-    def test_any_routing_matches_round_by_round(self, kind, attack, control_prob, signal_nm,
-                                                lambda_e_nm, passband, window, basis, seed):
+    def test_any_routing_matches_round_by_round(self, **routing):
         # The tree follows whatever the filter, detector and spectroscope
         # do to the photons; nothing about the routing is assumed.
-        spec = {"no_eve": NO_EVE, "probe": _probe(kind, lambda_e_nm),
-                "intercept": StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=basis)}[attack]
-        cfg = ProtocolConfig(kind=kind, control_prob=control_prob, signal_wavelength_nm=signal_nm,
-                             filter=None if passband is None else OpticalFilter(passband),
-                             detector=Detector(window), rounds=80, seed=seed, log_rounds=True)
-        assert_matches_round_by_round(cfg, spec)
+        assert_matches_round_by_round(*_routing_session(**routing))
 
     def test_blocks_read_each_round_stream_in_its_own_layout(self):
         # A control and a message round read different words; both read
@@ -780,6 +790,91 @@ class TestThresholds:
         assert pairs
         flipped = [at != below for word_pairs in pairs.values() for at, below in word_pairs]
         assert any(flipped)
+
+
+PING_PONG_CELLS = [c for c in COMPARE_CELLS if c[0] is not ProtocolKind.KKKP]
+PING_PONG_CELL_IDS = [i for c, i in zip(COMPARE_CELLS, CELL_IDS) if c[0] is not ProtocolKind.KKKP]
+# Rarity shares under which a tree builds every branch up front, and only
+# the first outcome of each decision.
+RARE_SHARES = {"all_built": 0.0, "first_only": math.inf}
+
+
+class _RareExtraDraw(AdversaryStrategy):
+    """Guesses in one round in 2**40, from a uniform no other round draws.
+
+    Its rare branch reads one word more than any branch a ``pp_epr``
+    tree builds up front.
+    """
+
+    protocols = frozenset({"pp_epr"})
+    limit = 2.0**-40
+
+    def finalize(self, ctx):
+        if ctx.rng.random() < self.limit:
+            return int(ctx.rng.random() < 0.5)
+        return None
+
+
+class TestRareBranches:
+    """Rare branches are built when a row first reaches them; results do not depend on it."""
+
+    @pytest.mark.parametrize("rare", RARE_SHARES)
+    @pytest.mark.parametrize("kind, name, spec, filt", PING_PONG_CELLS, ids=PING_PONG_CELL_IDS)
+    def test_compare_cells_match_round_by_round(self, kind, name, spec, filt, rare, monkeypatch):
+        monkeypatch.setattr(protocols, "_RARE", RARE_SHARES[rare])
+        cfg = ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=600, seed=42, log_rounds=True)
+        assert_matches_round_by_round(cfg, spec)
+
+    @given(rare=st.sampled_from(list(RARE_SHARES.values())), **ROUTINGS)
+    @settings(max_examples=40, deadline=None)
+    def test_any_routing_matches_round_by_round(self, rare, **routing):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocols, "_RARE", rare)
+            assert_matches_round_by_round(*_routing_session(**routing))
+
+    @pytest.mark.parametrize("rare, runs", [(protocols._RARE, 12), (0.0, 28)], ids=["shipped", "all_built"])
+    def test_dense_tree_runs_the_round_once_per_branch_built(self, rare, runs, monkeypatch):
+        # 16 of the 28 branches of the pp_dense/ipe_dense tree come from
+        # float rounding; the shipped share leaves them to the rows.
+        calls = []
+        compute = protocols._round
+
+        def counted(*args):
+            calls.append(1)
+            return compute(*args)
+
+        monkeypatch.setattr(protocols, "_RARE", rare)
+        monkeypatch.setattr(protocols, "_round", counted)
+        block_form(ProtocolConfig(kind=ProtocolKind.PP_DENSE), make_strategy(IPE_DENSE))
+        assert len(calls) == runs
+
+    def test_a_wider_rare_branch_refetches_the_words(self, monkeypatch):
+        # Rows whose strategy draw falls below its limit reach a stub whose
+        # branch reads word 4 of 5; the harness fetches the block again.
+        monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
+        cfg = epr_cfg(rounds=3 * SMALL_BLOCK + 17, seed=5, log_rounds=True)
+        adv = _RareExtraDraw()
+        assert block_form(cfg, adv).words == 4
+        words = _block_words(cfg.seed, 0, cfg.rounds, 5).copy()
+        rare = np.arange(SMALL_BLOCK + 3, cfg.rounds, 11)  # from the second block on
+        words[rare, 3] = np.uint64(17 << 11)  # the draw 17 * 2**-53 < 2**-40
+        widths = []
+
+        def crafted(seed, start, stop, k):
+            widths.append(k)
+            return words[start:stop, :k]
+
+        monkeypatch.setattr(harness, "_block_words", crafted)
+        monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
+        stats, log = run_session(cfg, NO_EVE)
+        expected = [run_round(cfg, adv, WordStream(row)) for row in words]
+        assert log == expected
+        assert sum(rec.eve_guess is not None for rec in log) == len(rare)
+        acc = _Accumulator()
+        for rec in expected:
+            acc.add(rec)
+        assert stats == acc.stats(cfg.seed)
+        assert widths == [4, 4, 5, 5, 5]
 
 
 def _engine(kind: ProtocolKind, spec: StrategySpec):

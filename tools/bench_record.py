@@ -37,6 +37,11 @@ file holds the parent and the change side by side.  The figures:
   it, in ``quantum.cos_sin``, and the rest.  ``cos_sin`` is reported
   beside ``kkkp_blocks_run``, whose figure includes it, and the rest
   excludes it once;
+* the decision tree of every ping-pong ``ppsim compare`` cell as its
+  session builds it, before any row runs: the runs of
+  ``protocols._round`` that build it, its nodes (stubs included where a
+  rare branch is left for the rows), its depth and the words a round
+  reads;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``, in total and by module;
 * provenance: the commit, the Python and numpy versions, and the CPU
@@ -198,6 +203,30 @@ def _kkkp_split_here() -> dict:
             for n in (1, 4, 16)}
 
 
+def _trees_here() -> dict:
+    """Per ping-pong compare cell, the tree ``block_form`` builds: its round runs, nodes, depth and words."""
+    from ppsim import protocols
+    from ppsim.adversaries import make_strategy
+
+    runs = []
+    build = protocols._round
+
+    def counted(*args):
+        runs.append(None)
+        return build(*args)
+
+    protocols._round = counted
+    trees = {}
+    for label, (cfg, spec) in _sessions().items():
+        runs.clear()
+        tree = protocols.block_form(cfg, make_strategy(spec))
+        if isinstance(tree, protocols.BranchBlocks) and not label.startswith("logged/"):
+            trees[label] = {"round_runs": len(runs), "nodes": len(tree.table), "depth": tree.depth,
+                            "words": tree.words}
+    protocols._round = build
+    return trees
+
+
 def _cos_dispatch() -> str | None:
     """The CPU target of numpy's float64 ``cos`` loop, or None where numpy does not report it."""
     try:
@@ -223,6 +252,8 @@ def measure_here(what: str):
         return _split_here()
     if what == "kkkp_split":
         return _kkkp_split_here()
+    if what == "trees":
+        return _trees_here()
     if what in COMMANDS:
         name = _philox_name(harness)
         compute, passes = getattr(harness, name), []
@@ -265,7 +296,7 @@ def measure(root: Path) -> dict:
                       for part in parts}
                   for n, parts in kkkp_splits[0].items()}
     return {"us_per_round": cells, "commands": commands, "compare_split_ms": split,
-            "kkkp_split_ms": kkkp_split, **info}
+            "kkkp_split_ms": kkkp_split, "trees": _fresh(root, "trees"), **info}
 
 
 def tier1(root: Path) -> dict:
