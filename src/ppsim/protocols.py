@@ -356,7 +356,9 @@ def _round(cfg: ProtocolConfig, adv: AdversaryStrategy, rng: np.random.Generator
                        kkkp_angles=proto.angles(prep))
 
 
-# rng.random() returns the multiples of 2**-53 in [0, 1).
+# rng.random() returns the multiples of 2**-53 in [0, 1): u = (w >> 11) / _GRID
+# for a word w, so u < t just when w < ceil(t * _GRID) << 11, the integer cut
+# a BranchBlocks node holds (t * _GRID is exact).
 _GRID = 9007199254740992.0
 
 
@@ -438,11 +440,6 @@ _RARE = 2.0**-32
 _Branch = tuple[list[int], int, int]
 
 
-def _grid_points(lo: float, hi: float) -> int:
-    """How many of the values ``rng.random()`` returns lie in [lo, hi)."""
-    return max(0, min(math.ceil(hi * _GRID), 1 << 53) - max(math.ceil(lo * _GRID), 0))
-
-
 class BranchBlocks:
     """The rounds of a ping-pong session a block at a time, as a decision tree over the draws.
 
@@ -453,8 +450,8 @@ class BranchBlocks:
     bits of a 32-bit half word (``RoundContext.random_bits``), and every
     photon's route follows from wavelengths fixed for the session.  Every
     reachable run of the round is then a path through a small tree: a
-    node compares one word's draw with a threshold or reads one half
-    word, a leaf is the record the round returns.  Which words a path
+    node compares one word with an integer cut or reads one half word, a
+    leaf is the record the round returns.  Which words a path
     reads, and in which halves, follows from the decisions on it, the
     mode coin first among them (after ``pp_single``'s preparation bits
     and an intercept's draw), so control and message rounds each have
@@ -463,26 +460,27 @@ class BranchBlocks:
     The tree is built by running the round (:func:`_round`) itself on
     stand-in streams (:class:`_BranchDraws`) that take each decision one
     way and queue the others; each node goes into the columns :meth:`run`
-    reads as the run that reaches it makes it.  Every threshold is
-    therefore the very probability the scalar kernels compute, branch by
-    branch, and no float operation is written a second time.  A branch
-    holding less than :data:`_RARE` of its draw's grid points, most often
-    one that float rounding makes, is left a stub: it is built, and its
-    stub node expanded in place, when a row first reaches it.  A block
-    walks its rows down the tree by comparing their draws with the
-    thresholds, so it gives bit for bit the records the round gives
-    round by round: a round's leaf, whose record in ``table`` is the one
-    the run down its path returned.
+    reads as the run that reaches it makes it.  A draw's node holds the
+    cut ceil(p * 2**53) << 11 of the very probability p the scalar
+    kernels compute, branch by branch, and no float operation is written
+    a second time: the word is below the cut just when its uniform is
+    below p.  A branch holding less than :data:`_RARE` of its draw's
+    grid points, most often one that float rounding makes, is left a
+    stub: it is built, and its stub node expanded in place, when a row
+    first reaches it.  A block walks its rows down the tree by comparing
+    their raw words with the cuts, with no float draw, so it gives bit
+    for bit the records the round gives round by round: a round's leaf,
+    whose record in ``table`` is the one the run down its path returned.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
         self.cfg, self.adv, self.proto = cfg, adv, _PROTOCOLS[cfg.kind._name_]
-        # Per node, (word, limit, shift, mask, next): what decides the way
-        # on is a uniform draw below ``limit``, or the bits (word >> shift)
-        # & mask of a half word; ``next`` maps the decision to a child.  A
-        # leaf or a stub has limit 0, mask 0 and leads to itself; a leaf
-        # has its record in ``records``.
-        self.nodes: list[tuple[int, float, int, int, list[int]]] = []
+        # Per node, (word, cut, shift, mask, next): the way on from a node
+        # whose word is w is the bits (w >> shift) & mask of a half word,
+        # plus 1 where w < cut, its draw's integer cut; ``next`` maps the
+        # way to a child.  A leaf or a stub has cut 0, mask 0 and leads to
+        # itself; a leaf has its record in ``records``.
+        self.nodes: list[tuple[int, int, int, int, list[int]]] = []
         self.records: list[RoundRecord | None] = []
         self.stubs: dict[int, _Branch] = {}  # stub node -> the run that builds it
         self.words = self.depth = 0
@@ -491,7 +489,7 @@ class BranchBlocks:
     def add(self) -> int:
         """A new node that leads to itself: a leaf or a stub until a run gives it a decision."""
         node = len(self.nodes)
-        self.nodes.append((0, 0.0, 0, 0, [node]))
+        self.nodes.append((0, 0, 0, 0, [node]))
         self.records.append(None)
         return node
 
@@ -502,13 +500,15 @@ class BranchBlocks:
             self.records[draws.node] = _round(self.cfg, self.adv, draws, self.proto)
             self.words = max(self.words, draws.words)
             self.depth = max(self.depth, draws.level)
-        word, limit, shift, mask, nexts = zip(*self.nodes)
-        arity = max(map(len, nexts))
-        self.next = np.array([row + [i] * (arity - len(row)) for i, row in enumerate(nexts)], np.intp)
-        self.word = np.array(word, np.intp)
-        self.limit = np.array(limit)
-        self.shift = np.array(shift, np.uint64)
-        self.mask = np.array(mask, np.uint64)
+        word, cut, shift, mask, nexts = zip(*self.nodes)
+        # The walk finds node i at offset i * arity: there each column
+        # holds its entry, repeated arity times, and ``next`` the offsets of
+        # its children, one per way.
+        self.arity = arity = max(map(len, nexts))
+        self.next = np.array([[arity * n for n in row + [i] * (arity - len(row))]
+                              for i, row in enumerate(nexts)], np.intp).ravel()
+        self.word = np.repeat(np.array(word, np.intp), arity)
+        self.cut, self.shift, self.mask = np.repeat(np.array([cut, shift, mask], np.uint64), arity, axis=1)
         self.table = np.array(self.records, object)
         self.is_stub = np.zeros(len(self.nodes), bool)
         self.is_stub[list(self.stubs)] = True
@@ -520,8 +520,8 @@ class BranchBlocks:
         None if a branch built on the way reads more than the words a row
         holds: the caller runs the rows again on :attr:`words` words.
         """
-        draws = _uniform(words)
-        node = self._walk(words, draws, np.zeros(len(words), np.intp))
+        flat, starts = words.ravel(), np.arange(len(words)) * words.shape[1]
+        node = self._walk(flat, starts, np.zeros(len(words), np.intp)) // self.arity
         while self.stubs:
             at = np.flatnonzero(self.is_stub[node])
             if not len(at):
@@ -529,17 +529,16 @@ class BranchBlocks:
             self._build([self.stubs.pop(stub) for stub in np.unique(node[at]).tolist()])
             if self.words > words.shape[1]:
                 return None
-            node[at] = self._walk(words[at], draws[at], node[at])
+            node[at] = self._walk(flat, starts[at], node[at] * self.arity) // self.arity
         return Block(node, self.table, None)
 
-    def _walk(self, words: np.ndarray, draws: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Where each row ends when it walks from ``node`` down the tree."""
-        rows = np.arange(len(node))
+    def _walk(self, flat: np.ndarray, starts: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The offset each row ends at when it walks down the tree from offset ``at``."""
         for _ in range(self.depth):
-            word = self.word[node]
-            node = self.next[node, (draws[rows, word] < self.limit[node])
-                             + ((words[rows, word] >> self.shift[node]) & self.mask[node])]
-        return node
+            w = flat[starts + self.word[at]]
+            way = ((w >> self.shift[at]) & self.mask[at]) + (w < self.cut[at])
+            at = self.next[at + way.view(np.intp)]  # uint64 + intp would give floats
+        return at
 
 
 class _BranchDraws:
@@ -562,7 +561,7 @@ class _BranchDraws:
         self.taken = list(path)
         self.words = 0
         self.high: int | None = None  # the word whose high half is buffered
-        self.bounds: dict[int, tuple[float, float]] = {}  # word -> [lo, hi) holding its draw
+        self.bounds: dict[int, tuple[int, int]] = {}  # word w -> [lo, hi) holding its w >> 11
         self.state = None
 
     # Read as attributes, not stored, so that no cycle keeps a run, and the
@@ -581,7 +580,7 @@ class _BranchDraws:
         word, self.high = self.high, None
         return _Draw(self, word, 32)
 
-    def decide(self, word: int, limit: float, shift: int, mask: int, counts: Sequence[int]) -> int:
+    def decide(self, word: int, cut: int, shift: int, mask: int, counts: Sequence[int]) -> int:
         """The outcome of a decision past the path, outcome o holding ``counts[o]`` of the draws.
 
         A decision with one reachable outcome makes no node.  Otherwise
@@ -598,7 +597,7 @@ class _BranchDraws:
             rare = [count < floor for count in counts]
             outcome = rare.index(False) if False in rare else 0
             nexts = [self.tree.add() for _ in counts]
-            self.tree.nodes[self.node] = (word, limit, shift, mask, nexts)
+            self.tree.nodes[self.node] = (word, cut, shift, mask, nexts)
             self.level += 1
             for other, node in enumerate(nexts):
                 if other != outcome:
@@ -614,26 +613,32 @@ class _BranchDraws:
 
 @dataclass(slots=True)
 class _Draw:
-    """A draw of :class:`_BranchDraws`: ``u < threshold`` and ``half >> shift`` are decisions."""
+    """A draw of :class:`_BranchDraws`: ``u < threshold`` and ``half >> shift`` are decisions.
+
+    ``u < threshold`` is decided as w >> 11 < cut, the integer cut
+    ceil(threshold * 2**53) clamped into the draw's bounds.
+    """
 
     draws: _BranchDraws
     word: int
     half: int  # where the half word starts in its word: 0 for the low half, 32 for the high
 
     def __lt__(self, threshold: float) -> bool:
-        lo, hi = self.draws.bounds.get(self.word, (0.0, 1.0))
+        lo, hi = self.draws.bounds.get(self.word, (0, 1 << 53))
+        # Every draw is below a threshold >= 1, and none below one <= 0 or NaN.
+        threshold = min(threshold, 1.0) if threshold > 0.0 else 0.0
+        cut = min(max(math.ceil(threshold * _GRID), lo), hi)
         outcome = next(self.draws.replay, None)
         if outcome is None:
-            counts = (_grid_points(max(lo, threshold), hi), _grid_points(lo, min(hi, threshold)))
-            outcome = self.draws.decide(self.word, threshold, 0, 0, counts)
-        self.draws.bounds[self.word] = (lo, min(hi, threshold)) if outcome else (max(lo, threshold), hi)
+            outcome = self.draws.decide(self.word, cut << 11, 0, 0, (hi - cut, cut - lo))
+        self.draws.bounds[self.word] = (lo, cut) if outcome else (cut, hi)
         return bool(outcome)
 
     def __rshift__(self, shift: int) -> int:
         outcome = next(self.draws.replay, None)
         if outcome is None:
             values = 1 << (32 - shift)
-            outcome = self.draws.decide(self.word, 0.0, self.half + shift, values - 1, (1,) * values)
+            outcome = self.draws.decide(self.word, 0, self.half + shift, values - 1, (1,) * values)
         return outcome
 
 

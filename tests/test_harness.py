@@ -792,6 +792,112 @@ class TestThresholds:
         assert any(flipped)
 
 
+def _build_cut(threshold: float, bounds: tuple[int, int] | None = None) -> tuple[int, tuple[int, int]]:
+    """What a tree build makes of ``u < threshold`` on a fresh word, or on
+    one whose w >> 11 a path has narrowed to [lo, hi) = ``bounds``: the cut
+    it would store, and the counts of the outcomes (not below, below)."""
+    decided = []
+
+    class Draws:  # the parts of protocols._BranchDraws a draw reads
+        replay = iter(())
+
+        def decide(self, word, cut, shift, mask, counts):
+            decided.append((cut, tuple(counts)))
+            return 0
+
+    Draws.bounds = {} if bounds is None else {0: bounds}
+    protocols._Draw(Draws(), 0, 0) < threshold
+    return decided[0]
+
+
+def _assert_cut_decides_as_the_draw(threshold: float, words=(), bounds: tuple[int, int] | None = None):
+    """On every word its draw can hold, ``w < cut`` decides as ``u(w) < threshold``: on
+    ``words``, 0, 2**64 - 1, and the words k * 2**11 + (-1, 0, 1) around the cut."""
+    lo, hi = (0, 2**53) if bounds is None else bounds
+    stored, (above, below) = _build_cut(threshold, bounds)
+    cut = lo + below
+    assert above == hi - cut and stored == cut << 11
+    edges = [(m << 11) + d for m in (cut - 1, cut, cut + 1) for d in (-1, 0, 1)]
+    words = [w for w in [0, 2**64 - 1, *edges, *words] if 0 <= w < 2**64 and lo <= w >> 11 < hi]
+    drawn = protocols._uniform(np.array(words, np.uint64)) < threshold
+    if above and below:  # both ways reachable: a node holds the cut
+        walked = np.array(words, np.uint64) < np.uint64(stored)
+    else:  # one way: the build makes no node, and every row goes that way
+        walked = np.full(len(words), below > 0)
+    assert drawn.tolist() == walked.tolist()
+
+
+# Thresholds at the edges: grid points j * 2**-53 and their float
+# neighbours, subnormals, 1 - 2**-53, and values <= 0, > 1 or NaN, which
+# the cut clamps to the ends of the grid.
+EDGE_THRESHOLDS = [
+    t for j in (0, 1, 2, 3, 2**26 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53)
+    for t in (math.nextafter(j * 2.0**-53, -1.0), j * 2.0**-53, math.nextafter(j * 2.0**-53, 2.0))
+] + [5e-324, 2.0**-1022, math.nextafter(2.0**-1022, 0.0), 1 - 2.0**-53,
+      -0.0, -5e-324, -1.0, -math.inf, math.nan, 1.5, 2.0, 1e300, math.inf]
+GRID_NEIGHBOURS = st.builds(lambda j, way: math.nextafter(j * 2.0**-53, way),
+                            st.integers(0, 2**53), st.sampled_from([-1.0, 1.0, 0.5]))
+
+
+class TestIntegerCuts:
+    """A node's integer cut on the raw word decides as the float draw it stands for."""
+
+    @pytest.mark.parametrize("threshold", EDGE_THRESHOLDS, ids=float.hex)
+    def test_edge_thresholds(self, threshold):
+        _assert_cut_decides_as_the_draw(threshold)
+
+    @given(threshold=st.floats(-2.0, 2.0) | GRID_NEIGHBOURS, word=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_threshold_and_word(self, threshold, word):
+        _assert_cut_decides_as_the_draw(threshold, [word])
+
+    @given(threshold=st.floats(-2.0, 2.0) | GRID_NEIGHBOURS, ends=st.lists(st.integers(0, 2**53), min_size=2,
+                                                                          max_size=2, unique=True),
+           word=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_a_narrowed_draw_clamps_its_cut(self, threshold, ends, word):
+        # A path that compared the word before leaves its draw in [lo, hi).
+        lo, hi = sorted(ends)
+        _assert_cut_decides_as_the_draw(threshold, [word, lo << 11, (hi << 11) - 1], (lo, hi))
+
+    def test_a_nan_threshold_session_matches_round_by_round(self, monkeypatch):
+        cfg = epr_cfg(rounds=200, seed=3, log_rounds=True)
+        adv = _NanThreshold()
+        monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
+        _, log = run_session(cfg, NO_EVE)
+        assert log == [run_round(cfg, adv, round_rng(cfg.seed, i)) for i in range(cfg.rounds)]
+        assert {rec.eve_guess for rec in log} == {0}
+
+
+class _NanThreshold(AdversaryStrategy):
+    """Guesses 1 when a uniform is below NaN, which none is."""
+
+    protocols = frozenset({"pp_epr"})
+
+    def finalize(self, ctx):
+        return int(ctx.rng.random() < math.nan)
+
+
+class TestStridedWords:
+    """The walk reads each row's own words, whatever the stride between rows."""
+
+    @pytest.mark.parametrize("kind, spec, k", [(ProtocolKind.PP_EPR, NO_EVE, 3),
+                                               (ProtocolKind.PP_SINGLE, StrategySpec(StrategyKind.IPE), 4)],
+                             ids=["pp_epr-no_eve", "pp_single-ipe"])
+    def test_strided_and_contiguous_words_match_round_by_round(self, kind, spec, k):
+        cfg = ProtocolConfig(kind=kind, seed=13)
+        adv = make_strategy(spec)
+        assert block_form(cfg, adv).words == k
+        strided = _block_words(cfg.seed, 1, 300, 8)[:, :k]
+        assert not strided.flags.c_contiguous
+        expected = [run_round(cfg, adv, round_rng(cfg.seed, i)) for i in range(1, 300)]
+        strided_block, contiguous_block = (block_form(cfg, adv).run(words)
+                                           for words in (strided, np.ascontiguousarray(strided)))
+        assert strided_block.records() == expected
+        assert contiguous_block.records() == expected
+        assert np.array_equal(strided_block.leaves, contiguous_block.leaves)
+
+
 PING_PONG_CELLS = [c for c in COMPARE_CELLS if c[0] is not ProtocolKind.KKKP]
 PING_PONG_CELL_IDS = [i for c, i in zip(COMPARE_CELLS, CELL_IDS) if c[0] is not ProtocolKind.KKKP]
 # Rarity shares under which a tree builds every branch up front, and only

@@ -23,13 +23,19 @@ file holds the parent and the change side by side.  The figures:
   whose sessions outgrow the budget of kept words;
 * a warm in-process split of ``ppsim compare --seed 1 --rounds 2000``
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
-  ping-pong trees and the ``kkkp`` set-up), the time in
-  ``harness._philox_words`` and the rest.  Each of
+  ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
+  in ``protocols.BranchBlocks.run`` (walking the ping-pong blocks down
+  their trees, and building the stubs rows reach) and the rest.  Each of
   :data:`SPLIT_INTERPRETERS` fresh interpreters runs one untimed pass and
   then :data:`SPLIT_PASSES` timed ones, and keeps the best of each part;
   the figures are the medians over the interpreters.  A warm pass reads
   the words the untimed pass kept, so its Philox part is 0 where
   sessions share words;
+* the same warm split of a logged ``pp_dense`` session under
+  ``ipe_dense`` (:data:`DENSE_SPLIT_ROUNDS` rounds, seed 1), the
+  configuration of the benchmark's ``dense_logged_workers``: the time in
+  ``harness.block_form``, in ``protocols.BranchBlocks.run`` and the rest
+  (aggregation and the log); its words stay kept from the untimed pass;
 * the same warm split of ``kkkp`` sessions under ``kkkp_probe`` at
   n = 1, 4 and 16 (:data:`KKKP_SPLIT_ROUNDS` rounds, seed 1), each
   pass starting with no kept words: the time in
@@ -87,6 +93,7 @@ SWEEP_KKKP = ["sweep", str(GOLDEN / "kkkp_probe_seed7.json"), "--rounds", "10000
 # The split runs, passes per interpreter, and interpreters per checkout.
 SPLIT_ARGS = ["compare", "--seed", "1", "--rounds", "2000"]
 KKKP_SPLIT_ROUNDS = 2000
+DENSE_SPLIT_ROUNDS = 5000
 SPLIT_PASSES = 15
 SPLIT_INTERPRETERS = 5
 # The timed command-line runs, by name: the arguments after ``ppsim``.
@@ -174,9 +181,10 @@ def _best_split(parts: dict, run_pass, nested: tuple[str, ...] = ()) -> dict:
 def _split_here() -> dict:
     """The split of :data:`SPLIT_ARGS` passes, in seconds per part."""
     import ppsim.cli
-    from ppsim import harness
+    from ppsim import harness, protocols
 
-    parts = {"block_form": (harness, "block_form"), "philox_words": (harness, _philox_name(harness))}
+    parts = {"block_form": (harness, "block_form"), "philox_words": (harness, _philox_name(harness)),
+             "branch_blocks_run": (protocols.BranchBlocks, "run")}
     with tempfile.TemporaryDirectory() as tmp:
         argv = SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")]
         return _best_split(parts, lambda: ppsim.cli.main(argv))
@@ -201,6 +209,16 @@ def _kkkp_split_here() -> dict:
     return {f"n{n}": _best_split(parts, lambda: run_pass(StrategySpec(StrategyKind.KKKP_PROBE, n=n)),
                                  nested=("cos_sin",))
             for n in (1, 4, 16)}
+
+
+def _dense_split_here() -> dict:
+    """The split of logged :data:`DENSE_SPLIT_ROUNDS`-round ``pp_dense``/``ipe_dense`` sessions, in seconds per part."""
+    from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols
+
+    parts = {"block_form": (harness, "block_form"), "branch_blocks_run": (protocols.BranchBlocks, "run")}
+    cfg = ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=DENSE_SPLIT_ROUNDS, seed=1, log_rounds=True)
+    spec = StrategySpec(StrategyKind.IPE_DENSE)
+    return _best_split(parts, lambda: harness.run_session(cfg, spec))
 
 
 def _trees_here() -> dict:
@@ -252,6 +270,8 @@ def measure_here(what: str):
         return _split_here()
     if what == "kkkp_split":
         return _kkkp_split_here()
+    if what == "dense_split":
+        return _dense_split_here()
     if what == "trees":
         return _trees_here()
     if what in COMMANDS:
@@ -279,6 +299,11 @@ def _fresh(root: Path, what: str):
     return json.loads(proc.stdout)
 
 
+def _median_ms(samples: list[dict]) -> dict:
+    """Each part's median over the interpreters' splits, in milliseconds."""
+    return {part: round(median(sample[part] for sample in samples) * 1e3, 3) for part in samples[0]}
+
+
 def measure(root: Path) -> dict:
     """The speed figures of the checkout at ``root``, one fresh interpreter per sample."""
     info = _fresh(root, "info")
@@ -289,14 +314,12 @@ def measure(root: Path) -> dict:
         samples = [_fresh(root, name) for _ in range(REPEATS)]
         commands[name] = {"wall_s": round(median(sample["wall_s"] for sample in samples), 4),
                           "philox_passes": samples[0]["philox_passes"]}
-    splits = [_fresh(root, "split") for _ in range(SPLIT_INTERPRETERS)]
-    split = {part: round(median(sample[part] for sample in splits) * 1e3, 3) for part in splits[0]}
-    kkkp_splits = [_fresh(root, "kkkp_split") for _ in range(SPLIT_INTERPRETERS)]
-    kkkp_split = {n: {part: round(median(sample[n][part] for sample in kkkp_splits) * 1e3, 3)
-                      for part in parts}
-                  for n, parts in kkkp_splits[0].items()}
-    return {"us_per_round": cells, "commands": commands, "compare_split_ms": split,
-            "kkkp_split_ms": kkkp_split, "trees": _fresh(root, "trees"), **info}
+    splits = {what: [_fresh(root, what) for _ in range(SPLIT_INTERPRETERS)]
+              for what in ("split", "kkkp_split", "dense_split")}
+    kkkp_split = {n: _median_ms([sample[n] for sample in splits["kkkp_split"]]) for n in splits["kkkp_split"][0]}
+    return {"us_per_round": cells, "commands": commands, "compare_split_ms": _median_ms(splits["split"]),
+            "kkkp_split_ms": kkkp_split, "dense_split_ms": _median_ms(splits["dense_split"]),
+            "trees": _fresh(root, "trees"), **info}
 
 
 def tier1(root: Path) -> dict:
