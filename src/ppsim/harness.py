@@ -21,9 +21,7 @@ same seed, as in ``ppsim compare`` and ``ppsim sweep``, share the words
 of the blocks kept within a budget (:func:`_block_words`).  A block
 gives each round's leaf in a small table of leaf records: it is
 aggregated by counting its leaves, and logged as references to the
-shared records.  A ping-pong tree builds a rare branch when a row first
-reaches it; a block whose new branch reads more words a round than the
-block was fetched with is fetched again at the wider width and run again.
+shared records.
 """
 
 from __future__ import annotations
@@ -311,9 +309,7 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
         rows = min(BLOCK_ROUNDS, max(1, BLOCK_ROUNDS * 20 // blocks.words))
         for start in range(1, cfg.rounds, rows):
             stop = min(start + rows, cfg.rounds)
-            block = None
-            while block is None:  # a branch built on the way may read more words a round
-                block = blocks.run(_block_words(cfg.seed, start, stop, blocks.words))
+            block = blocks.run(_block_words(cfg.seed, start, stop, blocks.words))
             # Leaves in the order of their first round: (alice, guess) pairs enter
             # the joint table, and the MI's float sums run, as round by round.
             for rec, times in block.counts():

@@ -383,10 +383,11 @@ class KkkpBlocks:
 
     Photon routing depends only on wavelengths, so the filter's verdict
     is worked out once per session.  Every amplitude and probability is
-    computed with the float operations of :func:`run_round`, in the
-    same order, so a block gives bit for bit the records that
-    :func:`run_round` gives round by round: a round's leaf is its
-    (alice, bob, guess), and its angles come beside the leaf table.
+    computed with the float operations of :func:`run_round`, in the same
+    order, and snapped to 0 or 1 by its rule (``quantum.prob_one_real``),
+    so a block gives bit for bit the records that :func:`run_round`
+    gives round by round: a round's leaf is its (alice, bob, guess), and
+    its angles come beside the leaf table.
     Each angle's cosine and sine are computed once by numpy, equal to :func:`run_round`'s
     ``math`` ones as ``test_cos_sin_is_libm_bit_for_bit`` pins; ROT(-phi) reuses phi's.
     """
@@ -426,14 +427,6 @@ class KkkpBlocks:
         return Block(leaves, self.table, (theta, phi))
 
 
-# A decision outcome that holds less than this share of its draw's remaining
-# grid points is rare: its branch is built only when a row first reaches it.
-# Float rounding makes such branches, as when a Born probability reads
-# 0.9999999999999996 for 1; in the ``ppsim compare`` trees their shares are
-# below 2**-50, and any value from 2**-50 to 2**-10 picks the same ones.
-_RARE = 2.0**-32
-
-
 # A run of the round still to make: (path, node, level), where ``path``
 # holds every outcome from the root to ``node``, which has ``level``
 # decisions above it.
@@ -457,47 +450,35 @@ class BranchBlocks:
     and an intercept's draw), so control and message rounds each have
     their own layout.
 
-    The tree is built by running the round (:func:`_round`) itself on
-    stand-in streams (:class:`_BranchDraws`) that take each decision one
-    way and queue the others; each node goes into the columns :meth:`run`
-    reads as the run that reaches it makes it.  A draw's node holds the
-    cut ceil(p * 2**53) << 11 of the very probability p the scalar
-    kernels compute, branch by branch, and no float operation is written
-    a second time: the word is below the cut just when its uniform is
-    below p.  A branch holding less than :data:`_RARE` of its draw's
-    grid points, most often one that float rounding makes, is left a
-    stub: it is built, and its stub node expanded in place, when a row
-    first reaches it.  A block walks its rows down the tree by comparing
-    their raw words with the cuts, with no float draw, so it gives bit
-    for bit the records the round gives round by round: a round's leaf,
-    whose record in ``table`` is the one the run down its path returned.
+    The tree is built whole, before any row runs, by running the round
+    (:func:`_round`) itself on stand-in streams (:class:`_BranchDraws`)
+    that take each decision one way and queue the others; each node goes
+    into the columns :meth:`run` reads as the run that reaches it makes
+    it.  A draw's node holds the cut ceil(p * 2**53) << 11 of the very
+    probability p the scalar kernels compute, branch by branch, and no
+    float operation is written a second time: the word is below the cut
+    just when its uniform is below p.  The kernels read a probability
+    within 2**-50 of 0 or 1 as exactly 0 or 1, so float rounding makes
+    no branch.  A block walks its rows down the tree by comparing their
+    raw words with the cuts, with no float draw, so it gives bit for bit
+    the records the round gives round by round: a round's leaf, whose
+    record in ``table`` is the one the run down its path returned.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
-        self.cfg, self.adv, self.proto = cfg, adv, _PROTOCOLS[cfg.kind._name_]
         # Per node, (word, cut, shift, mask, next): the way on from a node
         # whose word is w is the bits (w >> shift) & mask of a half word,
         # plus 1 where w < cut, its draw's integer cut; ``next`` maps the
-        # way to a child.  A leaf or a stub has cut 0, mask 0 and leads to
-        # itself; a leaf has its record in ``records``.
+        # way to a child.  A leaf has cut 0 and mask 0, leads to itself and
+        # has its record in ``records``.
         self.nodes: list[tuple[int, int, int, int, list[int]]] = []
         self.records: list[RoundRecord | None] = []
-        self.stubs: dict[int, _Branch] = {}  # stub node -> the run that builds it
         self.words = self.depth = 0
-        self._build([([], self.add(), 0)])
-
-    def add(self) -> int:
-        """A new node that leads to itself: a leaf or a stub until a run gives it a decision."""
-        node = len(self.nodes)
-        self.nodes.append((0, 0, 0, 0, [node]))
-        self.records.append(None)
-        return node
-
-    def _build(self, pending: list[_Branch]) -> None:
-        """Make each pending run and the runs it queues, then the arrays :meth:`run` reads."""
+        proto = _PROTOCOLS[cfg.kind._name_]
+        pending: list[_Branch] = [([], self.add(), 0)]
         while pending:
             draws = _BranchDraws(self, *pending.pop(), pending)
-            self.records[draws.node] = _round(self.cfg, self.adv, draws, self.proto)
+            self.records[draws.node] = _round(cfg, adv, draws, proto)
             self.words = max(self.words, draws.words)
             self.depth = max(self.depth, draws.level)
         word, cut, shift, mask, nexts = zip(*self.nodes)
@@ -510,35 +491,24 @@ class BranchBlocks:
         self.word = np.repeat(np.array(word, np.intp), arity)
         self.cut, self.shift, self.mask = np.repeat(np.array([cut, shift, mask], np.uint64), arity, axis=1)
         self.table = np.array(self.records, object)
-        self.is_stub = np.zeros(len(self.nodes), bool)
-        self.is_stub[list(self.stubs)] = True
 
-    def run(self, words: np.ndarray) -> Block | None:
-        """The rounds whose streams begin with the rows of ``words``.
+    def add(self) -> int:
+        """A new node that leads to itself: a leaf until a run gives it a decision."""
+        node = len(self.nodes)
+        self.nodes.append((0, 0, 0, 0, [node]))
+        self.records.append(None)
+        return node
 
-        Rows that end on a stub have it built, once per stub, and walk on.
-        None if a branch built on the way reads more than the words a row
-        holds: the caller runs the rows again on :attr:`words` words.
-        """
+    def run(self, words: np.ndarray) -> Block:
+        """The rounds whose streams begin with the rows of ``words``: each row walks
+        ``depth`` levels down the tree, a leaf leading to itself."""
         flat, starts = words.ravel(), np.arange(len(words)) * words.shape[1]
-        node = self._walk(flat, starts, np.zeros(len(words), np.intp)) // self.arity
-        while self.stubs:
-            at = np.flatnonzero(self.is_stub[node])
-            if not len(at):
-                break
-            self._build([self.stubs.pop(stub) for stub in np.unique(node[at]).tolist()])
-            if self.words > words.shape[1]:
-                return None
-            node[at] = self._walk(flat, starts[at], node[at] * self.arity) // self.arity
-        return Block(node, self.table, None)
-
-    def _walk(self, flat: np.ndarray, starts: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The offset each row ends at when it walks down the tree from offset ``at``."""
+        at = np.zeros(len(words), np.intp)
         for _ in range(self.depth):
             w = flat[starts + self.word[at]]
             way = ((w >> self.shift[at]) & self.mask[at]) + (w < self.cut[at])
             at = self.next[at + way.view(np.intp)]  # uint64 + intp would give floats
-        return at
+        return Block(at // self.arity, self.table, None)
 
 
 class _BranchDraws:
@@ -585,30 +555,18 @@ class _BranchDraws:
 
         A decision with one reachable outcome makes no node.  Otherwise
         every outcome is reachable (a draw's two sides, or a half word's
-        values) and the decision fills ``node``: the run takes the first
-        outcome that is not rare (the first one, if all are), and each
-        other one gets a new node, queued on ``pending`` or, if rare,
-        kept as a stub.
+        values) and the decision fills ``node``: each outcome gets a new
+        node, and the run takes outcome 0 and queues the others on ``pending``.
         """
         reachable = [o for o, count in enumerate(counts) if count]
-        outcome = reachable[0]
         if len(reachable) > 1:
-            floor = _RARE * sum(counts)
-            rare = [count < floor for count in counts]
-            outcome = rare.index(False) if False in rare else 0
             nexts = [self.tree.add() for _ in counts]
             self.tree.nodes[self.node] = (word, cut, shift, mask, nexts)
             self.level += 1
-            for other, node in enumerate(nexts):
-                if other != outcome:
-                    branch = (self.taken + [other], node, self.level)
-                    if rare[other]:
-                        self.tree.stubs[node] = branch
-                    else:
-                        self.pending.append(branch)
-            self.node = nexts[outcome]
-        self.taken.append(outcome)
-        return outcome
+            self.pending.extend((self.taken + [other], nexts[other], self.level) for other in reachable[1:])
+            self.node = nexts[0]
+        self.taken.append(reachable[0])
+        return reachable[0]
 
 
 @dataclass(slots=True)

@@ -36,6 +36,16 @@ MAX_QUBITS = 8
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
+# A Born probability within this distance of 0 or 1 is read as exactly 0 or
+# 1: with 1/sqrt(2) amplitudes, one whose exact value is 1 reads
+# 0.9999999999999996, which would make a real branch of the draw.
+_SNAP = 2.0**-50
+
+
+def _snap(p: float) -> float:
+    """``p``, or 0 or 1 where it lies within :data:`_SNAP` of them."""
+    return 0.0 if p <= _SNAP else 1.0 if p >= 1.0 - _SNAP else p
+
 # Single-qubit gates.  ZX is "apply X, then Z"; IY = i*Y is the real
 # matrix that flips a qubit in both the Z and the X basis.
 I2 = np.eye(2, dtype=complex)
@@ -245,11 +255,17 @@ def prob_one_real(a0: np.ndarray, a1: np.ndarray, basis: np.ndarray) -> np.ndarr
     """Born probability of outcome 1 for 1-qubit states with real amplitude arrays.
 
     ``basis`` must be real (Z, X or a rotated basis).  Bit for bit the
-    probability the scalar :func:`measure` compares its draw with.
+    probability the scalar :func:`measure` compares its draw with,
+    snapped to 0 or 1 by :func:`_snap_each`.
     """
     (_, b01), (_, b11) = basis.real.tolist()
     amp = b01 * a0 + b11 * a1  # outcome-1 amplitude, basis^dagger @ (a0, a1)
-    return amp * amp
+    return _snap_each(amp * amp)
+
+
+def _snap_each(p: np.ndarray) -> np.ndarray:
+    """:func:`_snap` of each probability in ``p``, bit for bit."""
+    return np.where(p <= _SNAP, 0.0, np.where(p >= 1.0 - _SNAP, 1.0, p))
 
 
 def measure(
@@ -276,7 +292,7 @@ def _collapse_qubit(reg: QuantumRegister, basis: np.ndarray, r: float) -> int:
         a0, a1 = (b00.conjugate() * a0 + b10.conjugate() * a1,
                   b01.conjugate() * a0 + b11.conjugate() * a1)
     p1 = a1.real * a1.real + a1.imag * a1.imag
-    if r < p1:
+    if r < _snap(p1):  # the raw p1 normalises
         kept = a1 / math.sqrt(p1)
         reg._a0, reg._a1 = (0j, kept) if in_z else (b01 * kept, b11 * kept)
         return 1
@@ -294,7 +310,7 @@ def _collapse_vector(reg: QuantumRegister, qubit: int, basis: np.ndarray, r: flo
     if not in_z:  # amplitudes in the measurement basis
         psi = basis.conj().T @ psi
     p1 = float(np.sum(np.abs(psi[:, 1]) ** 2))
-    outcome = 1 if r < p1 else 0
+    outcome = 1 if r < _snap(p1) else 0
     psi[:, 1 - outcome] = 0.0
     psi /= math.sqrt(p1 if outcome else 1.0 - p1)
     if not in_z:
@@ -315,7 +331,7 @@ def _collapse_pair(reg: QuantumRegister, qubit: int, basis: np.ndarray, in_z: bo
         x0, x1 = b00c * x0 + b10c * x1, b01c * x0 + b11c * x1
         y0, y1 = b00c * y0 + b10c * y1, b01c * y0 + b11c * y1
     p1 = x1.real * x1.real + x1.imag * x1.imag + y1.real * y1.real + y1.imag * y1.imag
-    if r < p1:
+    if r < _snap(p1):
         outcome, norm = 1, math.sqrt(p1)
         kx, ky = x1 / norm, y1 / norm
         x0, x1, y0, y1 = (0j, kx, 0j, ky) if in_z else (b01 * kx, b11 * kx, b01 * ky, b11 * ky)
@@ -359,9 +375,9 @@ def _pick(probs: list[float], r: float) -> int:
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p
-        if r < acc:
+        if r < _snap(acc):
             return i
-    return probs.index(max(probs))  # the sum fell short of 1 by rounding
+    return probs.index(max(probs))  # a state whose norm falls short of 1
 
 
 def _measure_bell_pair(reg: QuantumRegister, r: float) -> tuple[BellKind, QuantumRegister]:

@@ -767,19 +767,54 @@ class TestThresholds:
             pairs.setdefault(word, []).append((at, below))
         return pairs
 
-    @pytest.mark.parametrize("filt", ["off", "default"])
-    def test_kkkp_bob_flips_at_the_scalar_threshold(self, filt):
-        pairs = self._check(kkkp_cfg(filter=FILTERS[filt], seed=19), NO_EVE)
-        assert list(pairs) == [3]  # Bob's X-basis draw
-        assert {(at.bob_bits, below.bob_bits) for at, below in pairs[3]} == {(0, 1)}
-        assert len(pairs[3]) >= 25
+    def _check_extremes(self, cfg: ProtocolConfig, spec: StrategySpec, certain: list[int],
+                        monkeypatch) -> tuple[list[RoundRecord], list[np.ndarray]]:
+        """Block records equal the scalar ones, and Bob reads Alice's bits, on rows
+        whose words ``certain`` are set to 0 and to 2**64 - 1, their draws'
+        extremes; returns the scalar records and the probabilities of outcome 1
+        the block computes, an array per ``prob_one_real`` call."""
+        adv = make_strategy(spec)
+        blocks = block_form(cfg, adv)
+        words = _block_words(cfg.seed, 0, 60, blocks.words)
+        rows = np.concatenate([words, words])
+        rows[:len(words), certain] = np.uint64(0)
+        rows[len(words):, certain] = np.uint64(2**64 - 1)
+        probabilities = []
+        compute = quantum.prob_one_real
 
-    @pytest.mark.parametrize("known", [False, True])
-    def test_kkkp_probe_guess_flips_at_the_scalar_threshold(self, known):
-        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=1, theta_known=known)
+        def recorded(*args):
+            probabilities.append(compute(*args))
+            return probabilities[-1]
+
+        monkeypatch.setattr(quantum, "prob_one_real", recorded)
+        expected = [run_round(cfg, adv, WordStream(row)) for row in rows]
+        assert blocks.run(rows).records() == expected
+        assert [rec.bob_bits for rec in expected] == [rec.alice_bits for rec in expected]
+        return expected, probabilities
+
+    @pytest.mark.parametrize("filt", ["off", "default"])
+    def test_kkkp_bob_decodes_every_draw_of_his_word(self, filt, monkeypatch):
+        # Bob's probability of outcome 1 is exactly Alice's bit, so no draw
+        # of word 3 has a threshold to flip at.
+        records, (bob,) = self._check_extremes(kkkp_cfg(filter=FILTERS[filt], seed=19), NO_EVE, [3],
+                                               monkeypatch)
+        assert bob.tolist() == [float(rec.alice_bits) for rec in records]
+
+    def test_kkkp_probe_guess_flips_at_the_scalar_threshold(self, monkeypatch):
+        # Without theta, the probe readout's threshold is fractional; Bob's is not.
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=1)
         pairs = self._check(kkkp_cfg(seed=23), spec)
-        assert {(at.eve_guess, below.eve_guess) for at, below in pairs[4]} == {(0, 1)}  # probe readout
-        assert {(at.bob_bits, below.bob_bits) for at, below in pairs[3]} == {(0, 1)}
+        assert list(pairs) == [4]  # probe readout
+        assert {(at.eve_guess, below.eve_guess) for at, below in pairs[4]} == {(0, 1)}
+        records, (bob, _) = self._check_extremes(kkkp_cfg(seed=23), spec, [3], monkeypatch)
+        assert bob.tolist() == [float(rec.alice_bits) for rec in records]
+
+    def test_kkkp_probe_knowing_theta_reads_every_draw_of_its_word(self, monkeypatch):
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=1, theta_known=True)
+        records, (bob, probe) = self._check_extremes(kkkp_cfg(seed=23), spec, [3, 4], monkeypatch)
+        bits = [rec.alice_bits for rec in records]
+        assert bob.tolist() == probe.tolist() == list(map(float, bits))
+        assert [rec.eve_guess for rec in records] == bits
 
     @pytest.mark.parametrize("kind, name, spec, filt",
                              [c for c in COMPARE_CELLS if c[0] is not ProtocolKind.KKKP],
@@ -900,16 +935,29 @@ class TestStridedWords:
 
 PING_PONG_CELLS = [c for c in COMPARE_CELLS if c[0] is not ProtocolKind.KKKP]
 PING_PONG_CELL_IDS = [i for c, i in zip(COMPARE_CELLS, CELL_IDS) if c[0] is not ProtocolKind.KKKP]
-# Rarity shares under which a tree builds every branch up front, and only
-# the first outcome of each decision.
-RARE_SHARES = {"all_built": 0.0, "first_only": math.inf}
+
+
+def assert_built_whole(cfg: ProtocolConfig, spec: StrategySpec) -> None:
+    """The session's rows build nothing: it runs the round once per leaf of
+    its tree, and once more for round 0.  Its results are the scalar engine's."""
+    leaves = sum(rec is not None for rec in block_form(cfg, make_strategy(spec)).table)
+    runs = []
+    compute = protocols._round
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "_round", lambda *args: runs.append(args) or compute(*args))
+        stats, log = run_session(cfg, spec)
+    assert len(runs) == leaves + 1
+    expected_stats, expected_log = round_by_round(cfg, spec)
+    assert stats == expected_stats
+    assert log == expected_log
+    assert repr(log) == repr(expected_log)
 
 
 class _RareExtraDraw(AdversaryStrategy):
     """Guesses in one round in 2**40, from a uniform no other round draws.
 
-    Its rare branch reads one word more than any branch a ``pp_epr``
-    tree builds up front.
+    Its rare branch reads one word more than any other branch of a
+    ``pp_epr`` tree.
     """
 
     protocols = frozenset({"pp_epr"})
@@ -922,26 +970,20 @@ class _RareExtraDraw(AdversaryStrategy):
 
 
 class TestRareBranches:
-    """Rare branches are built when a row first reaches them; results do not depend on it."""
+    """Every branch, however rare, is built with the tree, before any row runs."""
 
-    @pytest.mark.parametrize("rare", RARE_SHARES)
     @pytest.mark.parametrize("kind, name, spec, filt", PING_PONG_CELLS, ids=PING_PONG_CELL_IDS)
-    def test_compare_cells_match_round_by_round(self, kind, name, spec, filt, rare, monkeypatch):
-        monkeypatch.setattr(protocols, "_RARE", RARE_SHARES[rare])
-        cfg = ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=600, seed=42, log_rounds=True)
-        assert_matches_round_by_round(cfg, spec)
+    def test_compare_cells_match_round_by_round(self, kind, name, spec, filt):
+        assert_built_whole(ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=600, seed=42,
+                                          log_rounds=True), spec)
 
-    @given(rare=st.sampled_from(list(RARE_SHARES.values())), **ROUTINGS)
+    @given(**ROUTINGS)
     @settings(max_examples=40, deadline=None)
-    def test_any_routing_matches_round_by_round(self, rare, **routing):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocols, "_RARE", rare)
-            assert_matches_round_by_round(*_routing_session(**routing))
+    def test_any_routing_matches_round_by_round(self, **routing):
+        assert_built_whole(*_routing_session(**routing))
 
-    @pytest.mark.parametrize("rare, runs", [(protocols._RARE, 12), (0.0, 28)], ids=["shipped", "all_built"])
-    def test_dense_tree_runs_the_round_once_per_branch_built(self, rare, runs, monkeypatch):
-        # 16 of the 28 branches of the pp_dense/ipe_dense tree come from
-        # float rounding; the shipped share leaves them to the rows.
+    def test_dense_tree_runs_the_round_once_per_branch_built(self, monkeypatch):
+        # One run per leaf: float rounding makes no branch of the pp_dense/ipe_dense tree.
         calls = []
         compute = protocols._round
 
@@ -949,18 +991,18 @@ class TestRareBranches:
             calls.append(1)
             return compute(*args)
 
-        monkeypatch.setattr(protocols, "_RARE", rare)
         monkeypatch.setattr(protocols, "_round", counted)
         block_form(ProtocolConfig(kind=ProtocolKind.PP_DENSE), make_strategy(IPE_DENSE))
-        assert len(calls) == runs
+        assert len(calls) == 12
 
-    def test_a_wider_rare_branch_refetches_the_words(self, monkeypatch):
-        # Rows whose strategy draw falls below its limit reach a stub whose
-        # branch reads word 4 of 5; the harness fetches the block again.
+    def test_a_rare_branch_is_built_up_front(self, monkeypatch):
+        # Rows whose strategy draw falls below its limit take a branch of
+        # share 2**-40 that reads word 4 of 5; the tree holds it, and every
+        # block is fetched once, at 5 words a round.
         monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
         cfg = epr_cfg(rounds=3 * SMALL_BLOCK + 17, seed=5, log_rounds=True)
         adv = _RareExtraDraw()
-        assert block_form(cfg, adv).words == 4
+        assert block_form(cfg, adv).words == 5
         words = _block_words(cfg.seed, 0, cfg.rounds, 5).copy()
         rare = np.arange(SMALL_BLOCK + 3, cfg.rounds, 11)  # from the second block on
         words[rare, 3] = np.uint64(17 << 11)  # the draw 17 * 2**-53 < 2**-40
@@ -980,7 +1022,54 @@ class TestRareBranches:
         for rec in expected:
             acc.add(rec)
         assert stats == acc.stats(cfg.seed)
-        assert widths == [4, 4, 5, 5, 5]
+        assert widths == [5] * 4
+
+
+def _ping_pong_cells(keep) -> list:
+    """The ping-pong compare cells that ``keep(kind, name, filt)`` accepts, with their ids."""
+    return [pytest.param(*cell, id=i) for cell, i in zip(PING_PONG_CELLS, PING_PONG_CELL_IDS)
+            if keep(cell[0], cell[1], cell[3])]
+
+
+class TestPaperClaimsOnTheTrees:
+    """The paper's exact claims hold on every leaf of the ``compare`` trees.
+
+    A leaf is a way a round can end, however rare, so a claim that holds
+    on every leaf holds on every round, with no float rounding to spoil it.
+    """
+
+    @staticmethod
+    def _tree(kind: ProtocolKind, spec: StrategySpec, filt: str) -> BranchBlocks:
+        return block_form(ProtocolConfig(kind=kind, filter=FILTERS[filt]), make_strategy(spec))
+
+    @pytest.mark.parametrize("kind, name, spec, filt", PING_PONG_CELLS, ids=PING_PONG_CELL_IDS)
+    def test_every_node_is_built(self, kind, name, spec, filt):
+        # A node that leads only to itself is a leaf, and holds its record.
+        tree = self._tree(kind, spec, filt)
+        for node, (_, _, _, _, nexts) in enumerate(tree.nodes):
+            assert (tree.table[node] is not None) == (nexts == [node])
+
+    @pytest.mark.parametrize("kind, name, spec, filt", _ping_pong_cells(
+        lambda kind, name, filt: name == "no_eve" or name.startswith("ipe") and filt == "off"))
+    def test_no_error_no_failed_check_and_every_guess_right(self, kind, name, spec, filt):
+        # Honest Bob always decodes, and with the filter off an invisible
+        # probe reads every message and fails no check.
+        leaves = [rec for rec in self._tree(kind, spec, filt).table if rec is not None]
+        assert {rec.mode for rec in leaves} == {Mode.CONTROL, Mode.MESSAGE}
+        for rec in leaves:
+            assert rec.control_pass is not False
+            if rec.mode is Mode.MESSAGE:
+                assert rec.bob_bits == rec.alice_bits
+                assert rec.eve_guess == (None if name == "no_eve" else rec.alice_bits)
+
+    @pytest.mark.parametrize("kind, name, spec, filt", _ping_pong_cells(
+        lambda kind, name, filt: name == "intercept_resend_z" and kind is not ProtocolKind.PP_SINGLE))
+    def test_z_intercept_fails_no_pair_check(self, kind, name, spec, filt):
+        # Measuring the travel half in Z keeps the pair's Z anticorrelation,
+        # which is all the control check of pp_epr and pp_dense tests.
+        leaves = [rec for rec in self._tree(kind, spec, filt).table if rec is not None]
+        checks = [rec.control_pass for rec in leaves if rec.mode is Mode.CONTROL]
+        assert checks and False not in checks
 
 
 def _engine(kind: ProtocolKind, spec: StrategySpec):

@@ -492,6 +492,22 @@ class TestRealBlockKernels:
                             for c in centres])
         self._assert_cos_sin_is_libm(m)
 
+    def test_snap_is_one_rule_for_scalars_and_arrays(self):
+        # The rule is written twice: _snap for the scalar kernels, and
+        # _snap_each, with np.where, for prob_one_real.  At each edge and
+        # the floats next to it, both must read the same bits.
+        lo, hi = 2.0**-50, 1.0 - 2.0**-50
+        probs = [p for edge in (0.0, lo, 0.5, hi, 1.0)
+                 for p in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0))]
+        scalar = [q._snap(p) for p in probs]
+        assert list(map(float.hex, q._snap_each(np.array(probs)).tolist())) == list(map(float.hex, scalar))
+        assert scalar[3:6] == [0.0, 0.0, math.nextafter(lo, 1.0)]
+        assert scalar[9:12] == [math.nextafter(hi, 0.0), 1.0, 1.0]
+        # prob_one_real snaps the squares that land on the edges.
+        amps = np.array([2.0**-25, 1.0 - 2.0**-51])
+        assert (amps * amps).tolist() == [lo, hi]
+        assert q.prob_one_real(0.0, amps, q.BASIS_Z).tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("basis", [q.BASIS_Z, q.BASIS_X, q.rotated_basis(0.7)], ids=["z", "x", "rot"])
     def test_prob_one_real_is_the_scalar_threshold(self, basis):
         # measure() returns 1 exactly for draws below its outcome-1

@@ -25,9 +25,9 @@ file holds the parent and the change side by side.  The figures:
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
   in ``protocols.BranchBlocks.run`` (walking the ping-pong blocks down
-  their trees, and building the stubs rows reach) and the rest.  Each of
-  :data:`SPLIT_INTERPRETERS` fresh interpreters runs one untimed pass and
-  then :data:`SPLIT_PASSES` timed ones, and keeps the best of each part;
+  their trees) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
+  interpreters runs one untimed pass and then :data:`SPLIT_PASSES` timed
+  ones, and keeps the best of each part;
   the figures are the medians over the interpreters.  A warm pass reads
   the words the untimed pass kept, so its Philox part is 0 where
   sessions share words;
@@ -45,9 +45,8 @@ file holds the parent and the change side by side.  The figures:
   excludes it once;
 * the decision tree of every ping-pong ``ppsim compare`` cell as its
   session builds it, before any row runs: the runs of
-  ``protocols._round`` that build it, its nodes (stubs included where a
-  rare branch is left for the rows), its depth and the words a round
-  reads;
+  ``protocols._round`` that build it, its nodes, its depth and the words
+  a round reads;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``, in total and by module;
 * provenance: the commit, the Python and numpy versions, and the CPU
