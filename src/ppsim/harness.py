@@ -20,16 +20,17 @@ reach their streams through :func:`_stream_factory`.  Sessions on the
 same seed, as in ``ppsim compare`` and ``ppsim sweep``, share the words
 of the blocks kept within a budget (:func:`_block_words`).  A block
 gives each round's leaf in a small table of leaf records: it is
-aggregated by counting its leaves, and logged as references to the
+aggregated by counting its leaves, in any order, since every statistic
+is a function of the count table alone, and logged as references to the
 shared records.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from math import log2
+from math import fsum, log2
 from typing import Mapping
 
 import numpy as np
@@ -181,22 +182,21 @@ def mutual_information(counts: JointCounts) -> float:
     """Plug-in mutual information, in bits, of an (alice, eve) count table.
 
     I = sum p(a,e) * log2(p(a,e) / (p(a) p(e))) over nonzero cells, with
-    the empirical joint p = counts / total.
+    the empirical joint p = counts / total.  The total, the marginals and
+    the sum of the terms are each a correctly rounded :func:`math.fsum`,
+    so I depends on the table's cells alone, not on their order.
     """
-    total = float(sum(counts.values()))
-    if not counts or total <= 0:
+    total = fsum(counts.values())
+    if total <= 0:
         raise ValueError("mutual information needs a nonempty count table")
-    pa: Counter = Counter()
-    pe: Counter = Counter()
+    by_a, by_e = defaultdict(list), defaultdict(list)
     for (a, e), c in counts.items():
-        pa[a] += c
-        pe[e] += c
-    info = 0.0
-    for (a, e), c in sorted(counts.items()):
-        if c <= 0:
-            continue
-        p = c / total
-        info += p * log2(p * total * total / (pa[a] * pe[e]))
+        by_a[a].append(c)
+        by_e[e].append(c)
+    pa = {a: fsum(cs) for a, cs in by_a.items()}
+    pe = {e: fsum(cs) for e, cs in by_e.items()}
+    info = fsum(p * log2(p * total * total / (pa[a] * pe[e]))
+                for (a, e), c in counts.items() if c > 0 for p in [c / total])
     return max(info, 0.0)
 
 
@@ -208,19 +208,15 @@ def channel_mutual_information(counts: JointCounts) -> float:
     equals log2(#observed alice values) exactly, independent of how the
     message bits happened to split.
     """
-    rows: dict[int, Counter] = {}
-    for (a, e), c in counts.items():
-        if c > 0:
-            rows.setdefault(a, Counter())[e] += c
+    cells = {cell: c for cell, c in counts.items() if c > 0}
+    rows = defaultdict(list)
+    for (a, _), c in cells.items():
+        rows[a].append(c)
     if not rows:
         raise ValueError("mutual information needs a nonempty count table")
     weight = 1.0 / len(rows)
-    reweighted = {
-        (a, e): weight * c / sum(row.values())
-        for a, row in rows.items()
-        for e, c in row.items()
-    }
-    return mutual_information(reweighted)
+    row_total = {a: fsum(cs) for a, cs in rows.items()}
+    return mutual_information({(a, e): weight * c / row_total[a] for (a, e), c in cells.items()})
 
 
 class _Accumulator:
@@ -229,7 +225,8 @@ class _Accumulator:
     Each count is kept once.  Eve's scored guesses are the (alice, guess)
     table ``joint`` of the message rounds she guessed: :meth:`stats`
     reads her guessed rounds as its sum, her correct ones as its
-    diagonal, and her mutual information from it.
+    diagonal, and her mutual information from it.  The statistics
+    depend on the counts alone, so records may be added in any order.
     """
 
     __slots__ = (
@@ -310,8 +307,6 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
         for start in range(1, cfg.rounds, rows):
             stop = min(start + rows, cfg.rounds)
             block = blocks.run(_block_words(cfg.seed, start, stop, blocks.words))
-            # Leaves in the order of their first round: (alice, guess) pairs enter
-            # the joint table, and the MI's float sums run, as round by round.
             for rec, times in block.counts():
                 acc.add(rec, times)
             if cfg.log_rounds:

@@ -164,14 +164,9 @@ class Block(NamedTuple):
     kkkp_angles: tuple[np.ndarray, np.ndarray] | None
 
     def counts(self) -> list[tuple[RoundRecord, int]]:
-        """Each leaf's record and the number of rounds that end there,
-        the leaves in the order of their first round."""
-        rows, size = len(self.leaves), len(self.table)
-        counts = np.bincount(self.leaves, minlength=size).tolist()
-        first = np.full(size, rows)
-        np.minimum.at(first, self.leaves, np.arange(rows))
-        order = sorted(range(size), key=first.tolist().__getitem__)
-        return [(self.table[leaf], counts[leaf]) for leaf in order if counts[leaf]]
+        """Each leaf's record and the number of rounds that end there, in leaf order."""
+        counts = np.bincount(self.leaves, minlength=len(self.table)).tolist()
+        return [(rec, n) for rec, n in zip(self.table.tolist(), counts) if n]
 
     def records(self) -> list[RoundRecord]:
         """One record per round: its leaf's own record, or in ``kkkp`` a

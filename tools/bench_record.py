@@ -25,17 +25,17 @@ file holds the parent and the change side by side.  The figures:
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
   in ``protocols.BranchBlocks.run`` (walking the ping-pong blocks down
-  their trees) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
+  their trees), in ``protocols.Block.counts`` (counting a block's rounds
+  per leaf) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
   interpreters runs one untimed pass and then :data:`SPLIT_PASSES` timed
-  ones, and keeps the best of each part;
-  the figures are the medians over the interpreters.  A warm pass reads
+  ones, and keeps the best of each part; the figures are the medians over the interpreters.  A warm pass reads
   the words the untimed pass kept, so its Philox part is 0 where
   sessions share words;
 * the same warm split of a logged ``pp_dense`` session under
   ``ipe_dense`` (:data:`DENSE_SPLIT_ROUNDS` rounds, seed 1), the
   configuration of the benchmark's ``dense_logged_workers``: the time in
-  ``harness.block_form``, in ``protocols.BranchBlocks.run`` and the rest
-  (aggregation and the log); its words stay kept from the untimed pass;
+  ``harness.block_form``, in ``protocols.BranchBlocks.run``, in
+  ``protocols.Block.counts`` and the rest (aggregation and the log); its words stay kept from the untimed pass;
 * the same warm split of ``kkkp`` sessions under ``kkkp_probe`` at
   n = 1, 4 and 16 (:data:`KKKP_SPLIT_ROUNDS` rounds, seed 1), each
   pass starting with no kept words: the time in
@@ -183,7 +183,8 @@ def _split_here() -> dict:
     from ppsim import harness, protocols
 
     parts = {"block_form": (harness, "block_form"), "philox_words": (harness, _philox_name(harness)),
-             "branch_blocks_run": (protocols.BranchBlocks, "run")}
+             "branch_blocks_run": (protocols.BranchBlocks, "run"),
+             "block_counts": (protocols.Block, "counts")}
     with tempfile.TemporaryDirectory() as tmp:
         argv = SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")]
         return _best_split(parts, lambda: ppsim.cli.main(argv))
@@ -214,7 +215,8 @@ def _dense_split_here() -> dict:
     """The split of logged :data:`DENSE_SPLIT_ROUNDS`-round ``pp_dense``/``ipe_dense`` sessions, in seconds per part."""
     from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols
 
-    parts = {"block_form": (harness, "block_form"), "branch_blocks_run": (protocols.BranchBlocks, "run")}
+    parts = {"block_form": (harness, "block_form"), "branch_blocks_run": (protocols.BranchBlocks, "run"),
+             "block_counts": (protocols.Block, "counts")}
     cfg = ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=DENSE_SPLIT_ROUNDS, seed=1, log_rounds=True)
     spec = StrategySpec(StrategyKind.IPE_DENSE)
     return _best_split(parts, lambda: harness.run_session(cfg, spec))
