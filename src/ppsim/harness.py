@@ -19,10 +19,11 @@ bit for bit to :func:`round_rng`; round 0 and round-by-round sessions
 reach their streams through :func:`_stream_factory`.  Sessions on the
 same seed, as in ``ppsim compare`` and ``ppsim sweep``, share the words
 of the blocks kept within a budget (:func:`_block_words`).  A block
-gives each round's leaf in a small table of leaf records: it is
-aggregated by counting its leaves, in any order, since every statistic
-is a function of the count table alone, and logged as references to the
-shared records.
+gives each round's leaf (for ping-pong, one lookup in a key table over
+its words) in a small table of leaf records: it is aggregated by
+counting its leaves, in any order, since every statistic is a function
+of the count table alone, and logged as references to the shared
+records.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from math import fsum, log2
+from math import frexp, fsum, ldexp, log2
 from typing import Mapping
 
 import numpy as np
@@ -184,8 +185,12 @@ def mutual_information(counts: JointCounts) -> float:
     I = sum p(a,e) * log2(p(a,e) / (p(a) p(e))) over nonzero cells, with
     the empirical joint p = counts / total.  The total, the marginals and
     the sum of the terms are each a correctly rounded :func:`math.fsum`,
-    so I depends on the table's cells alone, not on their order.
+    so I depends on the table's cells alone, not on their order.  Scaling
+    the cells by a power of two, so that the largest is in [0.5, 1), is
+    exact and keeps every product of the formula within the float range.
     """
+    _, exponent = frexp(max(counts.values(), default=0.0))
+    counts = {cell: ldexp(c, -exponent) for cell, c in counts.items()}
     total = fsum(counts.values())
     if total <= 0:
         raise ValueError("mutual information needs a nonempty count table")
@@ -283,8 +288,9 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     ``cfg.log_rounds``).  A session with a block form (see
     ``protocols.block_form``) runs round 0 through :func:`run_round`
     and the rest in blocks of up to :data:`BLOCK_ROUNDS` rounds,
-    reading the same words of the same streams, so its statistics and
-    log are those of :func:`run_round` round by round.  Every other
+    reading the same words of the same streams (a ping-pong block looks
+    each round's leaf up in a key table), so its statistics and log are
+    those of :func:`run_round` round by round.  Every other
     session runs round by round.  Every round runs in the calling
     thread, and ``workers`` has no effect: the result is the same for
     any value.  A guess of another width than the protocol's messages

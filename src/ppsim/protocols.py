@@ -35,8 +35,10 @@ numpy arrays over the rounds, when its strategy has a block form for
 the protocol: :class:`KkkpBlocks` for ``kkkp``, :class:`BranchBlocks`
 for the ping-pong protocols.  Both give each round of a :class:`Block`
 the leaf it ends at, in a small table of leaf records that the rounds
-share; the records are bit for bit those of :func:`run_round`, which
-stays the reference.
+share: ``kkkp`` computes it from the round's amplitudes, a ping-pong
+block looks it up in a table keyed by codes read off the round's words,
+one per axis of the leaves' word boxes.  The records are bit for bit
+those of :func:`run_round`, which stays the reference.
 """
 
 from __future__ import annotations
@@ -154,9 +156,8 @@ for _name in _RECORD_FIELDS:
 class Block(NamedTuple):
     """A block of rounds: round i ends at leaf ``leaves[i]``, whose record is ``table[leaves[i]]``.
 
-    ``table``, an object array, holds None at an index that is no leaf.
-    In ``kkkp`` each round also has its own ``kkkp_angles`` = (theta,
-    phi), which the leaf records leave out.
+    ``table`` is an object array.  In ``kkkp`` each round also has its
+    own ``kkkp_angles`` = (theta, phi), which the leaf records leave out.
     """
 
     leaves: np.ndarray
@@ -352,8 +353,8 @@ def _round(cfg: ProtocolConfig, adv: AdversaryStrategy, rng: np.random.Generator
 
 
 # rng.random() returns the multiples of 2**-53 in [0, 1): u = (w >> 11) / _GRID
-# for a word w, so u < t just when w < ceil(t * _GRID) << 11, the integer cut
-# a BranchBlocks node holds (t * _GRID is exact).
+# for a word w, so u < t just when w < ceil(t * _GRID) << 11, where an interval
+# of a BranchBlocks leaf ends (t * _GRID is exact).
 _GRID = 9007199254740992.0
 
 
@@ -422,14 +423,8 @@ class KkkpBlocks:
         return Block(leaves, self.table, (theta, phi))
 
 
-# A run of the round still to make: (path, node, level), where ``path``
-# holds every outcome from the root to ``node``, which has ``level``
-# decisions above it.
-_Branch = tuple[list[int], int, int]
-
-
 class BranchBlocks:
-    """The rounds of a ping-pong session a block at a time, as a decision tree over the draws.
+    """The rounds of a ping-pong session a block at a time: each row's leaf is one table lookup.
 
     Under a strategy whose own class lists the protocol in
     ``protocols``, a round reads its stream only by comparing a uniform
@@ -437,100 +432,105 @@ class BranchBlocks:
     ``quantum.measure`` and ``quantum.measure_bell``) or by taking the top
     bits of a 32-bit half word (``RoundContext.random_bits``), and every
     photon's route follows from wavelengths fixed for the session.  Every
-    reachable run of the round is then a path through a small tree: a
-    node compares one word with an integer cut or reads one half word, a
-    leaf is the record the round returns.  Which words a path
-    reads, and in which halves, follows from the decisions on it, the
-    mode coin first among them (after ``pp_single``'s preparation bits
-    and an intercept's draw), so control and message rounds each have
-    their own layout.
+    reachable run of the round then ends at a leaf, the record it
+    returns, whose box of words holds w >> 11 in an interval [lo, hi) for
+    each uniform word w it compares and one value for each half-word
+    field it reads.  Two leaves part at their first diverging decision,
+    so their boxes are disjoint, and each row lies in its round's leaf's.
 
-    The tree is built whole, before any row runs, by running the round
+    The leaves are found before any row runs, by running the round
     (:func:`_round`) itself on stand-in streams (:class:`_BranchDraws`)
-    that take each decision one way and queue the others; each node goes
-    into the columns :meth:`run` reads as the run that reaches it makes
-    it.  A draw's node holds the cut ceil(p * 2**53) << 11 of the very
-    probability p the scalar kernels compute, branch by branch, and no
-    float operation is written a second time: the word is below the cut
-    just when its uniform is below p.  The kernels read a probability
-    within 2**-50 of 0 or 1 as exactly 0 or 1, so float rounding makes
-    no branch.  A block walks its rows down the tree by comparing their
-    raw words with the cuts, with no float draw, so it gives bit for bit
-    the records the round gives round by round: a round's leaf, whose
-    record in ``table`` is the one the run down its path returned.
+    that take each decision one way and queue the others.  A draw
+    compared with the very probability p the scalar kernels compute is
+    below it just when w >> 11 < ceil(p * 2**53), so the ends of an
+    interval are exact integer cuts, and no float operation is written a
+    second time.  The kernels read a probability within 2**-50 of 0 or 1
+    as exactly 0 or 1, so float rounding makes no leaf.
+
+    Each uniform word that a leaf narrows is an axis, cut by the ends of
+    the leaves' intervals on it: a row's code there is the number of ends
+    p with w >= p << 11.  Each half-word field is an axis whose code is
+    the field's value.  ``keys``, a table over the product of the axes,
+    holds each leaf at every key in its box, and -1 at keys no row has.
+    A block reads each axis's code off its column of words, folds the
+    codes into one key and looks the leaf up, with no float draw, so it
+    gives bit for bit the records the round gives round by round: a
+    round's leaf, whose record in ``table`` is the one its run returned.
     """
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
-        # Per node, (word, cut, shift, mask, next): the way on from a node
-        # whose word is w is the bits (w >> shift) & mask of a half word,
-        # plus 1 where w < cut, its draw's integer cut; ``next`` maps the
-        # way to a child.  A leaf has cut 0 and mask 0, leads to itself and
-        # has its record in ``records``.
-        self.nodes: list[tuple[int, int, int, int, list[int]]] = []
-        self.records: list[RoundRecord | None] = []
-        self.words = self.depth = 0
         proto = _PROTOCOLS[cfg.kind._name_]
-        pending: list[_Branch] = [([], self.add(), 0)]
+        runs, records = [], []
+        pending: list[_Branch] = [([], {}, {})]
         while pending:
-            draws = _BranchDraws(self, *pending.pop(), pending)
-            self.records[draws.node] = _round(cfg, adv, draws, proto)
-            self.words = max(self.words, draws.words)
-            self.depth = max(self.depth, draws.level)
-        word, cut, shift, mask, nexts = zip(*self.nodes)
-        # The walk finds node i at offset i * arity: there each column
-        # holds its entry, repeated arity times, and ``next`` the offsets of
-        # its children, one per way.
-        self.arity = arity = max(map(len, nexts))
-        self.next = np.array([[arity * n for n in row + [i] * (arity - len(row))]
-                              for i, row in enumerate(nexts)], np.intp).ravel()
-        self.word = np.repeat(np.array(word, np.intp), arity)
-        self.cut, self.shift, self.mask = np.repeat(np.array([cut, shift, mask], np.uint64), arity, axis=1)
-        self.table = np.array(self.records, object)
-
-    def add(self) -> int:
-        """A new node that leads to itself: a leaf until a run gives it a decision."""
-        node = len(self.nodes)
-        self.nodes.append((0, 0, 0, 0, [node]))
-        self.records.append(None)
-        return node
+            runs.append(_BranchDraws(*pending.pop(), pending))
+            records.append(_round(cfg, adv, runs[-1], proto))
+        self.words = max(run.words for run in runs)
+        self.table = np.array(records, object)
+        # A uniform word that a leaf narrows is an axis: the sorted ends of
+        # the leaves' intervals on it, 0 and 2**53 among them.
+        found: dict[int, set[int]] = {}
+        for run in runs:
+            for word, interval in run.bounds.items():
+                found.setdefault(word, {0, 1 << 53}).update(interval)
+        ends = {word: sorted(points) for word, points in found.items()}
+        fields = list(dict.fromkeys(field for run in runs for field in run.fields))
+        # What :meth:`run` reads per axis: (word, its inner ends p << 11, size)
+        # per uniform word, and (word, shift, mask, size) per half-word field.
+        self.cuts = [(word, [np.uint64(p << 11) for p in points[1:-1]], len(points) - 1)
+                     for word, points in ends.items()]
+        self.fields = [(word, np.uint64(shift), np.uint64(mask), mask + 1) for word, shift, mask in fields]
+        keys = np.full([axis[-1] for axis in self.cuts + self.fields], -1, np.intp)
+        ranks = [(word, {end: rank for rank, end in enumerate(points)}) for word, points in ends.items()]
+        for leaf, run in enumerate(runs):
+            box = []
+            for word, rank in ranks:
+                lo, hi = run.bounds.get(word, (0, 1 << 53))
+                box.append(slice(rank[lo], rank[hi]))
+            keys[(*box, *[run.fields.get(field, slice(None)) for field in fields])] = leaf
+        self.keys = keys.ravel()
 
     def run(self, words: np.ndarray) -> Block:
-        """The rounds whose streams begin with the rows of ``words``: each row walks
-        ``depth`` levels down the tree, a leaf leading to itself."""
-        flat, starts = words.ravel(), np.arange(len(words)) * words.shape[1]
-        at = np.zeros(len(words), np.intp)
-        for _ in range(self.depth):
-            w = flat[starts + self.word[at]]
-            way = ((w >> self.shift[at]) & self.mask[at]) + (w < self.cut[at])
-            at = self.next[at + way.view(np.intp)]  # uint64 + intp would give floats
-        return Block(at // self.arity, self.table, None)
+        """The rounds whose streams begin with the rows of ``words``: each row's
+        codes on the axes, folded into one key, give its leaf."""
+        key = 0
+        for word, points, size in self.cuts:
+            key = sum((words[:, word] >= p for p in points), key * size)
+        for word, shift, mask, size in self.fields:  # uint64 + intp would give floats
+            key = key * size + ((words[:, word] >> shift) & mask).view(np.intp)
+        return Block(self.keys[key], self.table, None)
+
+
+# A run of the round still to make: the outcomes it replays, and its box after them.
+_Branch = tuple[list[int], dict[int, tuple[int, int]], dict[tuple[int, int, int], int]]
 
 
 class _BranchDraws:
-    """Stands in for a round's Generator while :class:`BranchBlocks` builds its tree.
+    """Stands in for a round's Generator while :class:`BranchBlocks` finds its leaves.
 
     ``random()`` and ``random_bits`` (through
     ``bit_generator.ctypes.next_uint32``) hand out :class:`_Draw`
     objects and consume words as numpy does: a uniform takes a whole
     word; a 32-bit draw takes a fresh word's low half and buffers the
     high half for the next one.  A run replays the outcomes of ``path``,
-    one per decision, with no test and no node; past them it fills
-    ``node`` with each decision that has more than one reachable outcome
-    (see :meth:`decide`), and at the round's end ``node`` is its leaf.
+    one per decision, from the box the last of them leaves: ``bounds``
+    maps each narrowed uniform word w to the [lo, hi) holding w >> 11, and
+    ``fields`` each half-word field (word, shift, mask) read to its value.
+    Past the path it takes each decision's first reachable outcome,
+    narrowing its box, and queues each other one on ``pending`` with a
+    box of its own, so the box a run ends with is its leaf's.
     """
 
-    def __init__(self, tree: BranchBlocks, path: list[int], node: int, level: int,
-                 pending: list[_Branch]):
-        self.tree, self.node, self.level, self.pending = tree, node, level, pending
-        self.replay = iter(path)
-        self.taken = list(path)
+    def __init__(self, path: list[int], bounds: dict[int, tuple[int, int]],
+                 fields: dict[tuple[int, int, int], int], pending: list[_Branch]):
+        self.replay, self.taken, self.pending = iter(path), list(path), pending
+        self.bounds, self.fields = bounds, fields
         self.words = 0
         self.high: int | None = None  # the word whose high half is buffered
-        self.bounds: dict[int, tuple[int, int]] = {}  # word w -> [lo, hi) holding its w >> 11
         self.state = None
 
-    # Read as attributes, not stored, so that no cycle keeps a run, and the
-    # tree it refers to, alive until the garbage collector runs.
+    # Read as attributes, not stored, so that no cycle keeps a run alive
+    # until the garbage collector runs.
     bit_generator = ctypes = property(lambda self: self)
 
     def random(self) -> _Draw:
@@ -545,31 +545,14 @@ class _BranchDraws:
         word, self.high = self.high, None
         return _Draw(self, word, 32)
 
-    def decide(self, word: int, cut: int, shift: int, mask: int, counts: Sequence[int]) -> int:
-        """The outcome of a decision past the path, outcome o holding ``counts[o]`` of the draws.
-
-        A decision with one reachable outcome makes no node.  Otherwise
-        every outcome is reachable (a draw's two sides, or a half word's
-        values) and the decision fills ``node``: each outcome gets a new
-        node, and the run takes outcome 0 and queues the others on ``pending``.
-        """
-        reachable = [o for o, count in enumerate(counts) if count]
-        if len(reachable) > 1:
-            nexts = [self.tree.add() for _ in counts]
-            self.tree.nodes[self.node] = (word, cut, shift, mask, nexts)
-            self.level += 1
-            self.pending.extend((self.taken + [other], nexts[other], self.level) for other in reachable[1:])
-            self.node = nexts[0]
-        self.taken.append(reachable[0])
-        return reachable[0]
-
 
 @dataclass(slots=True)
 class _Draw:
     """A draw of :class:`_BranchDraws`: ``u < threshold`` and ``half >> shift`` are decisions.
 
     ``u < threshold`` is decided as w >> 11 < cut, the integer cut
-    ceil(threshold * 2**53) clamped into the draw's bounds.
+    ceil(threshold * 2**53) clamped into the word's bounds: a draw is
+    below it on [lo, cut) and not below on [cut, hi).
     """
 
     draws: _BranchDraws
@@ -577,21 +560,30 @@ class _Draw:
     half: int  # where the half word starts in its word: 0 for the low half, 32 for the high
 
     def __lt__(self, threshold: float) -> bool:
-        lo, hi = self.draws.bounds.get(self.word, (0, 1 << 53))
-        # Every draw is below a threshold >= 1, and none below one <= 0 or NaN.
-        threshold = min(threshold, 1.0) if threshold > 0.0 else 0.0
-        cut = min(max(math.ceil(threshold * _GRID), lo), hi)
-        outcome = next(self.draws.replay, None)
+        draws = self.draws
+        outcome = next(draws.replay, None)
         if outcome is None:
-            outcome = self.draws.decide(self.word, cut << 11, 0, 0, (hi - cut, cut - lo))
-        self.draws.bounds[self.word] = (lo, cut) if outcome else (cut, hi)
+            lo, hi = draws.bounds.get(self.word, (0, 1 << 53))
+            # Every draw is below a threshold >= 1, and none below one <= 0 or NaN.
+            threshold = min(threshold, 1.0) if threshold > 0.0 else 0.0
+            cut = min(max(math.ceil(threshold * _GRID), lo), hi)
+            outcome = int(cut == hi)  # not below, unless every draw is
+            if lo < cut < hi:
+                draws.pending.append((draws.taken + [1], {**draws.bounds, self.word: (lo, cut)},
+                                      draws.fields.copy()))
+                draws.bounds[self.word] = (cut, hi)
+            draws.taken.append(outcome)
         return bool(outcome)
 
     def __rshift__(self, shift: int) -> int:
-        outcome = next(self.draws.replay, None)
+        draws = self.draws
+        outcome = next(draws.replay, None)
         if outcome is None:
-            values = 1 << (32 - shift)
-            outcome = self.draws.decide(self.word, 0, self.half + shift, values - 1, (1,) * values)
+            field = (self.word, self.half + shift, (1 << (32 - shift)) - 1)
+            for value in range(1, field[2] + 1):
+                draws.pending.append((draws.taken + [value], draws.bounds.copy(), {**draws.fields, field: value}))
+            draws.fields[field] = outcome = 0
+            draws.taken.append(outcome)
         return outcome
 
 

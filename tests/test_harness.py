@@ -1,5 +1,6 @@
 """Tests for the session runner, statistics and information estimates."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppsim import adversaries, harness, protocols, quantum
@@ -70,6 +71,27 @@ class TestMutualInformation:
             mutual_information({})
         with pytest.raises(ValueError):
             mutual_information({(0, 0): 0})
+
+    def test_tables_beyond_the_range_of_float_products(self):
+        # Unscaled, p * total * total underflowed to 0 in the first and
+        # overflowed to inf in the second: ZeroDivisionError, then NaN.
+        assert mutual_information({(0, 0): 1e-200}) == 0.0
+        assert mutual_information({(0, 0): 1e200, (1, 1): 1e200}) == 1.0
+
+    @given(
+        cells=st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.integers(0, 10**6) | st.floats(1e-6, 1e6),
+            min_size=1,
+        ).filter(lambda cells: any(cells.values())),
+        power=st.integers(-1000, 1000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_by_a_power_of_two_gives_the_same_bits(self, cells, power):
+        scaled = {cell: math.ldexp(c, power) for cell, c in cells.items()}
+        assume(all(c == 0 or sys.float_info.min <= c <= sys.float_info.max for c in scaled.values()))
+        for mi in (mutual_information, channel_mutual_information):
+            assert mi(scaled) == mi(cells)
 
     @given(
         st.dictionaries(
@@ -856,39 +878,36 @@ class TestThresholds:
         assert any(flipped)
 
 
-def _build_cut(threshold: float, bounds: tuple[int, int] | None = None) -> tuple[int, tuple[int, int]]:
-    """What a tree build makes of ``u < threshold`` on a fresh word, or on
-    one whose w >> 11 a path has narrowed to [lo, hi) = ``bounds``: the cut
-    it would store, and the counts of the outcomes (not below, below)."""
-    decided = []
-
-    class Draws:  # the parts of protocols._BranchDraws a draw reads
-        replay = iter(())
-
-        def decide(self, word, cut, shift, mask, counts):
-            decided.append((cut, tuple(counts)))
-            return 0
-
-    Draws.bounds = {} if bounds is None else {0: bounds}
-    protocols._Draw(Draws(), 0, 0) < threshold
-    return decided[0]
+def _leaf_intervals(threshold: float, bounds: tuple[int, int] | None = None) -> list[tuple[int, tuple[int, int]]]:
+    """What a build makes of ``u < threshold`` on a fresh word, or on one
+    whose w >> 11 a path has narrowed to [lo, hi) = ``bounds``: per way the
+    decision goes, its outcome (1 for below) and the interval of w >> 11
+    its leaves hold, the way the run takes first."""
+    whole = (0, 2**53) if bounds is None else bounds
+    pending = []
+    draws = protocols._BranchDraws([], {} if bounds is None else {0: bounds}, {}, pending)
+    ways = [(int(protocols._Draw(draws, 0, 0) < threshold), draws.bounds.get(0, whole))]
+    return ways + [(path[-1], queued.get(0, whole)) for path, queued, _ in pending]
 
 
-def _assert_cut_decides_as_the_draw(threshold: float, words=(), bounds: tuple[int, int] | None = None):
-    """On every word its draw can hold, ``w < cut`` decides as ``u(w) < threshold``: on
-    ``words``, 0, 2**64 - 1, and the words k * 2**11 + (-1, 0, 1) around the cut."""
+def _assert_intervals_decide_as_the_draw(threshold: float, words=(), bounds: tuple[int, int] | None = None):
+    """The build's intervals split the draw's [lo, hi) between its ways, and on
+    every word the draw can hold, the way whose interval holds w >> 11 is
+    ``u(w) < threshold``: on ``words``, 0, 2**64 - 1, and the words
+    k * 2**11 + (-1, 0, 1) for k next to or at each end of an interval."""
     lo, hi = (0, 2**53) if bounds is None else bounds
-    stored, (above, below) = _build_cut(threshold, bounds)
-    cut = lo + below
-    assert above == hi - cut and stored == cut << 11
-    edges = [(m << 11) + d for m in (cut - 1, cut, cut + 1) for d in (-1, 0, 1)]
+    ways = _leaf_intervals(threshold, bounds)
+    intervals = sorted(interval for _, interval in ways)
+    assert len({outcome for outcome, _ in ways}) == len(ways) <= 2
+    # Nonempty intervals that tile [lo, hi): each starts where the one before ends.
+    assert all(a < b for a, b in intervals)
+    assert [a for a, _ in intervals] + [hi] == [lo] + [b for _, b in intervals]
+    edges = [(k << 11) + d for interval in intervals for m in interval for k in (m - 1, m, m + 1)
+             for d in (-1, 0, 1)]
     words = [w for w in [0, 2**64 - 1, *edges, *words] if 0 <= w < 2**64 and lo <= w >> 11 < hi]
     drawn = protocols._uniform(np.array(words, np.uint64)) < threshold
-    if above and below:  # both ways reachable: a node holds the cut
-        walked = np.array(words, np.uint64) < np.uint64(stored)
-    else:  # one way: the build makes no node, and every row goes that way
-        walked = np.full(len(words), below > 0)
-    assert drawn.tolist() == walked.tolist()
+    found = [next(outcome for outcome, (a, b) in ways if a <= w >> 11 < b) for w in words]
+    assert drawn.tolist() == list(map(bool, found))
 
 
 # Thresholds at the edges: grid points j * 2**-53 and their float
@@ -904,16 +923,16 @@ GRID_NEIGHBOURS = st.builds(lambda j, way: math.nextafter(j * 2.0**-53, way),
 
 
 class TestIntegerCuts:
-    """A node's integer cut on the raw word decides as the float draw it stands for."""
+    """A leaf's interval of the raw word decides as the float draw it stands for."""
 
     @pytest.mark.parametrize("threshold", EDGE_THRESHOLDS, ids=float.hex)
     def test_edge_thresholds(self, threshold):
-        _assert_cut_decides_as_the_draw(threshold)
+        _assert_intervals_decide_as_the_draw(threshold)
 
     @given(threshold=st.floats(-2.0, 2.0) | GRID_NEIGHBOURS, word=st.integers(0, 2**64 - 1))
     @settings(max_examples=300, deadline=None)
     def test_any_threshold_and_word(self, threshold, word):
-        _assert_cut_decides_as_the_draw(threshold, [word])
+        _assert_intervals_decide_as_the_draw(threshold, [word])
 
     @given(threshold=st.floats(-2.0, 2.0) | GRID_NEIGHBOURS, ends=st.lists(st.integers(0, 2**53), min_size=2,
                                                                           max_size=2, unique=True),
@@ -922,7 +941,21 @@ class TestIntegerCuts:
     def test_a_narrowed_draw_clamps_its_cut(self, threshold, ends, word):
         # A path that compared the word before leaves its draw in [lo, hi).
         lo, hi = sorted(ends)
-        _assert_cut_decides_as_the_draw(threshold, [word, lo << 11, (hi << 11) - 1], (lo, hi))
+        _assert_intervals_decide_as_the_draw(threshold, [word, lo << 11, (hi << 11) - 1], (lo, hi))
+
+    @given(**ROUTINGS)
+    @settings(max_examples=40, deadline=None)
+    def test_rows_at_every_axis_end_and_field_value_match_round_by_round(self, **routing):
+        # Rows whose words sit at each end p * 2**11 of a uniform word's
+        # axis and just below it, or hold each value of a half-word field,
+        # find a leaf, and the leaf of the round they stand for.
+        cfg, spec = _routing_session(**routing)
+        adv = make_strategy(spec)
+        tree = block_form(cfg, adv)
+        rows = _crafted_rows(tree, _block_words(cfg.seed, 0, 12, tree.words))
+        block = tree.run(rows)
+        assert block.leaves.min() >= 0
+        assert block.records() == [run_round(cfg, adv, WordStream(row)) for row in rows]
 
     def test_a_nan_threshold_session_matches_round_by_round(self, monkeypatch):
         cfg = epr_cfg(rounds=200, seed=3, log_rounds=True)
@@ -943,7 +976,7 @@ class _NanThreshold(AdversaryStrategy):
 
 
 class TestStridedWords:
-    """The walk reads each row's own words, whatever the stride between rows."""
+    """A block reads each row's own words, whatever the stride between rows."""
 
     @pytest.mark.parametrize("kind, spec, k", [(ProtocolKind.PP_EPR, NO_EVE, 3),
                                                (ProtocolKind.PP_SINGLE, StrategySpec(StrategyKind.IPE), 4)],
@@ -1054,6 +1087,56 @@ class TestRareBranches:
         assert widths == [5] * 4
 
 
+def _keys_of(tree: BranchBlocks, rows: np.ndarray) -> list[int]:
+    """Each row's key in ``tree.keys``, read one row at a time: per uniform
+    word, the number of its axis ends p << 11 at or below the word, then
+    per half-word field, its value."""
+    keys = []
+    for row in rows.tolist():
+        key = 0
+        for word, ends, size in tree.cuts:
+            key = key * size + sum(row[word] >= int(p) for p in ends)
+        for word, shift, mask, size in tree.fields:
+            key = key * size + ((row[word] >> int(shift)) & int(mask))
+        keys.append(key)
+    return keys
+
+
+def _representative_rows(tree: BranchBlocks) -> np.ndarray:
+    """Rows at the edges of every code on every axis: per word, 0, 2**64 - 1
+    and the words at and just below each of its axis ends, each with every
+    value of each of its half-word fields written in; then every
+    combination of the words."""
+    per_word = []
+    for word in range(tree.words):
+        values = {0, 2**64 - 1}
+        for _, ends, _ in (axis for axis in tree.cuts if axis[0] == word):
+            values |= {int(p) for p in ends} | {int(p) - 1 for p in ends}
+        for _, shift, mask, _ in (axis for axis in tree.fields if axis[0] == word):
+            shift, mask = int(shift), int(mask)
+            values = {v & ~(mask << shift) | f << shift for v in values for f in range(mask + 1)}
+        per_word.append(sorted(values))
+    return np.array(list(itertools.product(*per_word)), np.uint64)
+
+
+def _crafted_rows(tree: BranchBlocks, rows: np.ndarray) -> np.ndarray:
+    """``rows``, each altered in one word at a time: to each axis end p << 11
+    of a uniform word and to the word just below it, and to each value of a
+    half-word field."""
+    crafted = []
+    for word, ends, _ in tree.cuts:
+        for value in [v for p in ends for v in (p, p - np.uint64(1))]:
+            altered = rows.copy()
+            altered[:, word] = value
+            crafted.append(altered)
+    for word, shift, mask, _ in tree.fields:
+        for value in range(int(mask) + 1):
+            altered = rows.copy()
+            altered[:, word] = altered[:, word] & ~(mask << shift) | np.uint64(value) << shift
+            crafted.append(altered)
+    return np.concatenate(crafted)
+
+
 def _ping_pong_cells(keep) -> list:
     """The ping-pong compare cells that ``keep(kind, name, filt)`` accepts, with their ids."""
     return [pytest.param(*cell, id=i) for cell, i in zip(PING_PONG_CELLS, PING_PONG_CELL_IDS)
@@ -1072,11 +1155,19 @@ class TestPaperClaimsOnTheTrees:
         return block_form(ProtocolConfig(kind=kind, filter=FILTERS[filt]), make_strategy(spec))
 
     @pytest.mark.parametrize("kind, name, spec, filt", PING_PONG_CELLS, ids=PING_PONG_CELL_IDS)
-    def test_every_node_is_built(self, kind, name, spec, filt):
-        # A node that leads only to itself is a leaf, and holds its record.
+    def test_every_leaf_owns_a_key_and_no_reached_key_is_empty(self, kind, name, spec, filt):
+        # Rows at the edges of every code find a leaf at each key they reach,
+        # the leaf of the round they stand for, and between them every leaf.
+        # Every other key holds a leaf or -1.
         tree = self._tree(kind, spec, filt)
-        for node, (_, _, _, _, nexts) in enumerate(tree.nodes):
-            assert (tree.table[node] is not None) == (nexts == [node])
+        rows = _representative_rows(tree)
+        found = tree.keys[_keys_of(tree, rows)]
+        assert found.min() >= 0
+        assert set(found.tolist()) == set(range(len(tree.table)))
+        assert -1 <= tree.keys.min() and tree.keys.max() < len(tree.table)
+        cfg, adv = ProtocolConfig(kind=kind, filter=FILTERS[filt]), make_strategy(spec)
+        sample = np.random.default_rng(len(rows)).choice(len(rows), min(len(rows), 300), replace=False)
+        assert tree.run(rows[sample]).records() == [run_round(cfg, adv, WordStream(row)) for row in rows[sample]]
 
     @pytest.mark.parametrize("kind, name, spec, filt", _ping_pong_cells(
         lambda kind, name, filt: name == "no_eve" or name.startswith("ipe") and filt == "off"))

@@ -4,6 +4,7 @@ Usage, from the root of a ppsim checkout:
 
     python3 tools/bench_record.py --root . --label change --out BENCH_6.json
     python3 tools/bench_record.py --root ../parent --label parent --commit <sha> --out BENCH_6.json
+    python3 tools/bench_record.py --root . --label change --ab ../parent --out BENCH_6.json
 
 Each call measures the checkout at ``--root`` and stores its figures
 under ``--label`` in ``--out``, keeping the labels already there, so one
@@ -24,8 +25,8 @@ file holds the parent and the change side by side.  The figures:
 * a warm in-process split of ``ppsim compare --seed 1 --rounds 2000``
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
-  in ``protocols.BranchBlocks.run`` (walking the ping-pong blocks down
-  their trees), in ``protocols.Block.counts`` (counting a block's rounds
+  in ``protocols.BranchBlocks.run`` (finding each ping-pong round's
+  leaf), in ``protocols.Block.counts`` (counting a block's rounds
   per leaf) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
   interpreters runs one untimed pass and then :data:`SPLIT_PASSES` timed
   ones, and keeps the best of each part; the figures are the medians over the interpreters.  A warm pass reads
@@ -43,10 +44,10 @@ file holds the parent and the change side by side.  The figures:
   it, in ``quantum.cos_sin``, and the rest.  ``cos_sin`` is reported
   beside ``kkkp_blocks_run``, whose figure includes it, and the rest
   excludes it once;
-* the decision tree of every ping-pong ``ppsim compare`` cell as its
-  session builds it, before any row runs: the runs of
-  ``protocols._round`` that build it, its nodes, its depth and the words
-  a round reads;
+* the tree of every ping-pong ``ppsim compare`` cell as its session
+  builds it, before any row runs: the runs of ``protocols._round`` that
+  build it, its leaves, the axes and the size of its key table (None in
+  checkouts that walk a tree of nodes) and the words a round reads;
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``, in total and by module;
 * provenance: the commit, the Python and numpy versions, and the CPU
@@ -62,11 +63,24 @@ leaves no words the timed session can share; a command is timed as the
 interpreter's first call, as a command-line run pays it.  A command's
 Philox passes are the calls of ``harness._philox_words``, or of
 ``harness._block_words`` in checkouts where sessions share no words.
+
+Fresh interpreters, one checkout after the other, cannot resolve
+differences of 10-30 % on a VM whose speed swings by 1.6x over seconds.
+``--ab OTHER_ROOT`` instead imports both checkouts' ``src/ppsim`` into
+one interpreter, as the packages ``ppsim_this`` and ``ppsim_other``, and
+alternates their calls (:data:`AB_CALLS`), :data:`AB_SAMPLES` samples of
+each call per checkout, the first of each pair swapping from one pair to
+the next.  Every sample is warm, as a perfbench pass is: a session
+reads the words its checkout kept from the samples before.  It records
+the median of each call per checkout, and how many pairs each checkout
+won, under ``ab`` in ``--out``, keyed by ``--label``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -95,6 +109,12 @@ KKKP_SPLIT_ROUNDS = 2000
 DENSE_SPLIT_ROUNDS = 5000
 SPLIT_PASSES = 15
 SPLIT_INTERPRETERS = 5
+# Samples per call and checkout of ``--ab``, and its calls: the logged
+# ``pp_dense``/``ipe_dense`` session pair of the benchmark's
+# ``dense_logged_workers`` (at 2 workers, then 1), a ``compare`` pass of
+# :data:`SPLIT_ARGS`, and the tree builds of the ping-pong compare cells.
+AB_SAMPLES = 60
+AB_CALLS = ("dense_pair", "compare_pass", "tree_builds")
 # The timed command-line runs, by name: the arguments after ``ppsim``.
 COMMANDS = {
     "compare": ["compare"],
@@ -111,11 +131,13 @@ def _timed(call) -> float:
     return perf_counter() - start
 
 
-def _sessions() -> dict:
-    """Every timed session of the ppsim on sys.path, by label: (ProtocolConfig, StrategySpec)."""
-    import ppsim.cli
-    from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec
-
+def _sessions(ppsim=None) -> dict:
+    """Every timed session of ``ppsim``, by default the one on sys.path, by label: (ProtocolConfig, StrategySpec)."""
+    if ppsim is None:
+        import ppsim
+    importlib.import_module(ppsim.__name__ + ".cli")
+    ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec = (
+        ppsim.ProtocolConfig, ppsim.ProtocolKind, ppsim.StrategyKind, ppsim.StrategySpec)
     sessions = {}
     for kind in ProtocolKind:
         for name, spec in ppsim.cli._compare_attacks(kind):
@@ -223,7 +245,7 @@ def _dense_split_here() -> dict:
 
 
 def _trees_here() -> dict:
-    """Per ping-pong compare cell, the tree ``block_form`` builds: its round runs, nodes, depth and words."""
+    """Per ping-pong compare cell, the tree ``block_form`` builds: its round runs, leaves, axes, keys and words."""
     from ppsim import protocols
     from ppsim.adversaries import make_strategy
 
@@ -240,8 +262,10 @@ def _trees_here() -> dict:
         runs.clear()
         tree = protocols.block_form(cfg, make_strategy(spec))
         if isinstance(tree, protocols.BranchBlocks) and not label.startswith("logged/"):
-            trees[label] = {"round_runs": len(runs), "nodes": len(tree.table), "depth": tree.depth,
-                            "words": tree.words}
+            keyed = hasattr(tree, "keys")  # a checkout that walks a tree of nodes has no key table
+            trees[label] = {"round_runs": len(runs), "leaves": sum(rec is not None for rec in tree.table),
+                            "axes": len(tree.cuts) + len(tree.fields) if keyed else None,
+                            "keys": len(tree.keys) if keyed else None, "words": tree.words}
     protocols._round = build
     return trees
 
@@ -323,6 +347,59 @@ def measure(root: Path) -> dict:
             "trees": _fresh(root, "trees"), **info}
 
 
+def _load(root: Path, name: str):
+    """The ppsim of ``<root>/src`` imported as the package ``name``; its modules import each other relatively."""
+    package = root / "src" / "ppsim"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ab_calls(ppsim, out_dir: str) -> dict:
+    """The calls of :data:`AB_CALLS`, run by ``ppsim``, a package :func:`_load` imported."""
+    cli, harness, protocols, adversaries = (importlib.import_module(f"{ppsim.__name__}.{module}")
+                                            for module in ("cli", "harness", "protocols", "adversaries"))
+    dense = ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.PP_DENSE, rounds=DENSE_SPLIT_ROUNDS, seed=1,
+                                 log_rounds=True)
+    dense_spec = ppsim.StrategySpec(ppsim.StrategyKind.IPE_DENSE)
+    argv = SPLIT_ARGS + ["-o", os.path.join(out_dir, ppsim.__name__ + ".csv")]
+    trees = [(cfg, adversaries.make_strategy(spec)) for label, (cfg, spec) in _sessions(ppsim).items()
+             if cfg.kind is not ppsim.ProtocolKind.KKKP and not label.startswith("logged/")]
+
+    def dense_pair():
+        for workers in (2, 1):
+            harness.run_session(dense, dense_spec, workers=workers)
+
+    def tree_builds():
+        for cfg, adv in trees:
+            protocols.block_form(cfg, adv)
+
+    return {"dense_pair": dense_pair, "compare_pass": lambda: cli.main(argv), "tree_builds": tree_builds}
+
+
+def ab(root: Path, other: Path) -> dict:
+    """In one interpreter, the median of each of :data:`AB_CALLS` in ms for the checkout
+    at ``root`` and at ``other``, from alternated warm samples, and the pairs ``root`` won."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"this": _ab_calls(_load(root, "ppsim_this"), tmp),
+                 "other": _ab_calls(_load(other, "ppsim_other"), tmp)}
+        figures = {}
+        for call in AB_CALLS:
+            times: dict[str, list[float]] = {side: [] for side in sides}
+            for calls in sides.values():  # one untimed call each loads and warms the code
+                calls[call]()
+            for sample in range(AB_SAMPLES):
+                for side in ("this", "other") if sample % 2 else ("other", "this"):
+                    times[side].append(_timed(sides[side][call]))
+            figures[call] = {"median_ms": round(median(times["this"]) * 1e3, 4),
+                             "other_median_ms": round(median(times["other"]) * 1e3, 4),
+                             "wins": sum(a < b for a, b in zip(times["this"], times["other"]))}
+    return {"commit": commit_of(root), "other_commit": commit_of(other), "samples": AB_SAMPLES, "calls": figures}
+
+
 def tier1(root: Path) -> dict:
     """Wall time of the Tier-1 suite and test_6's duration, from pytest's own report."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -375,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", help="key of this checkout's figures, e.g. parent or change")
     parser.add_argument("--commit", default=None, help="commit to record when --root is no git work tree")
     parser.add_argument("--out", help="the BENCH_<n>.json file to update")
+    parser.add_argument("--ab", metavar="OTHER_ROOT",
+                        help="time this checkout against the one at OTHER_ROOT in one interpreter, alternated")
     args = parser.parse_args(argv)
     if args.measure:
         json.dump(measure_here(args.measure), sys.stdout)
@@ -385,7 +464,11 @@ def main(argv: list[str] | None = None) -> int:
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data.setdefault("rounds", ROUNDS)
     data.setdefault("seed", SEED)
-    data.setdefault("runs", {})[args.label] = record(Path(args.root).resolve(), args.commit)
+    root = Path(args.root).resolve()
+    if args.ab:
+        data.setdefault("ab", {})[args.label] = ab(root, Path(args.ab).resolve())
+    else:
+        data.setdefault("runs", {})[args.label] = record(root, args.commit)
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return 0
 
