@@ -11,9 +11,12 @@ exactly once per round, last, and returns the strategy's guess of the
 encoded bits, or ``None`` for strategies that never guess.
 
 A strategy may add or remove photons, but must never touch the register
-of a photon it did not create.  All per-round state lives in the typed
-slots of the :class:`RoundContext`, so one strategy instance serves
-every round of a session.
+of a photon it did not create.  Every photon of a pulse a hook returns
+is at the signal's wavelength or at one of the strategy's
+``probe_wavelengths``, so a session reads the filter and the detector
+only through their verdicts on those wavelengths.  All per-round state
+lives in the typed slots of the :class:`RoundContext`, so one strategy
+instance serves every round of a session.
 
 When a guessing strategy cannot recover its probe (control round, or
 probe absorbed by the receiver's filter) it emits a uniformly random
@@ -148,6 +151,7 @@ class AdversaryStrategy:
     # subclass that does not set it again runs round by round.
     protocols = frozenset({"pp_epr", "pp_single", "pp_dense", "kkkp"})
     width = 1  # bits per guess; a guess of another width than the message's is not scored
+    probe_wavelengths: tuple[float, ...] = ()  # the wavelengths of the photons it injects
 
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
         """The pulse going into the encoder."""
@@ -209,6 +213,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
     def __init__(self, lambda_e_nm: float):
         check_wavelength("probe lambda_e_nm", lambda_e_nm)
         self.lambda_e_nm = lambda_e_nm
+        self.probe_wavelengths = (lambda_e_nm,)
         self.band_nm = _probe_band(lambda_e_nm)
 
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
@@ -308,6 +313,7 @@ class _BlindBaseProbe(AdversaryStrategy):
         check_wavelength("probe lambda_e_nm", lambda_e_nm)
         self.n = n
         self.lambda_e_nm = lambda_e_nm
+        self.probe_wavelengths = (lambda_e_nm,)
         self.band_nm = _probe_band(lambda_e_nm)
         self.theta_known = theta_known
 

@@ -118,10 +118,11 @@ def cmd_sweep(scenario_path: str, field: str, values: str, output: str | None,
         raise ScenarioError(f"--values {values!r} lists an empty value")
     base = with_overrides(load_scenario(scenario_path), seed=seed, rounds=rounds)
     lines = [SWEEP_HEADER]
+    shared: dict = {}
     for token in tokens:
         sc = _apply_sweep_value(base, field, token)
         sc.validate()
-        stats, _ = run_session(sc.to_config(), sc.attack)
+        stats, _ = run_session(sc.to_config(), sc.attack, shared=shared)
         lines.append(_row([token], SWEEP_HEADER, stats))
     _write_output(output, "\n".join(lines) + "\n")
     return 0
@@ -139,6 +140,7 @@ def _compare_attacks(kind: ProtocolKind) -> list[tuple[str, StrategySpec]]:
 
 def cmd_compare(output: str | None, seed: int | None = None, rounds: int | None = None) -> int:
     lines = [COMPARE_HEADER]
+    shared: dict = {}
     for kind in ProtocolKind:
         base = Scenario(
             protocol=kind,
@@ -150,7 +152,7 @@ def cmd_compare(output: str | None, seed: int | None = None, rounds: int | None 
             for filter_on in (False, True):
                 sc = replace(base, attack=attack, filter_enabled=filter_on)
                 sc.validate()
-                stats, _ = run_session(sc.to_config(), sc.attack)
+                stats, _ = run_session(sc.to_config(), sc.attack, shared=shared)
                 lines.append(_row([kind.value, attack_name, "on" if filter_on else "off"],
                                   COMPARE_HEADER, stats))
     _write_output(output, "\n".join(lines) + "\n")

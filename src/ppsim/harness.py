@@ -18,12 +18,14 @@ vectorised Philox pass over its counters (:func:`_block_words`), pinned
 bit for bit to :func:`round_rng`; round 0 and round-by-round sessions
 reach their streams through :func:`_stream_factory`.  Sessions on the
 same seed, as in ``ppsim compare`` and ``ppsim sweep``, share the words
-of the blocks kept within a budget (:func:`_block_words`).  A block
-gives each round's leaf (for ping-pong, one lookup in a key table over
-its words) in a small table of leaf records: it is aggregated by
-counting its leaves, in any order, since every statistic is a function
-of the count table alone, and logged as references to the shared
-records.
+of the blocks kept within a budget (:func:`_block_words`), and each of
+those commands runs a session that repeats an earlier one of its own,
+such as a filtered honest run, only once (``run_session``'s
+``shared``).  A block gives each round's leaf (for ping-pong, one lookup
+in a key table over its words) in a small table of leaf records: it is
+aggregated by counting its leaves, in any order, since every statistic
+is a function of the count table alone, and logged as references to
+the shared records.
 """
 
 from __future__ import annotations
@@ -280,8 +282,8 @@ class _Accumulator:
         )
 
 
-def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
-                workers: int = 1) -> tuple[RunStats, list[RoundRecord]]:
+def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *,
+                shared: dict | None = None) -> tuple[RunStats, list[RoundRecord]]:
     """Run ``cfg.rounds`` rounds of the configured protocol under attack.
 
     Returns the aggregated statistics and the round log (empty unless
@@ -296,9 +298,24 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     any value.  A guess of another width than the protocol's messages
     (a one-bit guess on ``pp_dense``, say) is not scored: its
     ``eve_accuracy`` and ``eve_mutual_info_bits`` are None.
+
+    ``shared``, a dict one command passes to all its sessions, keeps
+    their results.  A session that differs from an earlier one only in a
+    filter or detector giving the same verdicts on the signal's
+    wavelength and the strategy's ``probe_wavelengths`` returns that
+    one's statistics and a copy of its log.
     """
     cfg.validate()
     adv: AdversaryStrategy = make_strategy(strategy)
+    if shared is not None:
+        lo, hi = cfg.detector.window_nm
+        key = (cfg.kind, cfg.control_prob, cfg.signal_wavelength_nm, cfg.rounds, cfg.seed,
+               cfg.log_rounds, strategy,
+               tuple((cfg.filter is None or cfg.filter.transmits(w), lo <= w <= hi)
+                     for w in (cfg.signal_wavelength_nm, *adv.probe_wavelengths)))
+        hit = shared.get(key)
+        if hit is not None:
+            return hit[0], list(hit[1])
     stream_at = _stream_factory(cfg.seed)
     acc = _Accumulator()
     log: list[RoundRecord] = []
@@ -320,4 +337,6 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec,
     stats = acc.stats(cfg.seed)
     if adv.width != message_bit_width(cfg.kind):
         stats = replace(stats, eve_accuracy=None, eve_mutual_info_bits=None)
+    if shared is not None:
+        shared[key] = stats, tuple(log)
     return stats, log

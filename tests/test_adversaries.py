@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from ppsim import quantum
@@ -21,7 +23,7 @@ from ppsim.adversaries import (
 )
 from ppsim.optics import ConfigError
 from ppsim.harness import round_rng, run_session
-from ppsim.optics import EVE_WAVELENGTH_NM, Leg, Photon, Pulse, default_filter
+from ppsim.optics import EVE_WAVELENGTH_NM, Detector, Leg, OpticalFilter, Photon, Pulse, default_filter
 from ppsim.protocols import (
     Mode,
     ProtocolConfig,
@@ -353,3 +355,48 @@ class TestStrategyDispatch:
 
     def test_rotated_basis_accepted(self):
         StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=0.7).validate()
+
+
+class TestWavelengthContract:
+    """Every photon a hook returns is at the signal's wavelength or at one of ``probe_wavelengths``."""
+
+    @pytest.mark.parametrize("attack", list(StrategyKind), ids=lambda k: k.value)
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(ProtocolKind),
+           control_prob=st.floats(0.05, 0.95),
+           signal_nm=st.sampled_from([800.0, 650.0, 1550.0]),
+           lambda_e_nm=st.sampled_from([190_000.0, 800.5, 1550.0, 800.0, 650.0]),
+           passband=st.sampled_from([None, (799.95, 800.05), (640.0, 900.0), (700.0, 200_000.0)]),
+           window=st.sampled_from([(600.0, 900.0), (700.0, 2000.0)]),
+           basis=st.floats(-3.2, 3.2), n=st.integers(1, 5), theta_known=st.booleans(),
+           seed=st.integers(0, 2**64 - 1))
+    def test_hooks_return_only_signal_and_probe_photons(self, attack, kind, control_prob, signal_nm,
+                                                        lambda_e_nm, passband, window, basis, n,
+                                                        theta_known, seed):
+        adv = make_strategy(StrategySpec(attack, lambda_e_nm, basis, n, theta_known))
+        carried = {signal_nm, *adv.probe_wavelengths}
+        returned = []
+        for hook in ("on_b_to_a", "on_a_to_b"):
+            def checked(pulse, ctx, inner=getattr(adv, hook)):
+                out = inner(pulse, ctx)
+                returned.extend(p.wavelength_nm for p in out.photons)
+                return out
+
+            setattr(adv, hook, checked)
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else control_prob,
+                             signal_wavelength_nm=signal_nm,
+                             filter=None if passband is None else OpticalFilter(passband),
+                             detector=Detector(window))
+        for i in range(12):
+            run_round(cfg, adv, round_rng(seed, i))
+        assert returned and set(returned) <= carried
+
+    @pytest.mark.parametrize("spec, probes", [
+        (StrategySpec(StrategyKind.NO_EVE), ()),
+        (StrategySpec(StrategyKind.INTERCEPT_RESEND, 850.0), ()),
+        (StrategySpec(StrategyKind.IPE, 850.0), (850.0,)),
+        (StrategySpec(StrategyKind.IPE_DENSE, 850.0), (850.0,)),
+        (StrategySpec(StrategyKind.KKKP_PROBE, 850.0, n=3), (850.0,)),
+    ], ids=lambda v: v.kind.value if isinstance(v, StrategySpec) else None)
+    def test_probe_wavelengths(self, spec, probes):
+        assert make_strategy(spec).probe_wavelengths == probes

@@ -289,8 +289,8 @@ class TestSweep:
     def test_control_prob_sweep(self, tmp_path, monkeypatch):
         sessions = []
 
-        def recorded(cfg, spec):
-            stats, log = run_session(cfg, spec)
+        def recorded(cfg, spec, *, shared=None):
+            stats, log = run_session(cfg, spec, shared=shared)
             sessions.append(stats)
             return stats, log
 
@@ -398,3 +398,38 @@ class TestCompare:
         out = tmp_path / "matrix.csv"
         assert main(["compare", "-o", str(out), "--seed", "42", "--rounds", "2000"]) == 0
         assert out.read_bytes() == (GOLDEN / "compare_seed42_rounds2000.csv").read_bytes()
+
+
+class TestEachDistinctSessionOnce:
+    """``compare`` and ``sweep`` compute a session that repeats one of their own only once."""
+
+    def test_compare_computes_15_of_its_22_sessions_in_each_call(self, tmp_path, sessions_computed):
+        # The filter passes the signal, so it changes nothing for no_eve and
+        # intercept_resend_z: 7 filter-on rows repeat their filter-off row.
+        counts = []
+        for call in range(2):
+            out = tmp_path / f"matrix{call}.csv"
+            assert main(["compare", "-o", str(out), "--seed", "42", "--rounds", "2000"]) == 0
+            assert out.read_bytes() == (GOLDEN / "compare_seed42_rounds2000.csv").read_bytes()
+            counts.append(len(sessions_computed))
+            sessions_computed.clear()
+        assert counts == [15, 15]
+
+    def test_a_passband_sweep_across_the_probe_computes_each_verdict_once(self, tmp_path,
+                                                                           sessions_computed):
+        # Half-widths 0.005, 0.05 and 5 nm pass the signal and absorb the
+        # 190000 nm probe; 500000 nm passes both.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(GOLDEN / "readme_ipe_seed42.json"), "--field", "passband_half_width_nm",
+                     "--values", "0.005,0.05,5,500000", "--rounds", "4000", "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "readme_sweep_passband_rounds4000.csv").read_bytes()
+        assert len(sessions_computed) == 2
+
+    def test_a_repeated_sweep_value_is_computed_once(self, tmp_path, sessions_computed):
+        scenario = write_scenario(tmp_path, IPE_SCENARIO)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", scenario, "--field", "control_prob", "--values", "0.1,0.5,0.1",
+                     "--rounds", "300", "-o", str(out)]) == 0
+        rows = parse_csv(out.read_text(encoding="utf-8"))
+        assert len(rows) == 3 and rows[0] == rows[2] != rows[1]
+        assert len(sessions_computed) == 2

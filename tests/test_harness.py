@@ -1398,3 +1398,119 @@ class TestSharedWords:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+# The session memo's grid, fixed before its first run: every pair a
+# scenario accepts, the per-round kkkp pairs among them, behind filters and
+# detector windows around the 800 nm signal, with the probe far out
+# (190000 nm), in the spectroscope band of the signal (800.5 nm) and at
+# 1550 nm.  The passbands and windows give each wavelength both verdicts,
+# so the keys both group sessions and part them.
+MEMO_SEEDS = (42, 2718281828)
+MEMO_ROUNDS = 150
+MEMO_PASSBANDS = (None, (799.95, 800.05), (640.0, 900.0), (700.0, 750.0), (700.0, 200_000.0))
+MEMO_WINDOWS = ((600.0, 900.0), (600.0, 800.25), (700.0, 2000.0))
+MEMO_PROBE_NM = (190_000.0, 800.5, 1550.0)
+MEMO_PAIRS = [(kind, kind_of_attack) for kind in PING_PONG for kind_of_attack in (
+    StrategyKind.NO_EVE, StrategyKind.INTERCEPT_RESEND,
+    StrategyKind.IPE_DENSE if kind is ProtocolKind.PP_DENSE else StrategyKind.IPE,
+)] + [(ProtocolKind.KKKP, kind_of_attack) for kind_of_attack in (
+    StrategyKind.NO_EVE, StrategyKind.KKKP_PROBE, StrategyKind.IPE, StrategyKind.INTERCEPT_RESEND)]
+PROBING = (StrategyKind.IPE, StrategyKind.IPE_DENSE, StrategyKind.KKKP_PROBE)
+
+
+def _memo_sessions(kind: ProtocolKind, attack: StrategyKind):
+    """The logged sessions of the memo's grid for one pair."""
+    for seed, probe_nm, passband, window in itertools.product(
+            MEMO_SEEDS, MEMO_PROBE_NM if attack in PROBING else MEMO_PROBE_NM[:1], MEMO_PASSBANDS, MEMO_WINDOWS):
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.3,
+                             filter=None if passband is None else OpticalFilter(passband),
+                             detector=Detector(window), rounds=MEMO_ROUNDS, seed=seed, log_rounds=True)
+        yield cfg, StrategySpec(attack, probe_nm, basis=0.4, n=2)
+
+
+def _verdicts(cfg: ProtocolConfig, spec: StrategySpec) -> tuple:
+    """The filter's and the detector's verdicts on each wavelength the session's photons carry."""
+    lo, hi = cfg.detector.window_nm
+    carried = (cfg.signal_wavelength_nm,) + ((spec.lambda_e_nm,) if spec.kind in PROBING else ())
+    return tuple((cfg.filter is None or cfg.filter.transmits(nm), lo <= nm <= hi) for nm in carried)
+
+
+class TestSessionMemo:
+    """``run_session(..., shared=d)`` computes each distinct session once per dict."""
+
+    @pytest.mark.parametrize("kind, attack", MEMO_PAIRS, ids=lambda v: v.value)
+    def test_equal_keys_give_equal_sessions(self, kind, attack, sessions_computed):
+        shared, groups, sessions = {}, {}, 0
+        for cfg, spec in _memo_sessions(kind, attack):
+            stats, log = run_session(cfg, spec)
+            memo_stats, memo_log = run_session(cfg, spec, shared=shared)
+            assert (repr(memo_stats), repr(memo_log)) == (repr(stats), repr(log))
+            groups.setdefault((cfg.seed, spec, _verdicts(cfg, spec)), set()).add((repr(stats), repr(log)))
+            sessions += 1
+        assert all(len(results) == 1 for results in groups.values())
+        assert len(shared) == len(groups) < sessions
+        assert len(sessions_computed) == sessions + len(groups)
+
+    def test_a_hit_returns_the_stored_stats_and_a_fresh_log(self, sessions_computed):
+        cfg = ProtocolConfig(kind=ProtocolKind.PP_EPR, rounds=300, seed=5, log_rounds=True)
+        shared = {}
+        stats, log = run_session(cfg, IPE, shared=shared)
+        log.clear()
+        # A passband that admits the signal and the probe: the verdicts of no filter.
+        wide = replace(cfg, filter=OpticalFilter((700.0, 200_000.0)))
+        again, again_log = run_session(wide, IPE, shared=shared)
+        assert again is stats and again_log == run_session(cfg, IPE)[1] != []
+        assert isinstance(again_log, list) and len(sessions_computed) == 2
+
+    def test_a_detector_edge_that_shows_the_probe_misses(self, sessions_computed):
+        # A 950 nm probe is invisible to a window that ends just below it and
+        # visible to one that ends at it: control rounds then see two photons.
+        spec = StrategySpec(StrategyKind.IPE, 950.0)
+        shared, results = {}, []
+        for hi in (math.nextafter(950.0, 0.0), 950.0):
+            cfg = ProtocolConfig(kind=ProtocolKind.PP_EPR, detector=Detector((600.0, hi)), rounds=300, seed=5)
+            results.append(run_session(cfg, spec, shared=shared))
+            assert results[-1] == run_session(cfg, spec)
+        assert len(shared) == 2 and len(sessions_computed) == 4
+        assert results[0][0].anomaly_count == 0 < results[1][0].anomaly_count
+
+    def test_a_filter_edge_that_flips_the_signal_misses(self, sessions_computed):
+        shared, results = {}, []
+        for lo in (800.0, math.nextafter(800.0, math.inf)):
+            cfg = ProtocolConfig(kind=ProtocolKind.PP_EPR, filter=OpticalFilter((lo, 800.05)), rounds=300, seed=5)
+            results.append(run_session(cfg, NO_EVE, shared=shared))
+            assert results[-1] == run_session(cfg, NO_EVE)
+        assert len(shared) == 2 and len(sessions_computed) == 4
+        assert results[0][0].absorbed_total == 0 < results[1][0].absorbed_total
+
+    @pytest.mark.parametrize("change, spec", [
+        ({"kind": ProtocolKind.PP_SINGLE}, NO_EVE),
+        ({"control_prob": 0.25}, NO_EVE),
+        ({"signal_wavelength_nm": 800.01}, NO_EVE),
+        ({"rounds": 301}, NO_EVE),
+        ({"seed": 6}, NO_EVE),
+        ({"log_rounds": True}, NO_EVE),
+        ({}, StrategySpec(StrategyKind.INTERCEPT_RESEND)),
+    ], ids=["kind", "control_prob", "signal", "rounds", "seed", "log_rounds", "strategy"])
+    def test_every_other_field_parts_sessions(self, change, spec):
+        cfg = ProtocolConfig(kind=ProtocolKind.PP_EPR, rounds=300, seed=5)
+        other = replace(cfg, **change)
+        shared = {}
+        run_session(cfg, NO_EVE, shared=shared)
+        assert run_session(other, spec, shared=shared) == run_session(other, spec)
+        assert len(shared) == 2
+
+    def test_without_a_dict_every_call_computes(self, sessions_computed):
+        cfg = ProtocolConfig(kind=ProtocolKind.PP_EPR, rounds=300, seed=5)
+        assert run_session(cfg, NO_EVE) == run_session(cfg, NO_EVE)
+        assert len(sessions_computed) == 2
+
+    def test_a_bad_config_still_raises(self):
+        cfg = ProtocolConfig(kind=ProtocolKind.PP_EPR, rounds=300, seed=5)
+        shared = {}
+        run_session(cfg, NO_EVE, shared=shared)
+        with pytest.raises(ConfigError):
+            run_session(replace(cfg, control_prob=1.5), NO_EVE, shared=shared)
+        with pytest.raises(ConfigError):
+            run_session(cfg, StrategySpec(StrategyKind.NO_EVE, basis="diagonal"), shared=shared)

@@ -15,13 +15,16 @@ file holds the parent and the change side by side.  The figures:
   their round log (``log_rounds``): ``pp_dense`` under ``ipe_dense``
   and ``kkkp`` under ``kkkp_probe`` at n = 4 (10^4 rounds, seed 42,
   best of five);
-* the wall time (median of five) and the Philox passes of whole
-  command-line runs, on one seed each (:data:`COMMANDS`): ``ppsim
-  compare`` at its defaults (10^4 rounds) and at 10^5 rounds, and
-  ``ppsim sweep`` over five values on a ``pp_epr``/``ipe`` scenario at
-  10^4 and 10^5 rounds and on a ``kkkp_probe`` n = 1 one at 10^4
-  rounds.  Where sessions share words, the 10^5-round runs are those
-  whose sessions outgrow the budget of kept words;
+* the wall time (median of five), the Philox passes, the sessions
+  computed and the rows printed of whole command-line runs, on one seed
+  each (:data:`COMMANDS`): ``ppsim compare`` at its defaults (10^4
+  rounds) and at 10^5 rounds, and ``ppsim sweep`` over five values on a
+  ``pp_epr``/``ipe`` scenario at 10^4 and 10^5 rounds and on a
+  ``kkkp_probe`` n = 1 one at 10^4 rounds.  Where sessions share words,
+  the 10^5-round runs are those whose sessions outgrow the budget of
+  kept words.  A session is computed when it asks
+  ``harness.block_form`` for its engine, which a session that repeats
+  an earlier one of its command does not do;
 * a warm in-process split of ``ppsim compare --seed 1 --rounds 2000``
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
@@ -112,9 +115,11 @@ SPLIT_INTERPRETERS = 5
 # Samples per call and checkout of ``--ab``, and its calls: the logged
 # ``pp_dense``/``ipe_dense`` session pair of the benchmark's
 # ``dense_logged_workers`` (at 2 workers, then 1), a ``compare`` pass of
-# :data:`SPLIT_ARGS`, and the tree builds of the ping-pong compare cells.
+# :data:`SPLIT_ARGS`, the tree builds of the ping-pong compare cells, and
+# the two 10^4-round sweeps of :data:`COMMANDS`.
 AB_SAMPLES = 60
-AB_CALLS = ("dense_pair", "compare_pass", "tree_builds")
+AB_SWEEPS = ("sweep_pp_epr_ipe", "sweep_kkkp_probe_n1")
+AB_CALLS = ("dense_pair", "compare_pass", "tree_builds") + AB_SWEEPS
 # The timed command-line runs, by name: the arguments after ``ppsim``.
 COMMANDS = {
     "compare": ["compare"],
@@ -302,15 +307,25 @@ def measure_here(what: str):
     if what in COMMANDS:
         name = _philox_name(harness)
         compute, passes = getattr(harness, name), []
+        engine, sessions = harness.block_form, []
 
         def counted(*args):
             passes.append(args)
             return compute(*args)
 
+        def asked(*args):
+            sessions.append(None)
+            return engine(*args)
+
         setattr(harness, name, counted)
+        harness.block_form = asked
         with tempfile.TemporaryDirectory() as tmp:
-            argv = COMMANDS[what] + ["-o", os.path.join(tmp, "out.csv")]
-            return {"wall_s": _timed(lambda: ppsim.cli.main(argv)), "philox_passes": len(passes)}
+            out = os.path.join(tmp, "out.csv")
+            wall_s = _timed(lambda: ppsim.cli.main(COMMANDS[what] + ["-o", out]))
+            with open(out, encoding="utf-8") as fh:
+                rows = len(fh.read().splitlines()) - 1  # after the header
+        return {"wall_s": wall_s, "philox_passes": len(passes), "sessions_computed": len(sessions),
+                "rows": rows}
     cfg, spec = _sessions()[what]
     ppsim.run_session(replace(cfg, seed=WARM_UP_SEED), spec)
     return _timed(lambda: ppsim.run_session(cfg, spec))
@@ -337,8 +352,7 @@ def measure(root: Path) -> dict:
     commands = {}
     for name in COMMANDS:
         samples = [_fresh(root, name) for _ in range(REPEATS)]
-        commands[name] = {"wall_s": round(median(sample["wall_s"] for sample in samples), 4),
-                          "philox_passes": samples[0]["philox_passes"]}
+        commands[name] = dict(samples[0], wall_s=round(median(sample["wall_s"] for sample in samples), 4))
     splits = {what: [_fresh(root, what) for _ in range(SPLIT_INTERPRETERS)]
               for what in ("split", "kkkp_split", "dense_split")}
     kkkp_split = {n: _median_ms([sample[n] for sample in splits["kkkp_split"]]) for n in splits["kkkp_split"][0]}
@@ -377,7 +391,11 @@ def _ab_calls(ppsim, out_dir: str) -> dict:
         for cfg, adv in trees:
             protocols.block_form(cfg, adv)
 
-    return {"dense_pair": dense_pair, "compare_pass": lambda: cli.main(argv), "tree_builds": tree_builds}
+    sweeps = {name: (lambda args=COMMANDS[name] + ["-o", os.path.join(out_dir, f"{ppsim.__name__}_{name}.csv")]:
+                     cli.main(args))
+              for name in AB_SWEEPS}
+    return {"dense_pair": dense_pair, "compare_pass": lambda: cli.main(argv), "tree_builds": tree_builds,
+            **sweeps}
 
 
 def ab(root: Path, other: Path) -> dict:
