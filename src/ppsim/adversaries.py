@@ -178,7 +178,7 @@ def make_no_eve() -> AdversaryStrategy:
     return AdversaryStrategy()
 
 
-def _probe_band(lambda_e_nm: float) -> tuple[float, float]:
+def probe_band(lambda_e_nm: float) -> tuple[float, float]:
     return (lambda_e_nm - PROBE_BAND_HALF_WIDTH_NM, lambda_e_nm + PROBE_BAND_HALF_WIDTH_NM)
 
 
@@ -214,7 +214,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
         check_wavelength("probe lambda_e_nm", lambda_e_nm)
         self.lambda_e_nm = lambda_e_nm
         self.probe_wavelengths = (lambda_e_nm,)
-        self.band_nm = _probe_band(lambda_e_nm)
+        self.band_nm = probe_band(lambda_e_nm)
 
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_single(Prep.PLUS), 0
@@ -314,7 +314,7 @@ class _BlindBaseProbe(AdversaryStrategy):
         self.n = n
         self.lambda_e_nm = lambda_e_nm
         self.probe_wavelengths = (lambda_e_nm,)
-        self.band_nm = _probe_band(lambda_e_nm)
+        self.band_nm = probe_band(lambda_e_nm)
         self.theta_known = theta_known
 
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:

@@ -9,14 +9,15 @@ once at the end.
 
 There are two engines, chosen once per session by
 ``protocols.block_form``.  The scalar one runs :func:`run_round` once
-per round.  The block engine runs round 0 through :func:`run_round` and
+per round, on the streams of :func:`_stream_factory`.  The block engine
+runs round 0 through :func:`run_round` on a :class:`WordStream`, and
 the rest as numpy arrays over blocks of up to :data:`BLOCK_ROUNDS`
 rounds, which may mix control and message rounds; it reads the same
 words of the same streams and makes the same decisions from them, so
 the scalar engine is its exact oracle.  A block's words come from one
 vectorised Philox pass over its counters (:func:`_block_words`), pinned
-bit for bit to :func:`round_rng`; round 0 and round-by-round sessions
-reach their streams through :func:`_stream_factory`.  Sessions on the
+bit for bit to :func:`round_rng`; round 0 reads its row of the first
+block, so a blocked session builds no numpy Generator.  Sessions on the
 same seed, as in ``ppsim compare`` and ``ppsim sweep``, share the words
 of the blocks kept within a budget (:func:`_block_words`), and each of
 those commands runs a session that repeats an earlier one of its own,
@@ -38,8 +39,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
-from .protocols import Mode, ProtocolConfig, RoundRecord, block_form, message_bit_width, run_round
+from .adversaries import AdversaryStrategy, StrategySpec, make_strategy, probe_band
+from .protocols import Mode, ProtocolConfig, RoundRecord, WordStream, block_form, message_bit_width, run_round
 
 # Rounds per block of the block engine: enough to spread thin the fixed
 # cost of the ~200 numpy calls of a block's Philox pass, few enough that a
@@ -74,7 +75,7 @@ def _stream_factory(seed: int):
     Reuses one Philox generator and resets its state to (seed,
     counter = index << 192, nothing buffered) before each round; the
     emitted streams are bit-identical to fresh :func:`round_rng`
-    generators.
+    generators.  Only round-by-round sessions use it.
     """
     bit_gen = np.random.Philox(key=seed)
     gen = np.random.Generator(bit_gen)
@@ -288,52 +289,60 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
 
     Returns the aggregated statistics and the round log (empty unless
     ``cfg.log_rounds``).  A session with a block form (see
-    ``protocols.block_form``) runs round 0 through :func:`run_round`
-    and the rest in blocks of up to :data:`BLOCK_ROUNDS` rounds,
-    reading the same words of the same streams (a ping-pong block looks
-    each round's leaf up in a key table), so its statistics and log are
-    those of :func:`run_round` round by round.  Every other
-    session runs round by round.  Every round runs in the calling
-    thread, and ``workers`` has no effect: the result is the same for
-    any value.  A guess of another width than the protocol's messages
-    (a one-bit guess on ``pp_dense``, say) is not scored: its
-    ``eve_accuracy`` and ``eve_mutual_info_bits`` are None.
+    ``protocols.block_form``) runs in blocks of up to
+    :data:`BLOCK_ROUNDS` rounds, round 0 through :func:`run_round` on a
+    :class:`WordStream` over its row of the first block, reading the
+    same words of the same streams (a ping-pong block looks each round's
+    leaf up in a key table), so its statistics and log are those of
+    :func:`run_round` round by round.  Every other session runs round by
+    round, on the streams of :func:`_stream_factory`.  Every round runs
+    in the calling thread, and ``workers`` has no effect: the result is
+    the same for any value.  A guess of another width than the
+    protocol's messages (a one-bit guess on ``pp_dense``, say) is not
+    scored: its ``eve_accuracy`` and ``eve_mutual_info_bits`` are None.
 
     ``shared``, a dict one command passes to all its sessions, keeps
     their results.  A session that differs from an earlier one only in a
     filter or detector giving the same verdicts on the signal's
-    wavelength and the strategy's ``probe_wavelengths`` returns that
-    one's statistics and a copy of its log.
+    wavelength and the strategy's ``probe_wavelengths``, or in a
+    ``lambda_e_nm`` whose probe band holds the signal just as that one's
+    does, returns that one's statistics and a copy of its log.
     """
     cfg.validate()
     adv: AdversaryStrategy = make_strategy(strategy)
     if shared is not None:
-        lo, hi = cfg.detector.window_nm
-        key = (cfg.kind, cfg.control_prob, cfg.signal_wavelength_nm, cfg.rounds, cfg.seed,
-               cfg.log_rounds, strategy,
+        (lo, hi), signal = cfg.detector.window_nm, cfg.signal_wavelength_nm
+        key = (cfg.kind, cfg.control_prob, signal, cfg.rounds, cfg.seed, cfg.log_rounds,
+               replace(strategy, lambda_e_nm=None),
                tuple((cfg.filter is None or cfg.filter.transmits(w), lo <= w <= hi)
-                     for w in (cfg.signal_wavelength_nm, *adv.probe_wavelengths)))
+                     for w in (signal, *adv.probe_wavelengths)),
+               tuple(band[0] <= signal <= band[1] for band in map(probe_band, adv.probe_wavelengths)))
         hit = shared.get(key)
         if hit is not None:
             return hit[0], list(hit[1])
-    stream_at = _stream_factory(cfg.seed)
     acc = _Accumulator()
     log: list[RoundRecord] = []
     blocks = block_form(cfg, adv)
-    for i in range(cfg.rounds if blocks is None else 1):
-        rec = run_round(cfg, adv, stream_at(i))
+    if blocks is None:
+        streams, starts = map(_stream_factory(cfg.seed), range(cfg.rounds)), ()
+    else:
+        rows = min(BLOCK_ROUNDS, max(1, BLOCK_ROUNDS * 20 // blocks.words))
+        starts = range(0, cfg.rounds, rows)
+        words = _block_words(cfg.seed, 0, min(rows, cfg.rounds), blocks.words)
+        streams = [WordStream(words[0].tolist())]  # round 0, on its row of the first block
+    for stream in streams:
+        rec = run_round(cfg, adv, stream)
         acc.add(rec)
         if cfg.log_rounds:
             log.append(rec)
-    if blocks is not None:
-        rows = min(BLOCK_ROUNDS, max(1, BLOCK_ROUNDS * 20 // blocks.words))
-        for start in range(1, cfg.rounds, rows):
-            stop = min(start + rows, cfg.rounds)
-            block = blocks.run(_block_words(cfg.seed, start, stop, blocks.words))
-            for rec, times in block.counts():
-                acc.add(rec, times)
-            if cfg.log_rounds:
-                log.extend(block.records())
+    for start in starts:
+        if start:
+            words = _block_words(cfg.seed, start, min(start + rows, cfg.rounds), blocks.words)
+        block = blocks.run(words[start == 0:])  # row 0 of the first block was round 0
+        for rec, times in block.counts():
+            acc.add(rec, times)
+        if cfg.log_rounds:
+            log.extend(block.records())
     stats = acc.stats(cfg.seed)
     if adv.width != message_bit_width(cfg.kind):
         stats = replace(stats, eve_accuracy=None, eve_mutual_info_bits=None)

@@ -363,6 +363,41 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11).astype(np.float64) * (1.0 / _GRID)
 
 
+class WordStream:
+    """A round's stream over given 64-bit words, drawn as numpy's Generator draws them.
+
+    ``random()`` takes a whole word: its top 53 bits times 2**-53.  A
+    32-bit draw (``bit_generator.ctypes.next_uint32``, which
+    ``RoundContext.random_bits`` calls) takes a fresh word's low half and
+    keeps its high half for the next one; a uniform drawn in between
+    leaves that half alone.  ``taken`` counts the words taken.
+    """
+
+    def __init__(self, words: Sequence[int]):
+        self.words, self.taken, self.state = words, 0, None
+        self.high: int | None = None  # the word whose high half is kept
+
+    bit_generator = ctypes = property(lambda self: self)  # not stored: no cycle keeps a stream alive
+
+    def random(self):
+        self.taken += 1
+        return self._uniform(self.taken - 1)
+
+    def next_uint32(self, state: None):
+        if self.high is None:
+            self.high = self.taken
+            self.taken += 1
+            return self._half(self.high, 0)
+        word, self.high = self.high, None
+        return self._half(word, 32)
+
+    def _uniform(self, word: int) -> float:
+        return (self.words[word] >> 11) / _GRID
+
+    def _half(self, word: int, shift: int) -> int:
+        return (self.words[word] >> shift) & 0xFFFFFFFF
+
+
 class KkkpBlocks:
     """The rounds of a ``kkkp`` session a block at a time, as arrays over the rounds.
 
@@ -465,7 +500,7 @@ class BranchBlocks:
         while pending:
             runs.append(_BranchDraws(*pending.pop(), pending))
             records.append(_round(cfg, adv, runs[-1], proto))
-        self.words = max(run.words for run in runs)
+        self.words = max(run.taken for run in runs)
         self.table = np.array(records, object)
         # A uniform word that a leaf narrows is an axis: the sorted ends of
         # the leaves' intervals on it, 0 and 2**53 among them.
@@ -505,14 +540,11 @@ class BranchBlocks:
 _Branch = tuple[list[int], dict[int, tuple[int, int]], dict[tuple[int, int, int], int]]
 
 
-class _BranchDraws:
+class _BranchDraws(WordStream):
     """Stands in for a round's Generator while :class:`BranchBlocks` finds its leaves.
 
-    ``random()`` and ``random_bits`` (through
-    ``bit_generator.ctypes.next_uint32``) hand out :class:`_Draw`
-    objects and consume words as numpy does: a uniform takes a whole
-    word; a 32-bit draw takes a fresh word's low half and buffers the
-    high half for the next one.  A run replays the outcomes of ``path``,
+    It takes words as :class:`WordStream` does, but hands out
+    :class:`_Draw` objects.  A run replays the outcomes of ``path``,
     one per decision, from the box the last of them leaves: ``bounds``
     maps each narrowed uniform word w to the [lo, hi) holding w >> 11, and
     ``fields`` each half-word field (word, shift, mask) read to its value.
@@ -523,27 +555,15 @@ class _BranchDraws:
 
     def __init__(self, path: list[int], bounds: dict[int, tuple[int, int]],
                  fields: dict[tuple[int, int, int], int], pending: list[_Branch]):
-        self.replay, self.taken, self.pending = iter(path), list(path), pending
+        super().__init__(())
+        self.replay, self.decided, self.pending = iter(path), list(path), pending
         self.bounds, self.fields = bounds, fields
-        self.words = 0
-        self.high: int | None = None  # the word whose high half is buffered
-        self.state = None
 
-    # Read as attributes, not stored, so that no cycle keeps a run alive
-    # until the garbage collector runs.
-    bit_generator = ctypes = property(lambda self: self)
+    def _uniform(self, word: int) -> _Draw:
+        return _Draw(self, word, 0)
 
-    def random(self) -> _Draw:
-        self.words += 1
-        return _Draw(self, self.words - 1, 0)
-
-    def next_uint32(self, state: None) -> _Draw:
-        if self.high is None:
-            self.high = self.words
-            self.words += 1
-            return _Draw(self, self.high, 0)
-        word, self.high = self.high, None
-        return _Draw(self, word, 32)
+    def _half(self, word: int, shift: int) -> _Draw:
+        return _Draw(self, word, shift)
 
 
 @dataclass(slots=True)
@@ -569,10 +589,10 @@ class _Draw:
             cut = min(max(math.ceil(threshold * _GRID), lo), hi)
             outcome = int(cut == hi)  # not below, unless every draw is
             if lo < cut < hi:
-                draws.pending.append((draws.taken + [1], {**draws.bounds, self.word: (lo, cut)},
+                draws.pending.append((draws.decided + [1], {**draws.bounds, self.word: (lo, cut)},
                                       draws.fields.copy()))
                 draws.bounds[self.word] = (cut, hi)
-            draws.taken.append(outcome)
+            draws.decided.append(outcome)
         return bool(outcome)
 
     def __rshift__(self, shift: int) -> int:
@@ -581,9 +601,9 @@ class _Draw:
         if outcome is None:
             field = (self.word, self.half + shift, (1 << (32 - shift)) - 1)
             for value in range(1, field[2] + 1):
-                draws.pending.append((draws.taken + [value], draws.bounds.copy(), {**draws.fields, field: value}))
+                draws.pending.append((draws.decided + [value], draws.bounds.copy(), {**draws.fields, field: value}))
             draws.fields[field] = outcome = 0
-            draws.taken.append(outcome)
+            draws.decided.append(outcome)
         return outcome
 
 

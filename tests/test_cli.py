@@ -425,6 +425,16 @@ class TestEachDistinctSessionOnce:
         assert out.read_bytes() == (GOLDEN / "readme_sweep_passband_rounds4000.csv").read_bytes()
         assert len(sessions_computed) == 2
 
+    def test_a_lambda_sweep_of_one_verdict_computes_one_session(self, tmp_path, sessions_computed):
+        # No filter: every probe is invisible, admitted and far from the
+        # signal, so the five values are one session.  The golden file is
+        # the output of a checkout that computed all five.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(GOLDEN / "kkkp_probe_seed7.json"), "--rounds", "10000", "--field", "lambda_e_nm",
+                     "--values", "150000,170000,190000,210000,230000", "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "sweep_kkkp_probe_lambda_seed7_rounds10000.csv").read_bytes()
+        assert len(sessions_computed) == 1
+
     def test_a_repeated_sweep_value_is_computed_once(self, tmp_path, sessions_computed):
         scenario = write_scenario(tmp_path, IPE_SCENARIO)
         out = tmp_path / "sweep.csv"

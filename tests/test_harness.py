@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppsim import adversaries, harness, protocols, quantum
-from ppsim.adversaries import AdversaryStrategy, RoundContext, StrategyKind, StrategySpec, make_strategy
+from ppsim.adversaries import (PROBE_BAND_HALF_WIDTH_NM, AdversaryStrategy, RoundContext, StrategyKind,
+                               StrategySpec, make_strategy)
 from ppsim.cli import _compare_attacks
 from ppsim.harness import (
     BLOCK_ROUNDS,
@@ -338,6 +342,19 @@ def philox_passes(monkeypatch):
     return passes
 
 
+@pytest.fixture
+def generators_built(monkeypatch):
+    """Lists the seeds of the numpy Generators ``run_session`` builds through ``_stream_factory``."""
+    built = []
+
+    def counted(seed):
+        built.append(seed)
+        return _stream_factory(seed)
+
+    monkeypatch.setattr(harness, "_stream_factory", counted)
+    return built
+
+
 def kkkp_cfg(**kw) -> ProtocolConfig:
     return ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, log_rounds=True, **kw)
 
@@ -487,8 +504,8 @@ class TestBlockEngine:
         cfg = kkkp_cfg(rounds=20, seed=5)
         spec = StrategySpec(StrategyKind.KKKP_PROBE, n=4096)
         assert run_session(cfg, spec) == round_by_round(cfg, spec)
-        assert [(start, stop) for _, start, stop, _ in philox_passes] == [(1, 10), (10, 19), (19, 20)]
-        # One 199-row block would peak near 29 MiB.
+        assert [(start, stop) for _, start, stop, _ in philox_passes] == [(0, 9), (9, 18), (18, 20)]
+        # One 200-row block would peak near 29 MiB.
         harness._words.clear()
         tracemalloc.start()
         try:
@@ -513,39 +530,19 @@ class TestBlockEngine:
         assert calls == [100] * 3
 
 
-class WordStream:
-    """A Generator stand-in that replays given 64-bit words the way numpy draws them.
+class WordStream(harness.WordStream):
+    """The harness's stream over a row of words, noting each comparison of its uniforms.
 
-    ``random()`` takes a whole word: its top 53 bits times 2**-53.
-    ``random_bits`` (through ``bit_generator.ctypes.next_uint32``) takes
-    a fresh word's low half and buffers its high half for the next call.
     Each uniform it hands out records, in ``compared``, every threshold
     it is compared with, as (word index, threshold).
     """
 
     def __init__(self, words):
-        self.words = [int(w) for w in words]
-        self.taken = 0
-        self.high = None
+        super().__init__([int(w) for w in words])
         self.compared = []
-        self.bit_generator = self.ctypes = self
-        self.state = None
 
-    def _take(self) -> int:
-        self.taken += 1
-        return self.words[self.taken - 1]
-
-    def random(self) -> float:
-        word = self.taken
-        return _RecordedUniform(self, word, (self._take() >> 11) * 2.0**-53)
-
-    def next_uint32(self, state) -> int:
-        if self.high is not None:
-            high, self.high = self.high, None
-            return high
-        word = self._take()
-        self.high = word >> 32
-        return word & 0xFFFFFFFF
+    def _uniform(self, word: int) -> float:
+        return _RecordedUniform(self, word, super()._uniform(word))
 
 
 class _RecordedUniform(float):
@@ -564,20 +561,25 @@ class _RecordedUniform(float):
 class TestWordLayout:
     """The draw order the block engines read, pinned against numpy itself."""
 
+    @pytest.mark.parametrize("stream", [harness.WordStream, WordStream], ids=["harness", "recording"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_word_stream_draws_as_numpy_does(self, seed):
+    def test_word_stream_draws_as_numpy_does(self, seed, stream):
         # A uniform takes a whole word; random_bits takes the top bits of a
         # fresh word's low half, or of the high half the previous call
-        # buffered; a uniform in between leaves that buffer alone.
+        # kept; a uniform in between leaves that half alone.
         script = np.random.default_rng(seed).integers(0, 4, (300, 10)).tolist()
         for index, calls in enumerate(script):
-            ours = RoundContext(rng=WordStream(round_rng(seed, index).bit_generator.random_raw(10)))
+            ours = RoundContext(rng=stream(round_rng(seed, index).bit_generator.random_raw(10).tolist()))
             numpy = RoundContext(rng=round_rng(seed, index))
             for width in calls:
                 if width == 0:
-                    assert ours.rng.random() == numpy.rng.random()
+                    mine, theirs = ours.rng.random(), numpy.rng.random()
                 else:
-                    assert ours.random_bits(width) == numpy.random_bits(width)
+                    mine, theirs = ours.random_bits(width), numpy.random_bits(width)
+                # Plain floats and ints, as numpy's, so that records print alike.
+                assert mine == theirs and isinstance(mine, type(theirs))
+                if stream is harness.WordStream:
+                    assert type(mine) is type(theirs)
 
     @pytest.mark.parametrize("kind, control, words", [
         # pp_epr under ipe: coin, then control: travel, home, blind guess;
@@ -674,7 +676,8 @@ class TestPingPongBlocks:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
     def test_compare_cells_match_round_by_round(self, kind, name, spec, filt, seed):
-        # Round 0, then one block of rounds 1-599; test_block_boundaries crosses blocks.
+        # One block of rounds 0-599, round 0 through run_round; test_block_boundaries
+        # crosses blocks.
         cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
                              filter=FILTERS[filt], rounds=600, seed=seed, log_rounds=True)
         assert_matches_round_by_round(cfg, spec)
@@ -1298,6 +1301,32 @@ class TestEngineChoice:
         run_session(ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=7), IPE)
         assert len(calls) == 7
 
+    @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
+    def test_blocked_sessions_build_no_generator(self, kind, name, spec, filt, generators_built):
+        # Round 0 draws from its row of the first block's words.
+        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
+                             filter=FILTERS[filt], rounds=7)
+        run_session(cfg, spec)
+        assert generators_built == []
+
+    @pytest.mark.parametrize("spec", [IPE, INTERCEPT], ids=lambda v: v.kind.value)
+    def test_round_by_round_sessions_build_one_generator(self, spec, generators_built):
+        cfg = kkkp_cfg(rounds=7, seed=5)
+        run_session(cfg, spec)
+        assert generators_built == [cfg.seed]
+
+    @pytest.mark.parametrize("code, imported", [
+        ("ppsim.cli.main(['compare', '--rounds', '50', '-o', sys.argv[1]])", False),
+        ("ppsim.run_session(ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.KKKP, control_prob=0.0, rounds=5),"
+         " ppsim.StrategySpec(ppsim.StrategyKind.IPE))", True),
+    ], ids=["compare", "kkkp-ipe"])
+    def test_only_round_by_round_sessions_import_numpy_random(self, code, imported, tmp_path):
+        script = f"import sys, ppsim, ppsim.cli\n{code}\nprint('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "matrix.csv")], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.split() == [str(imported)]
+
 
 class TestGuessWidth:
     @pytest.mark.parametrize("kind, spec", [
@@ -1357,13 +1386,12 @@ class TestSharedWords:
         (StrategySpec(StrategyKind.KKKP_PROBE, n=16), 3),
     ], ids=["4_words", "12_words", "20_words"])
     def test_kept_words_stay_within_the_budget(self, spec, kept, philox_passes):
-        # Rounds 1 on run in five blocks; the budget keeps the first ones,
+        # The rounds run in five blocks; the budget keeps the first ones,
         # which the next session on the seed reads without a Philox pass.
         cfg = kkkp_cfg(rounds=5 * BLOCK_ROUNDS, seed=3)
         first = run_session(cfg, spec)
         assert len(philox_passes) == 5
-        assert list(harness._words) == [(3, i * BLOCK_ROUNDS + 1, min((i + 1) * BLOCK_ROUNDS + 1, cfg.rounds))
-                                        for i in range(kept)]
+        assert list(harness._words) == [(3, i * BLOCK_ROUNDS, (i + 1) * BLOCK_ROUNDS) for i in range(kept)]
         assert sum(w.nbytes for w in harness._words.values()) <= harness._WORDS_BUDGET
         assert run_session(cfg, spec) == first
         assert len(philox_passes) == 10 - kept
@@ -1430,10 +1458,14 @@ def _memo_sessions(kind: ProtocolKind, attack: StrategyKind):
 
 
 def _verdicts(cfg: ProtocolConfig, spec: StrategySpec) -> tuple:
-    """The filter's and the detector's verdicts on each wavelength the session's photons carry."""
+    """The filter's and the detector's verdicts on each wavelength the session's photons carry,
+    and whether the probe's spectroscope band holds the signal."""
     lo, hi = cfg.detector.window_nm
-    carried = (cfg.signal_wavelength_nm,) + ((spec.lambda_e_nm,) if spec.kind in PROBING else ())
-    return tuple((cfg.filter is None or cfg.filter.transmits(nm), lo <= nm <= hi) for nm in carried)
+    signal, probe = cfg.signal_wavelength_nm, spec.lambda_e_nm
+    carried = (signal,) + ((probe,) if spec.kind in PROBING else ())
+    in_band = (probe - PROBE_BAND_HALF_WIDTH_NM <= signal <= probe + PROBE_BAND_HALF_WIDTH_NM,)
+    return (tuple((cfg.filter is None or cfg.filter.transmits(nm), lo <= nm <= hi) for nm in carried)
+            + (in_band if spec.kind in PROBING else ()))
 
 
 class TestSessionMemo:
@@ -1446,7 +1478,9 @@ class TestSessionMemo:
             stats, log = run_session(cfg, spec)
             memo_stats, memo_log = run_session(cfg, spec, shared=shared)
             assert (repr(memo_stats), repr(memo_log)) == (repr(stats), repr(log))
-            groups.setdefault((cfg.seed, spec, _verdicts(cfg, spec)), set()).add((repr(stats), repr(log)))
+            # lambda_e_nm reaches a session only through its verdicts.
+            groups.setdefault((cfg.seed, replace(spec, lambda_e_nm=None), _verdicts(cfg, spec)),
+                              set()).add((repr(stats), repr(log)))
             sessions += 1
         assert all(len(results) == 1 for results in groups.values())
         assert len(shared) == len(groups) < sessions

@@ -16,15 +16,17 @@ file holds the parent and the change side by side.  The figures:
   and ``kkkp`` under ``kkkp_probe`` at n = 4 (10^4 rounds, seed 42,
   best of five);
 * the wall time (median of five), the Philox passes, the sessions
-  computed and the rows printed of whole command-line runs, on one seed
-  each (:data:`COMMANDS`): ``ppsim compare`` at its defaults (10^4
+  computed, the numpy Generators built and the rows printed of whole
+  command-line runs, on one seed each (:data:`COMMANDS`): ``ppsim compare`` at its defaults (10^4
   rounds) and at 10^5 rounds, and ``ppsim sweep`` over five values on a
   ``pp_epr``/``ipe`` scenario at 10^4 and 10^5 rounds and on a
   ``kkkp_probe`` n = 1 one at 10^4 rounds.  Where sessions share words,
   the 10^5-round runs are those whose sessions outgrow the budget of
   kept words.  A session is computed when it asks
   ``harness.block_form`` for its engine, which a session that repeats
-  an earlier one of its command does not do;
+  an earlier one of its command does not do; a Generator is built by a
+  call of ``harness._stream_factory``, which only round-by-round
+  sessions make;
 * a warm in-process split of ``ppsim compare --seed 1 --rounds 2000``
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
@@ -74,7 +76,11 @@ one interpreter, as the packages ``ppsim_this`` and ``ppsim_other``, and
 alternates their calls (:data:`AB_CALLS`), :data:`AB_SAMPLES` samples of
 each call per checkout, the first of each pair swapping from one pair to
 the next.  Every sample is warm, as a perfbench pass is: a session
-reads the words its checkout kept from the samples before.  It records
+reads the words its checkout kept from the samples before.  The one
+exception is ``compare_process``, a whole ``ppsim compare`` process
+(:data:`PROCESS_ARGS`) timed from start to exit, which pays the
+interpreter's start and every import, ``numpy.random`` among them where
+the checkout imports it.  It records
 the median of each call per checkout, and how many pairs each checkout
 won, under ``ab`` in ``--out``, keyed by ``--label``.
 """
@@ -115,11 +121,13 @@ SPLIT_INTERPRETERS = 5
 # Samples per call and checkout of ``--ab``, and its calls: the logged
 # ``pp_dense``/``ipe_dense`` session pair of the benchmark's
 # ``dense_logged_workers`` (at 2 workers, then 1), a ``compare`` pass of
-# :data:`SPLIT_ARGS`, the tree builds of the ping-pong compare cells, and
-# the two 10^4-round sweeps of :data:`COMMANDS`.
+# :data:`SPLIT_ARGS`, the tree builds of the ping-pong compare cells, a
+# fresh ``ppsim compare`` process on :data:`PROCESS_ARGS`, and the two
+# 10^4-round sweeps of :data:`COMMANDS`.
 AB_SAMPLES = 60
 AB_SWEEPS = ("sweep_pp_epr_ipe", "sweep_kkkp_probe_n1")
-AB_CALLS = ("dense_pair", "compare_pass", "tree_builds") + AB_SWEEPS
+AB_CALLS = ("dense_pair", "compare_pass", "tree_builds", "compare_process") + AB_SWEEPS
+PROCESS_ARGS = ["compare", "--rounds", "2000"]
 # The timed command-line runs, by name: the arguments after ``ppsim``.
 COMMANDS = {
     "compare": ["compare"],
@@ -308,6 +316,7 @@ def measure_here(what: str):
         name = _philox_name(harness)
         compute, passes = getattr(harness, name), []
         engine, sessions = harness.block_form, []
+        streams, generators = harness._stream_factory, []
 
         def counted(*args):
             passes.append(args)
@@ -317,15 +326,20 @@ def measure_here(what: str):
             sessions.append(None)
             return engine(*args)
 
+        def built(seed):
+            generators.append(seed)
+            return streams(seed)
+
         setattr(harness, name, counted)
         harness.block_form = asked
+        harness._stream_factory = built
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out.csv")
             wall_s = _timed(lambda: ppsim.cli.main(COMMANDS[what] + ["-o", out]))
             with open(out, encoding="utf-8") as fh:
                 rows = len(fh.read().splitlines()) - 1  # after the header
         return {"wall_s": wall_s, "philox_passes": len(passes), "sessions_computed": len(sessions),
-                "rows": rows}
+                "generators_built": len(generators), "rows": rows}
     cfg, spec = _sessions()[what]
     ppsim.run_session(replace(cfg, seed=WARM_UP_SEED), spec)
     return _timed(lambda: ppsim.run_session(cfg, spec))
@@ -372,8 +386,8 @@ def _load(root: Path, name: str):
     return module
 
 
-def _ab_calls(ppsim, out_dir: str) -> dict:
-    """The calls of :data:`AB_CALLS`, run by ``ppsim``, a package :func:`_load` imported."""
+def _ab_calls(ppsim, root: Path, out_dir: str) -> dict:
+    """The calls of :data:`AB_CALLS`, run by ``ppsim``, a package :func:`_load` imported from ``root``."""
     cli, harness, protocols, adversaries = (importlib.import_module(f"{ppsim.__name__}.{module}")
                                             for module in ("cli", "harness", "protocols", "adversaries"))
     dense = ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.PP_DENSE, rounds=DENSE_SPLIT_ROUNDS, seed=1,
@@ -394,16 +408,19 @@ def _ab_calls(ppsim, out_dir: str) -> dict:
     sweeps = {name: (lambda args=COMMANDS[name] + ["-o", os.path.join(out_dir, f"{ppsim.__name__}_{name}.csv")]:
                      cli.main(args))
               for name in AB_SWEEPS}
+    process = [sys.executable, "-m", "ppsim.cli", *PROCESS_ARGS, "-o",
+               os.path.join(out_dir, ppsim.__name__ + "_process.csv")]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return {"dense_pair": dense_pair, "compare_pass": lambda: cli.main(argv), "tree_builds": tree_builds,
-            **sweeps}
+            "compare_process": lambda: subprocess.run(process, env=env, check=True), **sweeps}
 
 
 def ab(root: Path, other: Path) -> dict:
     """In one interpreter, the median of each of :data:`AB_CALLS` in ms for the checkout
     at ``root`` and at ``other``, from alternated warm samples, and the pairs ``root`` won."""
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"this": _ab_calls(_load(root, "ppsim_this"), tmp),
-                 "other": _ab_calls(_load(other, "ppsim_other"), tmp)}
+        sides = {"this": _ab_calls(_load(root, "ppsim_this"), root, tmp),
+                 "other": _ab_calls(_load(other, "ppsim_other"), other, tmp)}
         figures = {}
         for call in AB_CALLS:
             times: dict[str, list[float]] = {side: [] for side in sides}
