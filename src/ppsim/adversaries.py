@@ -135,10 +135,12 @@ class KkkpBlockForm:
         The arguments are arrays over the rounds.  ``theta`` is the
         ``quantum.cos_sin`` of the sender's blinding angle and ``encode``
         that of the net rotation ROT(s*pi/4 - theta) her encoder applies
-        to every photon it receives.  Row i of ``draws`` holds the
-        uniform draws the strategy makes in round i, in order, and
-        ``coin`` the value ``ctx.random_bits(1)`` returns if the strategy
-        calls it (at most once a round).
+        to every photon it receives.  Row i of ``draws`` holds the raw
+        64-bit words of the uniform draws the strategy makes in round i,
+        in order (``quantum.draws_below`` compares them with
+        probabilities as ``rng.random()`` draws would be), and ``coin``
+        the value ``ctx.random_bits(1)`` returns if the strategy calls it
+        (at most once a round).
         """
         return None
 
@@ -178,7 +180,7 @@ def make_no_eve() -> AdversaryStrategy:
     return AdversaryStrategy()
 
 
-def probe_band(lambda_e_nm: float) -> tuple[float, float]:
+def _probe_band(lambda_e_nm: float) -> tuple[float, float]:
     return (lambda_e_nm - PROBE_BAND_HALF_WIDTH_NM, lambda_e_nm + PROBE_BAND_HALF_WIDTH_NM)
 
 
@@ -186,17 +188,15 @@ def _take_probes(pulse: Pulse, band_nm: tuple[float, float],
                  probe_ids: Container[int]) -> tuple[list[Photon], Pulse]:
     """Split off Eve's own probes via the spectroscope band.
 
-    In-band photons that are not hers (possible when the probe
-    wavelength is chosen inside the legitimate band) are forwarded
-    untouched, order preserved.
+    She captures the photons in the band that carry her probe ids and
+    forwards every other photon of the pulse, in the band or not (as the
+    signal is when the probe wavelength lies near it), untouched and in
+    order.  So whether the band holds the signal changes no result.
     """
-    in_band, out_band = split_by_wavelength(pulse, band_nm)
+    in_band, _ = split_by_wavelength(pulse, band_nm)
     captured = [p for p in in_band.photons if p.id in probe_ids]
-    if len(captured) == len(in_band.photons):  # the band held only probes
-        return captured, out_band
     captured_ids = {p.id for p in captured}
-    forwarded = [p for p in pulse.photons if p.id not in captured_ids]
-    return captured, Pulse(pulse.leg, forwarded)
+    return captured, Pulse(pulse.leg, [p for p in pulse.photons if p.id not in captured_ids])
 
 
 class _InvisiblePhotonEavesdropper(AdversaryStrategy):
@@ -214,7 +214,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
         check_wavelength("probe lambda_e_nm", lambda_e_nm)
         self.lambda_e_nm = lambda_e_nm
         self.probe_wavelengths = (lambda_e_nm,)
-        self.band_nm = probe_band(lambda_e_nm)
+        self.band_nm = _probe_band(lambda_e_nm)
 
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_single(Prep.PLUS), 0
@@ -314,7 +314,7 @@ class _BlindBaseProbe(AdversaryStrategy):
         self.n = n
         self.lambda_e_nm = lambda_e_nm
         self.probe_wavelengths = (lambda_e_nm,)
-        self.band_nm = probe_band(lambda_e_nm)
+        self.band_nm = _probe_band(lambda_e_nm)
         self.theta_known = theta_known
 
     def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
@@ -375,7 +375,7 @@ class _BlindBaseProbeBlocks(KkkpBlockForm):
             a0, a1 = quantum.rotate_real(a0, a1, theta)
             basis = BASIS_X
         p1 = quantum.prob_one_real(a0, a1, basis)
-        zeros = self.n - np.count_nonzero(draws < p1[:, None], axis=1)
+        zeros = self.n - np.count_nonzero(quantum.draws_below(draws, p1[:, None]), axis=1)
         # Majority vote over the probe readouts; fair coin on a tie.
         return np.where(2 * zeros > self.n, 0, np.where(2 * zeros < self.n, 1, coin))
 

@@ -39,11 +39,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .adversaries import AdversaryStrategy, StrategySpec, make_strategy, probe_band
+from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
 from .protocols import Mode, ProtocolConfig, RoundRecord, WordStream, block_form, message_bit_width, run_round
 
 # Rounds per block of the block engine: enough to spread thin the fixed
-# cost of the ~200 numpy calls of a block's Philox pass, few enough that a
+# cost of the ~280 numpy calls of a block's Philox pass, few enough that a
 # block's arrays stay within a few hundred kB (a kkkp_probe block at
 # n = 16, 20 words a round, peaks under 2.5 MB); wider rounds, fewer rows.
 BLOCK_ROUNDS = 2048
@@ -57,11 +57,12 @@ _words_lock = threading.Lock()
 _words: dict[tuple[int, int, int], np.ndarray] = {}
 
 # Philox4x64-10 as numpy computes it (Salmon et al., SC'11): the round
-# multipliers M0 and M1, their 32-bit halves, and the key's Weyl increments.
-_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+# multipliers M0 and M1, the key's Weyl increments, and the 32-bit halves
+# of each multiplier, from which a pass sums the high words of its products.
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
-_PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> _HALF
-_PHILOX_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+_HALVES = {m: (np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in (_PHILOX_M0, _PHILOX_M1)}
 
 
 def round_rng(seed: int, index: int) -> np.random.Generator:
@@ -134,34 +135,77 @@ def _philox_words(seed: int, start: int, stop: int, blocks: int) -> np.ndarray:
     Philox4x64-10 over the counters its rows need.  numpy's Philox adds 1
     to its counter before filling its four-word buffer, so words 4(j-1)
     to 4j-1 of round i come from counter (j, 0, 0, i), j = 1, 2, ...;
-    the key is (seed, 0), as seeds stay below 2^64.  Its rounds run in
-    place, on four work arrays allocated once per pass.
+    the key is (seed, 0), as seeds stay below 2^64.
+
+    A round maps (c0, c1, c2, c3) under key (k0, k1) to
+    (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).  On
+    such a counter the first three rounds are folded, exactly, since
+    their other inputs are constants: round 1 gives (seed, 0,
+    hi(M0 j) ^ i, lo(M0 j)), a function of j but for the XOR of i; round
+    2 multiplies the constant seed, so its c2 and c3 lanes take one value
+    per j and one per pass; and round 3 multiplies that c2, so its c1
+    lane takes one value per j.  Those values are Python ints, so rounds
+    1 to 3 take two 64x64-bit products over the arrays, and rounds 4 to
+    10 two each: 16 where the unfolded rounds take 20.  The counter
+    words are four (rows, blocks) lanes, renamed from round to round
+    rather than copied, and the last round writes its words into the
+    output's columns.
     """
-    rows = stop - start
-    # The counter words each round multiplies, x = (c0, c2), and the ones
-    # it does not, y = (c1, c3); a column per (round, block).
-    x, y = np.zeros((2, 2, rows * blocks), np.uint64)
-    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rows)
-    y[1] = np.repeat(np.arange(start, stop, dtype=np.uint64), blocks)
-    key = np.array([[seed], [0]], np.uint64)
-    low, high, mid, tmp = np.empty((4,) + x.shape, np.uint64)
-    for _ in range(10):
-        # (c0, c1, c2, c3) -> (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
-        # the high words of the 64x64-bit products summed from 32-bit halves.
-        np.bitwise_and(x, _LOW32, out=low)
-        np.right_shift(x, _HALF, out=high)
-        np.right_shift(np.multiply(low, _PHILOX_MUL_LO, out=mid), _HALF, out=mid)
-        mid += np.multiply(high, _PHILOX_MUL_LO, out=tmp)  # high*M_lo + (low*M_lo >> 32)
-        low *= _PHILOX_MUL_HI
-        low += np.bitwise_and(mid, _LOW32, out=tmp)
-        high *= _PHILOX_MUL_HI
-        high += np.right_shift(mid, _HALF, out=mid)
-        high += np.right_shift(low, _HALF, out=low)  # the high words
-        y ^= high[::-1]
-        y ^= key
-        x, y = y, np.multiply(x, _PHILOX_MUL, out=x)[::-1]
-        key += _PHILOX_WEYL
-    return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(rows, 4 * blocks)
+    rows, mask = stop - start, (1 << 64) - 1
+    m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
+    keys = [((seed + r * _PHILOX_W0) & mask, (r * _PHILOX_W1) & mask) for r in range(10)]
+    seed_hi, seed_lo = divmod(_PHILOX_M0 * seed, 1 << 64)  # round 2's product of c0 = seed
+    per_j = []  # hi(M0 j), and round 3's c0 term and c1
+    for j in range(1, blocks + 1):
+        j_hi, j_lo = divmod(_PHILOX_M0 * j, 1 << 64)
+        c2_hi, c2_lo = divmod(_PHILOX_M1 * (seed_hi ^ j_lo ^ keys[1][1]), 1 << 64)  # round 3's product of c2
+        per_j.append((j_hi, c2_hi ^ keys[2][0], c2_lo))
+    first, c0_key, c1 = np.array(per_j, np.uint64).T
+    out = np.empty((rows, blocks, 4), np.uint64)
+    x0, x1, x2, x3, hi, *scratch = np.empty((8, rows, blocks), np.uint64)
+    # Round 2 multiplies c2 = hi(M0 j) ^ i into c0 = hi(M1 c2) ^ k0 and c1 = lo(M1 c2).
+    index = np.arange(rows, dtype=np.uint64)
+    index += np.uint64(start)
+    np.bitwise_xor(index[:, None], first, out=x2)
+    _mulhi(x2, _PHILOX_M1, x0, *scratch)
+    x0 ^= np.uint64(keys[1][0])
+    x2 *= m1
+    # Round 3: c0 = c1 ^ hi(M1 c2) ^ k0 and c1 = lo(M1 c2), per j, and it multiplies c0
+    # into c2 = hi(M0 c0) ^ lo(M0 seed) ^ k1 and c3 = lo(M0 c0).
+    x2 ^= c0_key
+    x1[...] = c1
+    _mulhi(x0, _PHILOX_M0, x3, *scratch)
+    x3 ^= np.uint64(seed_lo ^ keys[2][1])
+    x0 *= m0
+    c0, c1, c2, c3 = x2, x1, x3, x0
+    for r in range(3, 10):  # rounds 4 to 10, each (c0, c1, c2, c3) -> new, the last into the output
+        (k0, k1), new = keys[r], (c1, c2, c3, c0) if r < 9 else out.transpose(2, 0, 1)
+        c1 ^= _mulhi(c2, _PHILOX_M1, hi, *scratch)
+        np.bitwise_xor(c1, np.uint64(k0), out=new[0])
+        np.multiply(c2, m1, out=new[1])
+        c3 ^= _mulhi(c0, _PHILOX_M0, hi, *scratch)
+        np.bitwise_xor(c3, np.uint64(k1), out=new[2])
+        np.multiply(c0, m0, out=new[3])
+        c0, c1, c2, c3 = new
+    return out.reshape(rows, 4 * blocks)
+
+
+def _mulhi(x: np.ndarray, m: int, out: np.ndarray, low: np.ndarray, mid: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The high words of the 128-bit products ``x * m``, into ``out``, summed from 32-bit halves.
+
+    ``low``, ``mid`` and ``tmp`` are work arrays of ``x``'s shape.
+    """
+    m_lo, m_hi = _HALVES[m]
+    np.bitwise_and(x, _LOW32, out=low)
+    np.right_shift(x, _HALF, out=out)
+    np.right_shift(np.multiply(low, m_lo, out=mid), _HALF, out=mid)
+    mid += np.multiply(out, m_lo, out=tmp)  # high*m_lo + (low*m_lo >> 32)
+    low *= m_hi
+    low += np.bitwise_and(mid, _LOW32, out=tmp)
+    out *= m_hi
+    out += np.right_shift(mid, _HALF, out=mid)
+    out += np.right_shift(low, _HALF, out=low)
+    return out
 
 
 @dataclass(frozen=True)
@@ -303,10 +347,12 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
 
     ``shared``, a dict one command passes to all its sessions, keeps
     their results.  A session that differs from an earlier one only in a
-    filter or detector giving the same verdicts on the signal's
-    wavelength and the strategy's ``probe_wavelengths``, or in a
-    ``lambda_e_nm`` whose probe band holds the signal just as that one's
-    does, returns that one's statistics and a copy of its log.
+    filter, a detector or a ``lambda_e_nm`` giving the same verdicts on
+    the signal's wavelength and the strategy's ``probe_wavelengths``
+    returns that one's statistics and a copy of its log.  Whether a
+    probe's spectroscope band holds the signal is no part of the key:
+    Eve captures only her own probes and forwards every other photon of
+    the pulse in order either way.
     """
     cfg.validate()
     adv: AdversaryStrategy = make_strategy(strategy)
@@ -315,8 +361,7 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
         key = (cfg.kind, cfg.control_prob, signal, cfg.rounds, cfg.seed, cfg.log_rounds,
                replace(strategy, lambda_e_nm=None),
                tuple((cfg.filter is None or cfg.filter.transmits(w), lo <= w <= hi)
-                     for w in (signal, *adv.probe_wavelengths)),
-               tuple(band[0] <= signal <= band[1] for band in map(probe_band, adv.probe_wavelengths)))
+                     for w in (signal, *adv.probe_wavelengths)))
         hit = shared.get(key)
         if hit is not None:
             return hit[0], list(hit[1])

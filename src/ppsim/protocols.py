@@ -412,6 +412,10 @@ class KkkpBlocks:
     * Bob's X-basis draw is u(w3), if the filter admits the signal;
     * the strategy's draws follow.
 
+    The angles are computed from u(w); a draw is compared with a
+    probability p on its raw word, as w >> 11 < ceil(p * 2**53)
+    (``quantum.draws_below``), which decides as u(w) < p does.
+
     Photon routing depends only on wavelengths, so the filter's verdict
     is worked out once per session.  Every amplitude and probability is
     computed with the float operations of :func:`run_round`, in the same
@@ -449,11 +453,11 @@ class KkkpBlocks:
             a0, a1 = quantum.rotate_real(a0, a1, encode_cs)
             a0, a1 = quantum.rotate_real(a0, a1, (c_phi, -s_phi))  # ROT(-phi)
             p1 = quantum.prob_one_real(a0, a1, BASIS_X)
-            leaves += 3 * (_uniform(words[:, 3]) < p1)
+            leaves += 3 * quantum.draws_below(words[:, 3], p1)
         else:
             leaves -= 3  # an erasure
         coin = (words[:, 2] >> 63).astype(np.int64)
-        guesses = self.eve.guesses(theta_cs, encode_cs, _uniform(words[:, self.first_draw:]), coin)
+        guesses = self.eve.guesses(theta_cs, encode_cs, words[:, self.first_draw:], coin)
         leaves += -1 if guesses is None else guesses
         return Block(leaves, self.table, (theta, phi))
 

@@ -263,6 +263,18 @@ def prob_one_real(a0: np.ndarray, a1: np.ndarray, basis: np.ndarray) -> np.ndarr
     return _snap_each(amp * amp)
 
 
+def draws_below(words: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Whether the uniform ``rng.random()`` draws from each 64-bit word is below ``p``, in [0, 1].
+
+    The draw of a word w is (w >> 11) * 2**-53, which is below p just
+    when w >> 11 is below the integer cut ceil(p * 2**53), as p * 2**53
+    is exact: the rule by which ``protocols.BranchBlocks`` cuts its
+    words.  Compared with a :func:`prob_one_real` probability, it is the
+    outcome :func:`measure` gives on the draw.
+    """
+    return (words >> 11) < np.ceil(p * 2.0**53).astype(np.uint64)
+
+
 def _snap_each(p: np.ndarray) -> np.ndarray:
     """:func:`_snap` of each probability in ``p``, bit for bit."""
     return np.where(p <= _SNAP, 0.0, np.where(p >= 1.0 - _SNAP, 1.0, p))

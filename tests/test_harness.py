@@ -17,13 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppsim import adversaries, harness, protocols, quantum
-from ppsim.adversaries import (PROBE_BAND_HALF_WIDTH_NM, AdversaryStrategy, RoundContext, StrategyKind,
-                               StrategySpec, make_strategy)
+from ppsim.adversaries import AdversaryStrategy, RoundContext, StrategyKind, StrategySpec, make_strategy
 from ppsim.cli import _compare_attacks
 from ppsim.harness import (
     BLOCK_ROUNDS,
     _Accumulator,
     _block_words,
+    _philox_words,
     _stream_factory,
     channel_mutual_information,
     mutual_information,
@@ -434,6 +434,24 @@ class TestBlockEngine:
         assert words.shape == (stop - start, k)
         for row, index in zip(words, range(start, stop)):
             assert row.tolist() == round_rng(seed, index).bit_generator.random_raw(k).tolist()
+
+    @given(seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+           start=st.sampled_from([0, 2**32 - 1, 2**32, 2**40 + 3, 2**63]) | st.integers(0, 2**64 - 5),
+           rows=st.integers(1, 4), blocks=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_a_pass_reads_the_head_of_each_round_stream(self, seed, start, rows, blocks):
+        # The pass folds its first three rounds for counters (j, 0, 0, i);
+        # round indices here reach past 2**32, into the counter's high half.
+        words = _philox_words(seed, start, start + rows, blocks)
+        assert words.shape == (rows, 4 * blocks)
+        for row, index in zip(words, range(start, start + rows)):
+            assert row.tolist() == round_rng(seed, index).bit_generator.random_raw(4 * blocks).tolist()
+
+    def test_a_pass_of_1025_blocks_reads_the_head_of_each_round_stream(self):
+        # The first pass of test_wide_rounds_get_fewer_rows_per_block: n = 4096, 4100 words a round.
+        words = _philox_words(5, 0, 9, 1025)
+        for row, index in zip(words, range(9)):
+            assert row.tolist() == round_rng(5, index).bit_generator.random_raw(4100).tolist()
 
     def test_word_counts(self):
         def words(spec, filt=None):
@@ -946,6 +964,22 @@ class TestIntegerCuts:
         lo, hi = sorted(ends)
         _assert_intervals_decide_as_the_draw(threshold, [word, lo << 11, (hi << 11) - 1], (lo, hi))
 
+    @given(p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | GRID_NEIGHBOURS.map(lambda t: min(max(t, 0.0), 1.0)),
+           words=st.lists(st.integers(0, 2**64 - 1), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_a_probability_cuts_the_raw_words_as_the_draws(self, p, words):
+        # The kkkp blocks compare Bob's and the probes' words with their
+        # probabilities by quantum.draws_below; probed at the words
+        # k * 2**11 + (-1, 0, 1) next to and at the cut ceil(p * 2**53).
+        cut = math.ceil(p * 2**53)
+        edges = [(k << 11) + d for k in (cut - 1, cut, cut + 1) for d in (-1, 0, 1)]
+        words = np.array([w for w in [0, 2**64 - 1, *edges, *words] if 0 <= w < 2**64], np.uint64)
+        drawn = protocols._uniform(words) < p
+        assert quantum.draws_below(words, np.float64(p)).tolist() == drawn.tolist()
+        # One probability per row against a row of words, as the probe readouts are.
+        rows = np.stack([words, words[::-1]])
+        assert np.array_equal(quantum.draws_below(rows, np.array([[p], [p]])), np.stack([drawn, drawn[::-1]]))
+
     @given(**ROUTINGS)
     @settings(max_examples=40, deadline=None)
     def test_rows_at_every_axis_end_and_field_value_match_round_by_round(self, **routing):
@@ -1433,7 +1467,8 @@ class TestSharedWords:
 # detector windows around the 800 nm signal, with the probe far out
 # (190000 nm), in the spectroscope band of the signal (800.5 nm) and at
 # 1550 nm.  The passbands and windows give each wavelength both verdicts,
-# so the keys both group sessions and part them.
+# so the keys both group sessions and part them; a probe in the band of
+# the signal groups with one outside it wherever their verdicts agree.
 MEMO_SEEDS = (42, 2718281828)
 MEMO_ROUNDS = 150
 MEMO_PASSBANDS = (None, (799.95, 800.05), (640.0, 900.0), (700.0, 750.0), (700.0, 200_000.0))
@@ -1458,14 +1493,10 @@ def _memo_sessions(kind: ProtocolKind, attack: StrategyKind):
 
 
 def _verdicts(cfg: ProtocolConfig, spec: StrategySpec) -> tuple:
-    """The filter's and the detector's verdicts on each wavelength the session's photons carry,
-    and whether the probe's spectroscope band holds the signal."""
+    """The filter's and the detector's verdicts on each wavelength the session's photons carry."""
     lo, hi = cfg.detector.window_nm
-    signal, probe = cfg.signal_wavelength_nm, spec.lambda_e_nm
-    carried = (signal,) + ((probe,) if spec.kind in PROBING else ())
-    in_band = (probe - PROBE_BAND_HALF_WIDTH_NM <= signal <= probe + PROBE_BAND_HALF_WIDTH_NM,)
-    return (tuple((cfg.filter is None or cfg.filter.transmits(nm), lo <= nm <= hi) for nm in carried)
-            + (in_band if spec.kind in PROBING else ()))
+    carried = (cfg.signal_wavelength_nm,) + ((spec.lambda_e_nm,) if spec.kind in PROBING else ())
+    return tuple((cfg.filter is None or cfg.filter.transmits(nm), lo <= nm <= hi) for nm in carried)
 
 
 class TestSessionMemo:

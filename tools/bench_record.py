@@ -76,8 +76,11 @@ one interpreter, as the packages ``ppsim_this`` and ``ppsim_other``, and
 alternates their calls (:data:`AB_CALLS`), :data:`AB_SAMPLES` samples of
 each call per checkout, the first of each pair swapping from one pair to
 the next.  Every sample is warm, as a perfbench pass is: a session
-reads the words its checkout kept from the samples before.  The one
-exception is ``compare_process``, a whole ``ppsim compare`` process
+reads the words its checkout kept from the samples before, except in
+``kkkp_pass``, whose four sessions are on four seeds and so compute
+their words in every sample, as in a perfbench ``kkkp_probe`` pass, and
+``philox_pass``, which times the Philox passes themselves.  The one
+cold call is ``compare_process``, a whole ``ppsim compare`` process
 (:data:`PROCESS_ARGS`) timed from start to exit, which pays the
 interpreter's start and every import, ``numpy.random`` among them where
 the checkout imports it.  It records
@@ -122,11 +125,19 @@ SPLIT_INTERPRETERS = 5
 # ``pp_dense``/``ipe_dense`` session pair of the benchmark's
 # ``dense_logged_workers`` (at 2 workers, then 1), a ``compare`` pass of
 # :data:`SPLIT_ARGS`, the tree builds of the ping-pong compare cells, a
-# fresh ``ppsim compare`` process on :data:`PROCESS_ARGS`, and the two
-# 10^4-round sweeps of :data:`COMMANDS`.
+# fresh ``ppsim compare`` process on :data:`PROCESS_ARGS`, the two
+# 10^4-round sweeps of :data:`COMMANDS`, the four ``kkkp_probe`` sessions
+# of the benchmark's ``kkkp_probe`` workload (:data:`KKKP_PASS`), each on
+# its own seed, so that every session computes its words, as the kept
+# words are those of the latest seed, and one Philox pass at each of
+# :data:`PHILOX_PASSES`.
 AB_SAMPLES = 60
 AB_SWEEPS = ("sweep_pp_epr_ipe", "sweep_kkkp_probe_n1")
-AB_CALLS = ("dense_pair", "compare_pass", "tree_builds", "compare_process") + AB_SWEEPS
+AB_CALLS = ("dense_pair", "compare_pass", "tree_builds", "compare_process") + AB_SWEEPS + ("kkkp_pass", "philox_pass")
+# (n, theta_known, seed) of each kkkp_probe session, at KKKP_SPLIT_ROUNDS rounds.
+KKKP_PASS = ((1, False, 1), (4, False, 2), (16, False, 3), (1, True, 4))
+# (rows, blocks) of each Philox pass: a block of 4, 8 and 20 words a round.
+PHILOX_PASSES = ((2048, 1), (2000, 2), (2000, 5))
 PROCESS_ARGS = ["compare", "--rounds", "2000"]
 # The timed command-line runs, by name: the arguments after ``ppsim``.
 COMMANDS = {
@@ -408,11 +419,24 @@ def _ab_calls(ppsim, root: Path, out_dir: str) -> dict:
     sweeps = {name: (lambda args=COMMANDS[name] + ["-o", os.path.join(out_dir, f"{ppsim.__name__}_{name}.csv")]:
                      cli.main(args))
               for name in AB_SWEEPS}
+    kkkp = [(ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.KKKP, control_prob=0.0, rounds=KKKP_SPLIT_ROUNDS,
+                                  seed=seed), ppsim.StrategySpec(ppsim.StrategyKind.KKKP_PROBE, n=n, theta_known=known))
+            for n, known, seed in KKKP_PASS]
+
+    def kkkp_pass():
+        for cfg, spec in kkkp:
+            harness.run_session(cfg, spec)
+
+    def philox_pass():
+        for rows, blocks in PHILOX_PASSES:
+            harness._philox_words(1, 0, rows, blocks)
+
     process = [sys.executable, "-m", "ppsim.cli", *PROCESS_ARGS, "-o",
                os.path.join(out_dir, ppsim.__name__ + "_process.csv")]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return {"dense_pair": dense_pair, "compare_pass": lambda: cli.main(argv), "tree_builds": tree_builds,
-            "compare_process": lambda: subprocess.run(process, env=env, check=True), **sweeps}
+            "compare_process": lambda: subprocess.run(process, env=env, check=True), **sweeps,
+            "kkkp_pass": kkkp_pass, "philox_pass": philox_pass}
 
 
 def ab(root: Path, other: Path) -> dict:
