@@ -8,7 +8,8 @@ these are the two channel legs; in the three-way ``kkkp`` round they
 are legs 2 and 3, and leg 1 passes untouched.  Control rounds end at
 the encoder, so they call ``on_b_to_a`` only.  ``finalize`` is called
 exactly once per round, last, and returns the strategy's guess of the
-encoded bits, or ``None`` for strategies that never guess.
+encoded bits, ``None`` for strategies that never guess, or
+:meth:`RoundContext.blind_guess` for a blind round.
 
 A strategy may add or remove photons, but must never touch the register
 of a photon it did not create.  Every photon of a pulse a hook returns
@@ -19,9 +20,11 @@ lives in the typed slots of the :class:`RoundContext`, so one strategy
 instance serves every round of a session.
 
 When a guessing strategy cannot recover its probe (control round, or
-probe absorbed by the receiver's filter) it emits a uniformly random
-guess and flags the round as blind, keeping the accuracy statistic
-well-defined while recording that the attack was neutralized.
+probe absorbed by the receiver's filter) it returns
+``ctx.blind_guess()``: the round is flagged blind and draws the guess,
+``width`` uniformly random bits, as its last draw.  That keeps the
+accuracy statistic well-defined while recording that the attack was
+neutralized.
 
 A strategy's class lists in ``protocols`` the protocols its attack
 applies to (a scenario pairing it with another is rejected), and gives
@@ -29,8 +32,8 @@ in ``width`` the number of bits its guess holds.  A session whose
 strategy's own class lists the protocol runs a block of rounds at a
 time, as numpy arrays over the rounds (see ``protocols.block_form``).
 For a ping-pong protocol the block form is the hooks themselves, run
-once per branch of the round: listing the protocol promises that they
-read the round's stream only through ``quantum``'s measurements and
+once per decision path of the round: listing the protocol promises that
+they read the round's stream only through ``quantum``'s measurements and
 :meth:`RoundContext.random_bits`, and route photons by wavelength alone.
 For ``kkkp`` the own class must also define the array form
 ``kkkp_block_form``, as ``no_eve`` and ``kkkp_probe`` do; ``ipe`` and
@@ -68,6 +71,10 @@ DENSE_DECODE: dict[str, int] = {
 }
 
 
+# What ``finalize`` returns, through :meth:`RoundContext.blind_guess`, in a blind round.
+BLIND_GUESS = object()
+
+
 @dataclass(slots=True)
 class RoundContext:
     """Per-round state shared between the protocol engine and a strategy.
@@ -99,6 +106,12 @@ class RoundContext:
         self._next_id += count
         return range(first, first + count)
 
+    def blind_guess(self) -> object:
+        """Flag the round blind; ``finalize`` returns this, and the round then
+        draws the guess, ``random_bits(width)``, right after ``finalize``."""
+        self.blind = True
+        return BLIND_GUESS
+
     def random_bits(self, width: int) -> int:
         """Uniform integer in ``[0, 2**width)`` from the round's stream, ``1 <= width <= 31``.
 
@@ -107,8 +120,10 @@ class RoundContext:
         ``next_uint32``) keeps that word's top ``width`` bits.  Calling
         ``next_uint32`` through the bit generator's ctypes interface skips
         the argument handling of ``integers``, which costs several times
-        the draw itself.
+        the draw itself.  Any other width raises ``ValueError``.
         """
+        if not 1 <= width <= 31:
+            raise ValueError(f"random_bits takes a width of 1 to 31 bits, got {width}")
         bits = self.rng.bit_generator.ctypes
         return bits.next_uint32(bits.state) >> (32 - width)
 
@@ -139,8 +154,10 @@ class KkkpBlockForm:
         64-bit words of the uniform draws the strategy makes in round i,
         in order (``quantum.draws_below`` compares them with
         probabilities as ``rng.random()`` draws would be), and ``coin``
-        the value ``ctx.random_bits(1)`` returns if the strategy calls it
-        (at most once a round).
+        the value of the round's next ``random_bits(1)`` after them: the
+        guess the round draws when ``finalize`` returns
+        :meth:`RoundContext.blind_guess`, or the strategy's own coin if it
+        draws one instead (at most one of the two a round).
         """
         return None
 
@@ -163,7 +180,8 @@ class AdversaryStrategy:
         """The pulse coming back out of the encoder (message rounds only)."""
         return pulse
 
-    def finalize(self, ctx: RoundContext) -> int | None:
+    def finalize(self, ctx: RoundContext) -> object:
+        """The guess: an int, None for no guess, or ``ctx.blind_guess()``."""
         return None
 
     def kkkp_block_form(self, filt: OpticalFilter | None) -> KkkpBlockForm:
@@ -235,11 +253,8 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
             ctx.readout = self._read(captured[0], ctx.rng)
         return forwarded
 
-    def finalize(self, ctx: RoundContext) -> int | None:
-        if ctx.readout is None:
-            ctx.blind = True
-            return ctx.random_bits(self.width)
-        return ctx.readout
+    def finalize(self, ctx: RoundContext) -> object:
+        return ctx.blind_guess() if ctx.readout is None else ctx.readout
 
 
 def make_ipe(lambda_e_nm: float = EVE_WAVELENGTH_NM) -> AdversaryStrategy:
@@ -326,11 +341,10 @@ class _BlindBaseProbe(AdversaryStrategy):
         ctx.captured, forwarded = _take_probes(pulse, self.band_nm, ctx.probe_ids)
         return forwarded
 
-    def finalize(self, ctx: RoundContext) -> int | None:
+    def finalize(self, ctx: RoundContext) -> object:
         captured = ctx.captured
         if not captured:
-            ctx.blind = True
-            return ctx.random_bits(1)
+            return ctx.blind_guess()
         basis = BASIS_Z
         if self.theta_known:
             for p in captured:

@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import quantum
-from .adversaries import DENSE_DECODE, AdversaryStrategy, RoundContext
+from .adversaries import BLIND_GUESS, DENSE_DECODE, AdversaryStrategy, RoundContext
 from .optics import (ConfigError, Detector, Leg, OpticalFilter, Photon, Pulse, apply_filter,
                      check_wavelength, is_visible)
 from .quantum import BASIS_X, BASIS_Z, I2, IY, X, Z, BellKind, Prep, QuantumRegister
@@ -327,8 +327,9 @@ _PROTOCOLS: dict[str, _Protocol] = {
 
 
 def _round(cfg: ProtocolConfig, adv: AdversaryStrategy, rng: np.random.Generator,
-           proto: _Protocol) -> RoundRecord:
-    """One round of ``proto``; the block forms read its draws in this order."""
+           proto: _Protocol, coin=RoundContext.random_bits) -> RoundRecord:
+    """One round of ``proto``; the block forms read its draws in this order.  A
+    blind guess (``ctx.blind_guess()``) is drawn last, by ``coin(ctx, adv.width)``."""
     ctx = RoundContext(rng=rng)
     signal, prep = proto.prepare(cfg, ctx)
     pulse = adv.on_b_to_a(Pulse(Leg.B_TO_A, [signal]), ctx)
@@ -347,9 +348,11 @@ def _round(cfg: ProtocolConfig, adv: AdversaryStrategy, rng: np.random.Generator
         visible = _visible(cfg, back)
         returned = next((p for p in back.photons if p.id == signal.id), None)
         bob_bits = None if returned is None else proto.decode(returned, prep, rng)
-    return RoundRecord(mode, bits, bob_bits, control_pass, eve_guess=adv.finalize(ctx),
-                       eve_blind=ctx.blind, anomaly=len(visible) >= 2, absorbed_count=absorbed,
-                       kkkp_angles=proto.angles(prep))
+    guess = adv.finalize(ctx)
+    if guess is BLIND_GUESS:
+        guess = coin(ctx, adv.width)
+    return RoundRecord(mode, bits, bob_bits, control_pass, eve_guess=guess, eve_blind=ctx.blind,
+                       anomaly=len(visible) >= 2, absorbed_count=absorbed, kkkp_angles=proto.angles(prep))
 
 
 # rng.random() returns the multiples of 2**-53 in [0, 1): u = (w >> 11) / _GRID
@@ -479,11 +482,13 @@ class BranchBlocks:
 
     The leaves are found before any row runs, by running the round
     (:func:`_round`) itself on stand-in streams (:class:`_BranchDraws`)
-    that take each decision one way and queue the others.  A draw
-    compared with the very probability p the scalar kernels compute is
-    below it just when w >> 11 < ceil(p * 2**53), so the ends of an
-    interval are exact integer cuts, and no float operation is written a
-    second time.  The kernels read a probability within 2**-50 of 0 or 1
+    that take each decision one way and queue the others: one run per
+    decision path.  A blind guess, the round's last draw, feeds only
+    ``eve_guess``, so each of its values but 0 is a leaf that copies the
+    record of the run.  A draw compared with the very probability p the
+    scalar kernels compute is below it just when w >> 11 < ceil(p * 2**53),
+    so the ends of an interval are exact integer cuts, and no float
+    operation is written a second time.  The kernels read a probability within 2**-50 of 0 or 1
     as exactly 0 or 1, so float rounding makes no leaf.
 
     Each uniform word that a leaf narrows is an axis, cut by the ends of
@@ -499,21 +504,29 @@ class BranchBlocks:
 
     def __init__(self, cfg: ProtocolConfig, adv: AdversaryStrategy):
         proto = _PROTOCOLS[cfg.kind._name_]
-        runs, records = [], []
+        boxes, records, self.words = [], [], 0  # per leaf: its (bounds, fields), and its record
         pending: list[_Branch] = [([], {}, {})]
         while pending:
-            runs.append(_BranchDraws(*pending.pop(), pending))
-            records.append(_round(cfg, adv, runs[-1], proto))
-        self.words = max(run.taken for run in runs)
+            run = _BranchDraws(*pending.pop(), pending)
+            record = _round(cfg, adv, run, proto, _BranchDraws.blind_coin)
+            self.words = max(self.words, run.taken)
+            boxes.append((run.bounds, run.fields))
+            records.append(record)
+            if run.coin:  # the field read last; its values in the order reruns would find them
+                field = next(reversed(run.fields))
+                values = _record_values(record)
+                for guess in range(field[2], 0, -1):
+                    boxes.append((run.bounds, {**run.fields, field: guess}))
+                    records.append(RoundRecord(*values[:4], guess, *values[5:]))
         self.table = np.array(records, object)
         # A uniform word that a leaf narrows is an axis: the sorted ends of
         # the leaves' intervals on it, 0 and 2**53 among them.
         found: dict[int, set[int]] = {}
-        for run in runs:
-            for word, interval in run.bounds.items():
+        for bounds, _ in boxes:
+            for word, interval in bounds.items():
                 found.setdefault(word, {0, 1 << 53}).update(interval)
         ends = {word: sorted(points) for word, points in found.items()}
-        fields = list(dict.fromkeys(field for run in runs for field in run.fields))
+        fields = list(dict.fromkeys(field for _, box_fields in boxes for field in box_fields))
         # What :meth:`run` reads per axis: (word, its inner ends p << 11, size)
         # per uniform word, and (word, shift, mask, size) per half-word field.
         self.cuts = [(word, [np.uint64(p << 11) for p in points[1:-1]], len(points) - 1)
@@ -521,12 +534,12 @@ class BranchBlocks:
         self.fields = [(word, np.uint64(shift), np.uint64(mask), mask + 1) for word, shift, mask in fields]
         keys = np.full([axis[-1] for axis in self.cuts + self.fields], -1, np.intp)
         ranks = [(word, {end: rank for rank, end in enumerate(points)}) for word, points in ends.items()]
-        for leaf, run in enumerate(runs):
+        for leaf, (bounds, box_fields) in enumerate(boxes):
             box = []
             for word, rank in ranks:
-                lo, hi = run.bounds.get(word, (0, 1 << 53))
+                lo, hi = bounds.get(word, (0, 1 << 53))
                 box.append(slice(rank[lo], rank[hi]))
-            keys[(*box, *[run.fields.get(field, slice(None)) for field in fields])] = leaf
+            keys[(*box, *[box_fields.get(field, slice(None)) for field in fields])] = leaf
         self.keys = keys.ravel()
 
     def run(self, words: np.ndarray) -> Block:
@@ -554,7 +567,9 @@ class _BranchDraws(WordStream):
     ``fields`` each half-word field (word, shift, mask) read to its value.
     Past the path it takes each decision's first reachable outcome,
     narrowing its box, and queues each other one on ``pending`` with a
-    box of its own, so the box a run ends with is its leaf's.
+    box of its own, so the box a run ends with is its leaf's: one run per
+    decision path.  A blind guess (:meth:`blind_coin`) is no decision: it
+    sets ``coin`` and reads 0.
     """
 
     def __init__(self, path: list[int], bounds: dict[int, tuple[int, int]],
@@ -562,6 +577,13 @@ class _BranchDraws(WordStream):
         super().__init__(())
         self.replay, self.decided, self.pending = iter(path), list(path), pending
         self.bounds, self.fields = bounds, fields
+        self.coin = False
+
+    @staticmethod
+    def blind_coin(ctx: RoundContext, width: int) -> int:
+        """``ctx.random_bits(width)`` as a blind guess: its field reads 0 and queues no other value."""
+        ctx.rng.coin = True
+        return ctx.random_bits(width)
 
     def _uniform(self, word: int) -> _Draw:
         return _Draw(self, word, 0)
@@ -576,7 +598,8 @@ class _Draw:
 
     ``u < threshold`` is decided as w >> 11 < cut, the integer cut
     ceil(threshold * 2**53) clamped into the word's bounds: a draw is
-    below it on [lo, cut) and not below on [cut, hi).
+    below it on [lo, cut) and not below on [cut, hi).  A blind guess's
+    ``half >> shift`` is no decision: it reads 0.
     """
 
     draws: _BranchDraws
@@ -601,9 +624,12 @@ class _Draw:
 
     def __rshift__(self, shift: int) -> int:
         draws = self.draws
+        field = (self.word, self.half + shift, (1 << (32 - shift)) - 1)
+        if draws.coin:
+            draws.fields[field] = 0
+            return 0
         outcome = next(draws.replay, None)
         if outcome is None:
-            field = (self.word, self.half + shift, (1 << (32 - shift)) - 1)
             for value in range(1, field[2] + 1):
                 draws.pending.append((draws.decided + [value], draws.bounds.copy(), {**draws.fields, field: value}))
             draws.fields[field] = outcome = 0

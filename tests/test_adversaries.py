@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from ppsim import quantum
+from ppsim import harness, quantum
 from ppsim.adversaries import (
+    BLIND_GUESS,
     AdversaryStrategy,
     RoundContext,
     StrategyKind,
@@ -59,6 +60,28 @@ class TestRoundContext:
                 assert ctx.random_bits(5) == int(ref.integers(0, 32))
             else:
                 assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("width", [0, 32, 33, -1])
+    def test_random_bits_rejects_widths_outside_1_to_31(self, width):
+        rng = round_rng(42, 3)
+        state = repr(rng.bit_generator.state)
+        with pytest.raises(ValueError, match="1 to 31"):
+            RoundContext(rng=rng).random_bits(width)
+        assert repr(rng.bit_generator.state) == state  # nothing drawn
+
+    def test_a_session_asking_for_32_bits_raises(self, monkeypatch):
+        class Wide(AdversaryStrategy):  # lists no protocols of its own, so it runs round by round
+            def finalize(self, ctx):
+                return ctx.random_bits(32)
+
+        monkeypatch.setattr(harness, "make_strategy", lambda _: Wide())
+        with pytest.raises(ValueError, match="1 to 31"):
+            run_session(epr_cfg(rounds=20), StrategySpec(StrategyKind.NO_EVE))
+
+    def test_blind_guess_flags_the_round(self):
+        ctx = RoundContext(rng=RNG(0))
+        assert ctx.blind_guess() is BLIND_GUESS
+        assert ctx.blind
 
     def test_round_state_defaults(self):
         ctx = RoundContext(rng=RNG(0))
@@ -118,6 +141,26 @@ class TestInvisiblePhotonEavesdropping:
         assert rec.eve_blind
         assert rec.eve_guess in (0, 1)
         assert not rec.anomaly  # far-infrared probe is invisible
+
+    @pytest.mark.parametrize("make", [make_ipe, make_ipe_dense])
+    def test_the_round_draws_a_blind_guess_last(self, make):
+        # finalize only flags the round; the round then draws the strategy's
+        # width of bits, where a random_bits call in finalize would have.
+        adv = make()
+        ctx = RoundContext(rng=RNG(0))
+        assert adv.finalize(ctx) is BLIND_GUESS and ctx.blind
+        kind = ProtocolKind.PP_DENSE if adv.width == 2 else ProtocolKind.PP_EPR
+        cfg = ProtocolConfig(kind=kind, control_prob=ALWAYS_CONTROL)
+        for seed in range(20):
+            rng = round_rng(seed, 0)
+            rec = run_round(cfg, adv, rng)
+            draws = round_rng(seed, 0)
+            # Coin, then the control check's measurements of travel and home halves.
+            for _ in range(3):
+                draws.random()
+            assert rec.eve_blind
+            assert rec.eve_guess == RoundContext(rng=draws).random_bits(adv.width)
+            assert repr(rng.bit_generator.state) == repr(draws.bit_generator.state)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_zero_disturbance(self, seed):

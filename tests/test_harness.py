@@ -359,9 +359,10 @@ def kkkp_cfg(**kw) -> ProtocolConfig:
     return ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, log_rounds=True, **kw)
 
 
-def round_by_round(cfg: ProtocolConfig, spec: StrategySpec):
-    """The oracle: run_round on fresh round_rng streams, aggregated record by record."""
-    adv = make_strategy(spec)
+def round_by_round(cfg: ProtocolConfig, spec: StrategySpec, adv: AdversaryStrategy | None = None):
+    """The oracle: run_round on fresh round_rng streams, aggregated record by
+    record; ``adv``, if given, stands in for the strategy ``spec`` makes."""
+    adv = make_strategy(spec) if adv is None else adv
     acc = _Accumulator()
     log = [run_round(cfg, adv, round_rng(cfg.seed, i)) for i in range(cfg.rounds)]
     for rec in log:
@@ -1036,17 +1037,26 @@ PING_PONG_CELLS = [c for c in COMPARE_CELLS if c[0] is not ProtocolKind.KKKP]
 PING_PONG_CELL_IDS = [i for c, i in zip(COMPARE_CELLS, CELL_IDS) if c[0] is not ProtocolKind.KKKP]
 
 
-def assert_built_whole(cfg: ProtocolConfig, spec: StrategySpec) -> None:
-    """The session's rows build nothing: it runs the round once per leaf of
-    its tree, and once more for round 0.  Its results are the scalar engine's."""
-    leaves = sum(rec is not None for rec in block_form(cfg, make_strategy(spec)).table)
+def _decision_paths(tree: BranchBlocks) -> int:
+    """The leaves of ``tree`` but those of a blind guess's values other than 0,
+    which copy the record of the run that drew it."""
+    return sum(rec is not None and not (rec.eve_blind and rec.eve_guess) for rec in tree.table)
+
+
+def assert_built_whole(cfg: ProtocolConfig, spec: StrategySpec, adv: AdversaryStrategy | None = None) -> None:
+    """The session's rows build nothing: it runs the round once per decision
+    path of its tree, and once more for round 0.  Its results are the scalar
+    engine's.  ``adv``, if given, stands in for the strategy ``spec`` makes."""
+    paths = _decision_paths(block_form(cfg, make_strategy(spec) if adv is None else adv))
     runs = []
     compute = protocols._round
     with pytest.MonkeyPatch.context() as patch:
+        if adv is not None:
+            patch.setattr(harness, "make_strategy", lambda _: adv)
         patch.setattr(protocols, "_round", lambda *args: runs.append(args) or compute(*args))
         stats, log = run_session(cfg, spec)
-    assert len(runs) == leaves + 1
-    expected_stats, expected_log = round_by_round(cfg, spec)
+    assert len(runs) == paths + 1
+    expected_stats, expected_log = round_by_round(cfg, spec, adv)
     assert stats == expected_stats
     assert log == expected_log
     assert repr(log) == repr(expected_log)
@@ -1068,6 +1078,46 @@ class _RareExtraDraw(AdversaryStrategy):
         return None
 
 
+class _OwnCoin(AdversaryStrategy):
+    """Flips a coin of its own in ``finalize`` and calls the round blind when it shows 0.
+
+    The coin decides ``eve_blind`` as well as the guess, so its values are
+    decision paths, not copies of one record.
+    """
+
+    protocols = frozenset({"pp_epr"})
+
+    def finalize(self, ctx):
+        c = ctx.random_bits(1)
+        ctx.blind = not c
+        return c
+
+
+def _row_in_each_leaf(tree: BranchBlocks) -> list[tuple[int, np.ndarray]]:
+    """Per leaf, a row of words inside its box: at the lower corner of one of
+    its keys, lo << 11 on each uniform word's axis and the value on each
+    half-word field, 0 in every other bit."""
+    sizes = [axis[-1] for axis in tree.cuts + tree.fields]
+    rows = []
+    for leaf in range(len(tree.table)):
+        codes = np.unravel_index(np.flatnonzero(tree.keys == leaf)[0], sizes)
+        row = [0] * tree.words
+        for (word, ends, _), code in zip(tree.cuts, codes):
+            row[word] = int(ends[code - 1]) if code else 0
+        for (word, shift, _, _), value in zip(tree.fields, codes[len(tree.cuts):]):
+            row[word] |= int(value) << int(shift)
+        rows.append((leaf, np.array(row, np.uint64)))
+    return rows
+
+
+def assert_each_leaf_is_its_rows_round(cfg: ProtocolConfig, spec: StrategySpec) -> None:
+    """A row inside each leaf's box runs, round by round, to that leaf's record."""
+    adv = make_strategy(spec)
+    tree = block_form(cfg, adv)
+    for leaf, row in _row_in_each_leaf(tree):
+        assert run_round(cfg, adv, WordStream(row)) == tree.table[leaf], leaf
+
+
 class TestRareBranches:
     """Every branch, however rare, is built with the tree, before any row runs."""
 
@@ -1081,8 +1131,26 @@ class TestRareBranches:
     def test_any_routing_matches_round_by_round(self, **routing):
         assert_built_whole(*_routing_session(**routing))
 
+    @pytest.mark.parametrize("filt", ["off", "default"])
+    def test_a_strategy_inspecting_its_own_coin_matches_round_by_round(self, filt):
+        # A rule that read a blind guess off the finished record would copy
+        # this strategy's blind guess 0 into a blind guess 1, a round it never ends at.
+        cfg = epr_cfg(filter=FILTERS[filt], rounds=600, seed=42, log_rounds=True)
+        assert_built_whole(cfg, NO_EVE, _OwnCoin())
+
+    @pytest.mark.parametrize("kind, name, spec, filt", PING_PONG_CELLS, ids=PING_PONG_CELL_IDS)
+    def test_each_compare_leaf_is_the_round_of_a_row_in_its_box(self, kind, name, spec, filt):
+        assert_each_leaf_is_its_rows_round(ProtocolConfig(kind=kind, filter=FILTERS[filt]), spec)
+
+    @given(**ROUTINGS)
+    @settings(max_examples=40, deadline=None)
+    def test_each_routed_leaf_is_the_round_of_a_row_in_its_box(self, **routing):
+        assert_each_leaf_is_its_rows_round(*_routing_session(**routing))
+
     def test_dense_tree_runs_the_round_once_per_branch_built(self, monkeypatch):
-        # One run per leaf: float rounding makes no branch of the pp_dense/ipe_dense tree.
+        # One run per decision path: float rounding makes no branch of the
+        # pp_dense/ipe_dense tree, and the blind guess's values 1-3 copy the
+        # record of the run that reads 0, so 6 runs build its 12 leaves.
         calls = []
         compute = protocols._round
 
@@ -1091,8 +1159,9 @@ class TestRareBranches:
             return compute(*args)
 
         monkeypatch.setattr(protocols, "_round", counted)
-        block_form(ProtocolConfig(kind=ProtocolKind.PP_DENSE), make_strategy(IPE_DENSE))
-        assert len(calls) == 12
+        tree = block_form(ProtocolConfig(kind=ProtocolKind.PP_DENSE), make_strategy(IPE_DENSE))
+        assert len(calls) == 6
+        assert len(tree.table) == 12
 
     def test_a_rare_branch_is_built_up_front(self, monkeypatch):
         # Rows whose strategy draw falls below its limit take a branch of

@@ -52,7 +52,13 @@ file holds the parent and the change side by side.  The figures:
 * the tree of every ping-pong ``ppsim compare`` cell as its session
   builds it, before any row runs: the runs of ``protocols._round`` that
   build it, its leaves, the axes and the size of its key table (None in
-  checkouts that walk a tree of nodes) and the words a round reads;
+  checkouts that walk a tree of nodes) and the words a round reads; and
+  under ``tree_totals``, the runs and leaves summed over those cells
+  (``cells``) and over the trees one ``ppsim compare`` of
+  :data:`SPLIT_ARGS` builds (``compare``, where sessions that repeat an
+  earlier one build none), beside that command's other runs of
+  ``protocols._round`` (round 0 of each blocked session and every round of
+  a round-by-round one);
 * the Tier-1 suite's wall time and test_6's ``--durations`` figure;
 * the line count of ``<root>/src``, in total and by module;
 * provenance: the commit, the Python and numpy versions, and the CPU
@@ -268,16 +274,22 @@ def _dense_split_here() -> dict:
     return _best_split(parts, lambda: harness.run_session(cfg, spec))
 
 
+def _leaves(tree) -> int:
+    return sum(rec is not None for rec in tree.table)
+
+
 def _trees_here() -> dict:
-    """Per ping-pong compare cell, the tree ``block_form`` builds: its round runs, leaves, axes, keys and words."""
-    from ppsim import protocols
+    """Per ping-pong compare cell, the tree ``block_form`` builds: its round runs, leaves, axes, keys
+    and words; and their totals, over the cells and over one ``ppsim compare``."""
+    import ppsim.cli
+    from ppsim import harness, protocols
     from ppsim.adversaries import make_strategy
 
     runs = []
-    build = protocols._round
+    build, engine = protocols._round, harness.block_form
 
     def counted(*args):
-        runs.append(None)
+        runs.append(isinstance(args[2], protocols._BranchDraws))
         return build(*args)
 
     protocols._round = counted
@@ -287,11 +299,21 @@ def _trees_here() -> dict:
         tree = protocols.block_form(cfg, make_strategy(spec))
         if isinstance(tree, protocols.BranchBlocks) and not label.startswith("logged/"):
             keyed = hasattr(tree, "keys")  # a checkout that walks a tree of nodes has no key table
-            trees[label] = {"round_runs": len(runs), "leaves": sum(rec is not None for rec in tree.table),
+            trees[label] = {"round_runs": len(runs), "leaves": _leaves(tree),
                             "axes": len(tree.cuts) + len(tree.fields) if keyed else None,
                             "keys": len(tree.keys) if keyed else None, "words": tree.words}
-    protocols._round = build
-    return trees
+    built = []
+    harness.block_form = lambda *args: built.append(engine(*args)) or built[-1]
+    runs.clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        ppsim.cli.main(SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")])
+    protocols._round, harness.block_form = build, engine
+    built = [tree for tree in built if isinstance(tree, protocols.BranchBlocks)]
+    totals = {"cells": {"round_runs": sum(tree["round_runs"] for tree in trees.values()),
+                        "leaves": sum(tree["leaves"] for tree in trees.values())},
+              "compare": {"trees": len(built), "round_runs": sum(runs), "leaves": sum(map(_leaves, built)),
+                          "other_round_runs": runs.count(False)}}
+    return {"trees": trees, "tree_totals": totals}
 
 
 def _cos_dispatch() -> str | None:
@@ -383,7 +405,7 @@ def measure(root: Path) -> dict:
     kkkp_split = {n: _median_ms([sample[n] for sample in splits["kkkp_split"]]) for n in splits["kkkp_split"][0]}
     return {"us_per_round": cells, "commands": commands, "compare_split_ms": _median_ms(splits["split"]),
             "kkkp_split_ms": kkkp_split, "dense_split_ms": _median_ms(splits["dense_split"]),
-            "trees": _fresh(root, "trees"), **info}
+            **_fresh(root, "trees"), **info}
 
 
 def _load(root: Path, name: str):
