@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Sequence
+from typing import TYPE_CHECKING, Container, Sequence
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from . import quantum
 from .optics import (EVE_WAVELENGTH_NM, ConfigError, OpticalFilter, Photon, Pulse, check_wavelength,
                      split_by_wavelength)
 from .quantum import BASIS_X, BASIS_Z, BellKind, Prep, QuantumRegister
+
+if TYPE_CHECKING:
+    from .protocols import WordStream
 
 # Half-width of the spectroscope band Eve uses to pick out her probe.
 # Any band separating the probe wavelength from the signal works; fixed
@@ -79,15 +82,17 @@ BLIND_GUESS = object()
 class RoundContext:
     """Per-round state shared between the protocol engine and a strategy.
 
-    The engine sets ``rng`` and, in ``kkkp``, the sender's blinding angle
-    ``kkkp_theta`` (0 in protocols without one).  The strategy keeps its
+    The engine sets ``rng``, the round's stream, and, in ``kkkp``, the
+    sender's blinding angle ``kkkp_theta`` (0 in protocols without one).
+    A strategy draws from ``rng`` only through ``rng.random()``,
+    ``quantum``'s measurements and :meth:`random_bits`.  It keeps its
     round state in the remaining slots: ``probe_ids`` for the photons it
     injected, ``captured`` for the probes it split off the returning
     pulse, ``readout`` for a value it has already measured, and
     ``blind`` when its guess is a coin flip.
     """
 
-    rng: np.random.Generator
+    rng: WordStream
     blind: bool = False
     kkkp_theta: float = 0.0
     probe_ids: range = range(0)
@@ -237,7 +242,7 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_single(Prep.PLUS), 0
 
-    def _read(self, probe: Photon, rng: np.random.Generator) -> int:
+    def _read(self, probe: Photon, rng: WordStream) -> int:
         outcome, _ = quantum.measure(probe.register, probe.qubit, BASIS_X, rng)
         return outcome
 
@@ -276,7 +281,7 @@ class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_bell(BellKind.PSI_PLUS), 1  # qubit 0 stays in Eve's lab
 
-    def _read(self, probe: Photon, rng: np.random.Generator) -> int:
+    def _read(self, probe: Photon, rng: WordStream) -> int:
         kind, _ = quantum.measure_bell(probe.register, 0, probe.qubit, rng)
         return DENSE_DECODE[kind._name_]
 

@@ -7,26 +7,26 @@ strategy) inputs therefore yield bit-identical statistics and round
 logs.  Aggregation is integer counting, with the float rates derived
 once at the end.
 
-There are two engines, chosen once per session by
-``protocols.block_form``.  The scalar one runs :func:`run_round` once
-per round, on the streams of :func:`_stream_factory`.  The block engine
-runs round 0 through :func:`run_round` on a :class:`WordStream`, and
-the rest as numpy arrays over blocks of up to :data:`BLOCK_ROUNDS`
-rounds, which may mix control and message rounds; it reads the same
-words of the same streams and makes the same decisions from them, so
-the scalar engine is its exact oracle.  A block's words come from one
-vectorised Philox pass over its counters (:func:`_block_words`), pinned
-bit for bit to :func:`round_rng`; round 0 reads its row of the first
-block, so a blocked session builds no numpy Generator.  Sessions on the
-same seed, as in ``ppsim compare`` and ``ppsim sweep``, share the words
-of the blocks kept within a budget (:func:`_block_words`), and each of
-those commands runs a session that repeats an earlier one of its own,
-such as a filtered honest run, only once (``run_session``'s
-``shared``).  A block gives each round's leaf (for ping-pong, one lookup
-in a key table over its words) in a small table of leaf records: it is
-aggregated by counting its leaves, in any order, since every statistic
-is a function of the count table alone, and logged as references to
-the shared records.
+Every round draws from its row of a block's words, one vectorised
+Philox pass over the block's counters (:func:`_block_words`), pinned bit
+for bit to :func:`round_rng`: a :class:`WordStream` over the row draws
+as numpy's Generator draws, and a round that draws past its row reads
+on from its own longer row.  There are two engines, chosen once per
+session by ``protocols.block_form``.  A round-by-round session runs
+every row through :func:`run_round`.  A blocked session runs round 0
+through :func:`run_round`, and the rest as numpy arrays over blocks of
+up to :data:`BLOCK_ROUNDS` rounds, which may mix control and message
+rounds; it reads the same words and makes the same decisions from them,
+so :func:`run_round` is its exact oracle.  Sessions on the same seed, as
+in ``ppsim compare`` and ``ppsim sweep``, share the words of the blocks
+kept within a budget (:func:`_block_words`), and each of those commands
+runs a session that repeats an earlier one of its own, such as a
+filtered honest run, only once (``run_session``'s ``shared``).  A block
+gives each round's leaf (for ping-pong, one lookup in a key table over
+its words) in a small table of leaf records: it is aggregated by
+counting its leaves, in any order, since every statistic is a function
+of the count table alone, and logged as references to the shared
+records.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from functools import partial
 from math import frexp, fsum, ldexp, log2
 from typing import Mapping
 
@@ -47,6 +48,10 @@ from .protocols import Mode, ProtocolConfig, RoundRecord, WordStream, block_form
 # block's arrays stay within a few hundred kB (a kkkp_probe block at
 # n = 16, 20 words a round, peaks under 2.5 MB); wider rounds, fewer rows.
 BLOCK_ROUNDS = 2048
+
+# Words in a round-by-round session's row; a round that draws more reads on (WordStream).
+# Every accepted round-by-round pair, kkkp under ipe or intercept_resend, takes 5.
+ROUND_WORDS = 8
 
 # The words of kept blocks, keyed by (seed, start, stop), and their byte
 # budget: the five blocks of a 10^4-round session at up to 12 words a
@@ -66,38 +71,10 @@ _HALVES = {m: (np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in (_PHILOX_
 
 
 def round_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-round stream: Philox keyed by seed, counter = index."""
+    """Round ``index``'s stream as a Generator: Philox keyed by seed, counter = index.
+
+    Sessions read its words (:func:`_block_words`) and build none."""
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
-
-
-def _stream_factory(seed: int):
-    """Equivalent of :func:`round_rng` without per-round allocation.
-
-    Reuses one Philox generator and resets its state to (seed,
-    counter = index << 192, nothing buffered) before each round; the
-    emitted streams are bit-identical to fresh :func:`round_rng`
-    generators.  Only round-by-round sessions use it.
-    """
-    bit_gen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    # Plain ints rather than numpy arrays: the state setter reads them faster.
-    counter = [0, 0, 0, 0]
-    template = {
-        "bit_generator": state["bit_generator"],
-        "state": {"counter": counter, "key": state["state"]["key"].tolist()},
-        "buffer": state["buffer"].tolist(),
-        "buffer_pos": 4,   # discard buffered blocks
-        "has_uint32": 0,   # discard the cached 32-bit half
-        "uinteger": 0,
-    }
-
-    def at(index: int) -> np.random.Generator:
-        counter[3] = index
-        bit_gen.state = template
-        return gen
-
-    return at
 
 
 def _block_words(seed: int, start: int, stop: int, k: int) -> np.ndarray:
@@ -125,6 +102,11 @@ def _block_words(seed: int, start: int, stop: int, k: int) -> np.ndarray:
         if held + words.nbytes <= _WORDS_BUDGET:
             _words[key] = words
     return words[:, :k]
+
+
+def _round_words(seed: int, index: int, k: int) -> list[int]:
+    """The first ``k`` words or more of round ``index``'s stream, for a round that draws past its row."""
+    return _philox_words(seed, index, index + 1, -(-k // 4))[0].tolist()
 
 
 def _philox_words(seed: int, start: int, stop: int, blocks: int) -> np.ndarray:
@@ -332,14 +314,14 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
     """Run ``cfg.rounds`` rounds of the configured protocol under attack.
 
     Returns the aggregated statistics and the round log (empty unless
-    ``cfg.log_rounds``).  A session with a block form (see
-    ``protocols.block_form``) runs in blocks of up to
-    :data:`BLOCK_ROUNDS` rounds, round 0 through :func:`run_round` on a
-    :class:`WordStream` over its row of the first block, reading the
-    same words of the same streams (a ping-pong block looks each round's
-    leaf up in a key table), so its statistics and log are those of
-    :func:`run_round` round by round.  Every other session runs round by
-    round, on the streams of :func:`_stream_factory`.  Every round runs
+    ``cfg.log_rounds``).  Every round reads its row of a block's words
+    (:func:`_block_words`): :data:`ROUND_WORDS` words, or the words the
+    session's block form reads (see ``protocols.block_form``).  A
+    session without one runs every row through :func:`run_round`, on a
+    :class:`WordStream`; a blocked one runs round 0 so, and the rest a
+    block at a time, reading the same words (a ping-pong block looks
+    each round's leaf up in a key table), so its statistics and log are
+    those of :func:`run_round` round by round.  Every round runs
     in the calling thread, and ``workers`` has no effect: the result is
     the same for any value.  A guess of another width than the
     protocol's messages (a one-bit guess on ``pp_dense``, say) is not
@@ -368,26 +350,22 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
     acc = _Accumulator()
     log: list[RoundRecord] = []
     blocks = block_form(cfg, adv)
-    if blocks is None:
-        streams, starts = map(_stream_factory(cfg.seed), range(cfg.rounds)), ()
-    else:
-        rows = min(BLOCK_ROUNDS, max(1, BLOCK_ROUNDS * 20 // blocks.words))
-        starts = range(0, cfg.rounds, rows)
-        words = _block_words(cfg.seed, 0, min(rows, cfg.rounds), blocks.words)
-        streams = [WordStream(words[0].tolist())]  # round 0, on its row of the first block
-    for stream in streams:
-        rec = run_round(cfg, adv, stream)
-        acc.add(rec)
-        if cfg.log_rounds:
-            log.append(rec)
-    for start in starts:
-        if start:
-            words = _block_words(cfg.seed, start, min(start + rows, cfg.rounds), blocks.words)
-        block = blocks.run(words[start == 0:])  # row 0 of the first block was round 0
-        for rec, times in block.counts():
-            acc.add(rec, times)
-        if cfg.log_rounds:
-            log.extend(block.records())
+    k = ROUND_WORDS if blocks is None else blocks.words
+    rows = min(BLOCK_ROUNDS, max(1, BLOCK_ROUNDS * 20 // k))
+    for start in range(0, cfg.rounds, rows):
+        words = _block_words(cfg.seed, start, min(start + rows, cfg.rounds), k)
+        scalar = len(words) if blocks is None else start == 0  # the rows run through run_round
+        for index, row in enumerate(words[:scalar].tolist(), start):
+            rec = run_round(cfg, adv, WordStream(row, partial(_round_words, cfg.seed, index)))
+            acc.add(rec)
+            if cfg.log_rounds:
+                log.append(rec)
+        if blocks is not None:
+            block = blocks.run(words[scalar:])
+            for rec, times in block.counts():
+                acc.add(rec, times)
+            if cfg.log_rounds:
+                log.extend(block.records())
     stats = acc.stats(cfg.seed)
     if adv.width != message_bit_width(cfg.kind):
         stats = replace(stats, eve_accuracy=None, eve_mutual_info_bits=None)

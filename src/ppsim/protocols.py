@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def _visible(cfg: ProtocolConfig, pulse: Pulse) -> list[Photon]:
     return [p for p in pulse.photons if is_visible(cfg.detector, p)]
 
 
-def _announce(visible: list[Photon], basis: np.ndarray, rng: np.random.Generator) -> int | None:
+def _announce(visible: list[Photon], basis: np.ndarray, rng: WordStream) -> int | None:
     """Measure every visible photon in ``basis``; the first one's outcome, or None if none is."""
     outcomes = [quantum.measure(p.register, p.qubit, basis, rng)[0] for p in visible]
     return outcomes[0] if outcomes else None
@@ -238,7 +238,7 @@ class _PairProtocol(_Protocol):
         home, _ = quantum.measure(pair, 0, BASIS_Z, ctx.rng)
         return announced != home  # Psi+ anticorrelates in Z
 
-    def decode(self, returned: Photon, pair: QuantumRegister, rng: np.random.Generator) -> int | None:
+    def decode(self, returned: Photon, pair: QuantumRegister, rng: WordStream) -> int | None:
         outcome, _ = quantum.measure_bell(pair, 0, returned.qubit, rng)
         return self.decoded.get(outcome._name_)
 
@@ -269,7 +269,7 @@ class _SingleProtocol(_Protocol):
             return None  # mismatched bases: check discarded
         return announced == (prep & 1) if announced is not None else False
 
-    def decode(self, returned: Photon, prep: int, rng: np.random.Generator) -> int:
+    def decode(self, returned: Photon, prep: int, rng: WordStream) -> int:
         basis = BASIS_X if prep & 2 else BASIS_Z
         outcome, _ = quantum.measure(returned.register, returned.qubit, basis, rng)
         return int(outcome != (prep & 1))
@@ -303,7 +303,7 @@ class _KkkpProtocol(_Protocol):
         # pair collapses to one rotation.
         return quantum.rotate, (-ENC_ANGLE if bits else ENC_ANGLE) - angles[0]
 
-    def decode(self, returned: Photon, angles: tuple[float, float], rng: np.random.Generator) -> int:
+    def decode(self, returned: Photon, angles: tuple[float, float], rng: WordStream) -> int:
         quantum.rotate(returned.register, returned.qubit, -angles[1])
         outcome, _ = quantum.measure(returned.register, returned.qubit, BASIS_X, rng)
         return outcome  # + result <-> ROT(+pi/4)|0> <-> j = 0
@@ -326,7 +326,7 @@ _PROTOCOLS: dict[str, _Protocol] = {
 }
 
 
-def _round(cfg: ProtocolConfig, adv: AdversaryStrategy, rng: np.random.Generator,
+def _round(cfg: ProtocolConfig, adv: AdversaryStrategy, rng: WordStream,
            proto: _Protocol, coin=RoundContext.random_bits) -> RoundRecord:
     """One round of ``proto``; the block forms read its draws in this order.  A
     blind guess (``ctx.blind_guess()``) is drawn last, by ``coin(ctx, adv.width)``."""
@@ -373,11 +373,13 @@ class WordStream:
     32-bit draw (``bit_generator.ctypes.next_uint32``, which
     ``RoundContext.random_bits`` calls) takes a fresh word's low half and
     keeps its high half for the next one; a uniform drawn in between
-    leaves that half alone.  ``taken`` counts the words taken.
+    leaves that half alone.  ``taken`` counts the words taken.  A draw
+    past the end of ``words`` replaces them with ``more(k)``, the round's
+    first k words or more, so any number of draws stays exact.
     """
 
-    def __init__(self, words: Sequence[int]):
-        self.words, self.taken, self.state = words, 0, None
+    def __init__(self, words: Sequence[int], more: Callable[[int], Sequence[int]] | None = None):
+        self.words, self.more, self.taken, self.state = words, more, 0, None
         self.high: int | None = None  # the word whose high half is kept
 
     bit_generator = ctypes = property(lambda self: self)  # not stored: no cycle keeps a stream alive
@@ -395,10 +397,15 @@ class WordStream:
         return self._half(word, 32)
 
     def _uniform(self, word: int) -> float:
-        return (self.words[word] >> 11) / _GRID
+        return (self._word(word) >> 11) / _GRID
 
     def _half(self, word: int, shift: int) -> int:
-        return (self.words[word] >> shift) & 0xFFFFFFFF
+        return (self._word(word) >> shift) & 0xFFFFFFFF
+
+    def _word(self, word: int) -> int:
+        if word >= len(self.words):
+            self.words = self.more(2 * word + 1)
+        return self.words[word]
 
 
 class KkkpBlocks:
@@ -558,7 +565,7 @@ _Branch = tuple[list[int], dict[int, tuple[int, int]], dict[tuple[int, int, int]
 
 
 class _BranchDraws(WordStream):
-    """Stands in for a round's Generator while :class:`BranchBlocks` finds its leaves.
+    """Stands in for a round's stream while :class:`BranchBlocks` finds its leaves.
 
     It takes words as :class:`WordStream` does, but hands out
     :class:`_Draw` objects.  A run replays the outcomes of ``path``,
@@ -654,6 +661,6 @@ def block_form(cfg: ProtocolConfig, adv: AdversaryStrategy) -> KkkpBlocks | Bran
 
 
 def run_round(cfg: ProtocolConfig, adv: AdversaryStrategy,
-              rng: np.random.Generator) -> RoundRecord:
+              rng: WordStream) -> RoundRecord:
     """Execute one round of the configured protocol."""
     return _round(cfg, adv, rng, _PROTOCOLS[cfg.kind._name_])

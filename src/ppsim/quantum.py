@@ -21,16 +21,20 @@ Single-qubit unitaries and measurement bases are plain 2x2 complex
 arrays.  A measurement basis matrix has the outcome-0 eigenvector in
 column 0 and the outcome-1 eigenvector in column 1; the Z basis is the
 identity and the rotated basis ROT(theta) doubles as its own basis
-matrix.  All randomness enters through an explicitly passed
-``numpy.random.Generator``.
+matrix.  All randomness enters through the explicitly passed round's
+stream (``protocols.WordStream``), as ``rng.random()``.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .protocols import WordStream
 
 MAX_QUBITS = 8
 
@@ -281,7 +285,7 @@ def _snap_each(p: np.ndarray) -> np.ndarray:
 
 
 def measure(
-    reg: QuantumRegister, qubit: int, basis: np.ndarray, rng: np.random.Generator
+    reg: QuantumRegister, qubit: int, basis: np.ndarray, rng: WordStream
 ) -> tuple[int, QuantumRegister]:
     """Projective measurement of one qubit in the given basis.
 
@@ -356,7 +360,7 @@ def _collapse_pair(reg: QuantumRegister, qubit: int, basis: np.ndarray, in_z: bo
 
 
 def measure_bell(
-    reg: QuantumRegister, qa: int, qb: int, rng: np.random.Generator
+    reg: QuantumRegister, qa: int, qb: int, rng: WordStream
 ) -> tuple[BellKind, QuantumRegister]:
     """Projective measurement of qubits (qa, qb) in the Bell basis.
 

@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from ppsim.harness import (
     _Accumulator,
     _block_words,
     _philox_words,
-    _stream_factory,
+    _round_words,
     channel_mutual_information,
     mutual_information,
     round_rng,
@@ -213,18 +214,6 @@ class TestRoundStreams:
         b = round_rng(8, 0).random(8)
         assert not np.array_equal(a, b)
 
-    def test_reused_stream_matches_fresh_streams(self):
-        # Each round leaves the reused generator mid-block and, after an odd
-        # number of 32-bit draws, holding a cached half; neither may leak
-        # into the next round's stream.
-        def draws(gen):
-            return [gen.random(), int(gen.integers(0, 2)), *gen.random(3).tolist(),
-                    int(gen.integers(0, 4)), gen.random(), int(gen.integers(0, 2))]
-
-        stream_at = _stream_factory(7)
-        for index in (0, 5, 1, 123, 2**40, 5):
-            assert draws(stream_at(index)) == draws(round_rng(7, index))
-
 
 class TestRunSession:
     def test_honest_epr_statistics(self):
@@ -342,19 +331,6 @@ def philox_passes(monkeypatch):
     return passes
 
 
-@pytest.fixture
-def generators_built(monkeypatch):
-    """Lists the seeds of the numpy Generators ``run_session`` builds through ``_stream_factory``."""
-    built = []
-
-    def counted(seed):
-        built.append(seed)
-        return _stream_factory(seed)
-
-    monkeypatch.setattr(harness, "_stream_factory", counted)
-    return built
-
-
 def kkkp_cfg(**kw) -> ProtocolConfig:
     return ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, log_rounds=True, **kw)
 
@@ -421,6 +397,20 @@ class TestBlockEngine:
         cfg = kkkp_cfg(rounds=3 * BLOCK_ROUNDS + 17, seed=7)
         assert run_session(cfg, spec) == round_by_round(cfg, spec)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("rounds", BOUNDARY_ROUNDS)
+    @pytest.mark.parametrize("spec", [
+        StrategySpec(StrategyKind.IPE),
+        StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=0.3),
+    ], ids=["ipe", "intercept_resend"])
+    def test_round_by_round_block_boundaries(self, spec, rounds, seed, monkeypatch):
+        # A session without a block form reads its rows a block at a time
+        # too, and runs each row through run_round as that round.
+        monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
+        cfg = kkkp_cfg(rounds=rounds, seed=seed)
+        assert block_form(cfg, make_strategy(spec)) is None
+        assert run_session(cfg, spec) == round_by_round(cfg, spec)
+
     @pytest.mark.parametrize("seed", [0, 42, 123456789, 2**64 - 1])
     @pytest.mark.parametrize("k", [1, 3, 4, 5, 8, 20, 21])
     @pytest.mark.parametrize("start, stop", [
@@ -480,6 +470,29 @@ class TestBlockEngine:
         monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
         assert run_session(cfg, spec) == expected
         assert adv.finalized == cfg.rounds
+
+    def test_rounds_drawing_past_their_row_match_round_by_round(self, monkeypatch):
+        # 16 probes take about 20 words a round, past a round-by-round row's
+        # 8; the small block size makes the rows cross block boundaries.
+        class Probe(adversaries._BlindBaseProbe):
+            def finalize(self, ctx):
+                return super().finalize(ctx)
+
+        read_on = []
+
+        def counted(seed, index, k):
+            read_on.append(index)
+            return _round_words(seed, index, k)
+
+        spec = StrategySpec(StrategyKind.KKKP_PROBE, n=16)
+        cfg = kkkp_cfg(rounds=300, seed=9)
+        adv = Probe(spec.n, spec.lambda_e_nm, spec.theta_known)
+        assert block_form(cfg, adv) is None
+        monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
+        monkeypatch.setattr(harness, "make_strategy", lambda _: adv)
+        monkeypatch.setattr(harness, "_round_words", counted)
+        assert run_session(cfg, spec) == round_by_round(cfg, spec, adv)
+        assert set(read_on) == set(range(cfg.rounds))
 
     def test_recording_strategy_sees_every_round(self, monkeypatch):
         class Recorder(AdversaryStrategy):
@@ -556,8 +569,8 @@ class WordStream(harness.WordStream):
     it is compared with, as (word index, threshold).
     """
 
-    def __init__(self, words):
-        super().__init__([int(w) for w in words])
+    def __init__(self, words, more=None):
+        super().__init__([int(w) for w in words], more)
         self.compared = []
 
     def _uniform(self, word: int) -> float:
@@ -580,15 +593,20 @@ class _RecordedUniform(float):
 class TestWordLayout:
     """The draw order the block engines read, pinned against numpy itself."""
 
+    @pytest.mark.parametrize("row", [10, 4], ids=["row", "short_row"])
     @pytest.mark.parametrize("stream", [harness.WordStream, WordStream], ids=["harness", "recording"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_word_stream_draws_as_numpy_does(self, seed, stream):
+    def test_word_stream_draws_as_numpy_does(self, seed, stream, row):
         # A uniform takes a whole word; random_bits takes the top bits of a
         # fresh word's low half, or of the high half the previous call
-        # kept; a uniform in between leaves that half alone.
+        # kept; a uniform in between leaves that half alone.  A draw past
+        # the row reads on from the round's longer row (_round_words): the
+        # last script keeps the high half of word 3 across a short row's end.
         script = np.random.default_rng(seed).integers(0, 4, (300, 10)).tolist()
+        script.append([0, 0, 0, 1, 0, 1, 0, 2, 0, 3])
         for index, calls in enumerate(script):
-            ours = RoundContext(rng=stream(round_rng(seed, index).bit_generator.random_raw(10).tolist()))
+            words = round_rng(seed, index).bit_generator.random_raw(row).tolist()
+            ours = RoundContext(rng=stream(words, partial(_round_words, seed, index)))
             numpy = RoundContext(rng=round_rng(seed, index))
             for width in calls:
                 if width == 0:
@@ -1404,31 +1422,23 @@ class TestEngineChoice:
         run_session(ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=7), IPE)
         assert len(calls) == 7
 
-    @pytest.mark.parametrize("kind, name, spec, filt", COMPARE_CELLS, ids=CELL_IDS)
-    def test_blocked_sessions_build_no_generator(self, kind, name, spec, filt, generators_built):
-        # Round 0 draws from its row of the first block's words.
-        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
-                             filter=FILTERS[filt], rounds=7)
-        run_session(cfg, spec)
-        assert generators_built == []
-
-    @pytest.mark.parametrize("spec", [IPE, INTERCEPT], ids=lambda v: v.kind.value)
-    def test_round_by_round_sessions_build_one_generator(self, spec, generators_built):
-        cfg = kkkp_cfg(rounds=7, seed=5)
-        run_session(cfg, spec)
-        assert generators_built == [cfg.seed]
-
-    @pytest.mark.parametrize("code, imported", [
-        ("ppsim.cli.main(['compare', '--rounds', '50', '-o', sys.argv[1]])", False),
-        ("ppsim.run_session(ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.KKKP, control_prob=0.0, rounds=5),"
-         " ppsim.StrategySpec(ppsim.StrategyKind.IPE))", True),
-    ], ids=["compare", "kkkp-ipe"])
-    def test_only_round_by_round_sessions_import_numpy_random(self, code, imported, tmp_path):
+    @pytest.mark.parametrize("code", [
+        "ppsim.cli.main(['compare', '--rounds', '50', '-o', sys.argv[1]])",
+        "ppsim.run_session(ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.KKKP, control_prob=0.0, rounds=5),"
+        " ppsim.StrategySpec(ppsim.StrategyKind.IPE))",
+        "ppsim.run_session(ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.KKKP, control_prob=0.0, rounds=5),"
+        " ppsim.StrategySpec(ppsim.StrategyKind.INTERCEPT_RESEND))",
+        "ppsim.run_session(ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.PP_DENSE, rounds=5),"
+        " ppsim.StrategySpec(ppsim.StrategyKind.IPE))",
+    ], ids=["compare", "kkkp-ipe", "kkkp-intercept_resend", "pp_dense-ipe"])
+    def test_no_session_imports_numpy_random(self, code, tmp_path):
+        # Every round reads Philox words (WordStream); round_rng, which the
+        # tests pin those words to, is the only user of numpy.random.
         script = f"import sys, ppsim, ppsim.cli\n{code}\nprint('numpy.random' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "matrix.csv")], env=env,
                               capture_output=True, text=True, check=True, timeout=120)
-        assert proc.stdout.split() == [str(imported)]
+        assert proc.stdout.split() == ["False"]
 
 
 class TestGuessWidth:

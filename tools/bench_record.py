@@ -16,17 +16,15 @@ file holds the parent and the change side by side.  The figures:
   and ``kkkp`` under ``kkkp_probe`` at n = 4 (10^4 rounds, seed 42,
   best of five);
 * the wall time (median of five), the Philox passes, the sessions
-  computed, the numpy Generators built and the rows printed of whole
-  command-line runs, on one seed each (:data:`COMMANDS`): ``ppsim compare`` at its defaults (10^4
+  computed and the rows printed of whole command-line runs, on one
+  seed each (:data:`COMMANDS`): ``ppsim compare`` at its defaults (10^4
   rounds) and at 10^5 rounds, and ``ppsim sweep`` over five values on a
   ``pp_epr``/``ipe`` scenario at 10^4 and 10^5 rounds and on a
   ``kkkp_probe`` n = 1 one at 10^4 rounds.  Where sessions share words,
   the 10^5-round runs are those whose sessions outgrow the budget of
   kept words.  A session is computed when it asks
   ``harness.block_form`` for its engine, which a session that repeats
-  an earlier one of its command does not do; a Generator is built by a
-  call of ``harness._stream_factory``, which only round-by-round
-  sessions make;
+  an earlier one of its command does not do;
 * a warm in-process split of ``ppsim compare --seed 1 --rounds 2000``
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
@@ -349,7 +347,6 @@ def measure_here(what: str):
         name = _philox_name(harness)
         compute, passes = getattr(harness, name), []
         engine, sessions = harness.block_form, []
-        streams, generators = harness._stream_factory, []
 
         def counted(*args):
             passes.append(args)
@@ -359,20 +356,15 @@ def measure_here(what: str):
             sessions.append(None)
             return engine(*args)
 
-        def built(seed):
-            generators.append(seed)
-            return streams(seed)
-
         setattr(harness, name, counted)
         harness.block_form = asked
-        harness._stream_factory = built
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out.csv")
             wall_s = _timed(lambda: ppsim.cli.main(COMMANDS[what] + ["-o", out]))
             with open(out, encoding="utf-8") as fh:
                 rows = len(fh.read().splitlines()) - 1  # after the header
         return {"wall_s": wall_s, "philox_passes": len(passes), "sessions_computed": len(sessions),
-                "generators_built": len(generators), "rows": rows}
+                "rows": rows}
     cfg, spec = _sessions()[what]
     ppsim.run_session(replace(cfg, seed=WARM_UP_SEED), spec)
     return _timed(lambda: ppsim.run_session(cfg, spec))
