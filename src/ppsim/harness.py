@@ -4,8 +4,7 @@ A session executes N protocol rounds in the calling thread, each on its
 own random stream derived from the master seed in counter mode (Philox
 keyed by the seed, counter = round index).  Identical (config,
 strategy) inputs therefore yield bit-identical statistics and round
-logs.  Aggregation is integer counting, with the float rates derived
-once at the end.
+logs.
 
 Every round draws from its row of a block's words, one vectorised
 Philox pass over the block's counters (:func:`_block_words`), pinned bit
@@ -23,10 +22,13 @@ kept within a budget (:func:`_block_words`), and each of those commands
 runs a session that repeats an earlier one of its own, such as a
 filtered honest run, only once (``run_session``'s ``shared``).  A block
 gives each round's leaf (for ping-pong, one lookup in a key table over
-its words) in a small table of leaf records: it is aggregated by
-counting its leaves, in any order, since every statistic is a function
-of the count table alone, and logged as references to the shared
-records.
+its words) in a small table of leaf records, and is logged as
+references to the shared records.  A session is its count table: each
+round outcome (``protocols.outcome``) and its number of rounds.  A row
+run through :func:`run_round` adds one round to it; a blocked session's
+leaf counts, summed over its blocks, are added once after the last.
+:func:`session_stats`, a function of that integer table alone, is the
+one place statistics are computed, the float rates last.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from typing import Mapping
 import numpy as np
 
 from .adversaries import AdversaryStrategy, StrategySpec, make_strategy
-from .protocols import Mode, ProtocolConfig, RoundRecord, WordStream, block_form, message_bit_width, run_round
+from .protocols import (Mode, ProtocolConfig, RoundRecord, WordStream, block_form, message_bit_width, outcome,
+                        run_round)
 
 # Rounds per block of the block engine: enough to spread thin the fixed
 # cost of the ~280 numpy calls of a block's Philox pass, few enough that a
@@ -253,60 +256,48 @@ def channel_mutual_information(counts: JointCounts) -> float:
     return mutual_information({(a, e): weight * c / row_total[a] for (a, e), c in cells.items()})
 
 
-class _Accumulator:
-    """Streaming aggregation of round records, each counted one or more times.
+def session_stats(counts: Mapping[tuple, int], seed: int, scored: bool = True) -> RunStats:
+    """A session's statistics from its count table: each round outcome
+    (``protocols.outcome``) and the number of rounds that ended in it.
 
-    Each count is kept once.  Eve's scored guesses are the (alice, guess)
-    table ``joint`` of the message rounds she guessed: :meth:`stats`
-    reads her guessed rounds as its sum, her correct ones as its
-    diagonal, and her mutual information from it.  The statistics
-    depend on the counts alone, so records may be added in any order.
+    Every statistic is a function of the table alone, so rounds may be
+    counted in any order and by any engine.  Eve's scored guesses are the
+    (alice, guess) table ``joint`` of the message rounds she guessed: her
+    guessed rounds are its sum, her correct ones its diagonal, and her
+    mutual information is read from it.  An unscored guess (``scored``
+    False: one of another width than the protocol's messages) gives an
+    ``eve_accuracy`` and ``eve_mutual_info_bits`` of None.
     """
-
-    __slots__ = (
-        "rounds", "message_rounds", "message_errors", "control_evaluated",
-        "control_failures", "anomalies", "absorbed", "blind", "joint",
+    rounds = message_rounds = errors = control_evaluated = control_failures = anomalies = absorbed = blind = 0
+    joint: Counter = Counter()
+    for (mode, alice, bob, control_pass, guess, eve_blind, anomaly, absorbed_count), n in counts.items():
+        rounds += n
+        anomalies += anomaly * n
+        absorbed += absorbed_count * n
+        blind += eve_blind * n
+        if mode is Mode.MESSAGE:
+            message_rounds += n
+            errors += (bob != alice) * n
+            if guess is not None:
+                joint[alice, guess] += n
+        elif control_pass is not None:
+            control_evaluated += n
+            control_failures += (not control_pass) * n
+    guessed = sum(joint.values()) if scored else 0
+    correct = sum(n for (alice, guess), n in joint.items() if alice == guess)
+    return RunStats(
+        rounds=rounds,
+        message_rounds=message_rounds,
+        control_rounds_evaluated=control_evaluated,
+        qber=errors / message_rounds if message_rounds else 0.0,
+        control_failure_rate=control_failures / control_evaluated if control_evaluated else 0.0,
+        anomaly_count=anomalies,
+        absorbed_total=absorbed,
+        eve_accuracy=correct / guessed if guessed else None,
+        eve_mutual_info_bits=channel_mutual_information(joint) if guessed else None,
+        blind_rounds=blind,
+        seed=seed,
     )
-
-    def __init__(self) -> None:
-        for name in self.__slots__[:-1]:
-            setattr(self, name, 0)
-        self.joint: Counter = Counter()
-
-    def add(self, rec: RoundRecord, times: int = 1) -> None:
-        """Count ``times`` rounds that each ended in ``rec``."""
-        self.rounds += times
-        self.anomalies += rec.anomaly * times
-        self.absorbed += rec.absorbed_count * times
-        self.blind += rec.eve_blind * times
-        if rec.mode is Mode.MESSAGE:
-            self.message_rounds += times
-            if rec.bob_bits != rec.alice_bits:
-                self.message_errors += times
-            if rec.eve_guess is not None:
-                self.joint[(rec.alice_bits, rec.eve_guess)] += times
-        elif rec.control_pass is not None:
-            self.control_evaluated += times
-            self.control_failures += (not rec.control_pass) * times
-
-    def stats(self, seed: int) -> RunStats:
-        guessed = sum(self.joint.values())
-        correct = sum(c for (alice, guess), c in self.joint.items() if alice == guess)
-        return RunStats(
-            rounds=self.rounds,
-            message_rounds=self.message_rounds,
-            control_rounds_evaluated=self.control_evaluated,
-            qber=self.message_errors / self.message_rounds if self.message_rounds else 0.0,
-            control_failure_rate=(
-                self.control_failures / self.control_evaluated if self.control_evaluated else 0.0
-            ),
-            anomaly_count=self.anomalies,
-            absorbed_total=self.absorbed,
-            eve_accuracy=correct / guessed if guessed else None,
-            eve_mutual_info_bits=channel_mutual_information(self.joint) if guessed else None,
-            blind_rounds=self.blind,
-            seed=seed,
-        )
 
 
 def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *,
@@ -321,11 +312,13 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
     :class:`WordStream`; a blocked one runs round 0 so, and the rest a
     block at a time, reading the same words (a ping-pong block looks
     each round's leaf up in a key table), so its statistics and log are
-    those of :func:`run_round` round by round.  Every round runs
-    in the calling thread, and ``workers`` has no effect: the result is
-    the same for any value.  A guess of another width than the
-    protocol's messages (a one-bit guess on ``pp_dense``, say) is not
-    scored: its ``eve_accuracy`` and ``eve_mutual_info_bits`` are None.
+    those of :func:`run_round` round by round.  Every round is counted
+    into one table keyed by its outcome, and :func:`session_stats` reads
+    the statistics off it.  Every round runs in the calling thread, and
+    ``workers`` has no effect: the result is the same for any value.  A
+    guess of another width than the protocol's messages (a one-bit guess
+    on ``pp_dense``, say) is not scored: its ``eve_accuracy`` and
+    ``eve_mutual_info_bits`` are None.
 
     ``shared``, a dict one command passes to all its sessions, keeps
     their results.  A session that differs from an earlier one only in a
@@ -347,7 +340,8 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
         hit = shared.get(key)
         if hit is not None:
             return hit[0], list(hit[1])
-    acc = _Accumulator()
+    counts: Counter = Counter()
+    tally = 0  # a blocked session's rounds per leaf, summed over its blocks
     log: list[RoundRecord] = []
     blocks = block_form(cfg, adv)
     k = ROUND_WORDS if blocks is None else blocks.words
@@ -357,18 +351,19 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
         scalar = len(words) if blocks is None else start == 0  # the rows run through run_round
         for index, row in enumerate(words[:scalar].tolist(), start):
             rec = run_round(cfg, adv, WordStream(row, partial(_round_words, cfg.seed, index)))
-            acc.add(rec)
+            counts[outcome(rec)] += 1
             if cfg.log_rounds:
                 log.append(rec)
         if blocks is not None:
             block = blocks.run(words[scalar:])
-            for rec, times in block.counts():
-                acc.add(rec, times)
+            tally += np.bincount(block.leaves, minlength=len(blocks.table))
             if cfg.log_rounds:
                 log.extend(block.records())
-    stats = acc.stats(cfg.seed)
-    if adv.width != message_bit_width(cfg.kind):
-        stats = replace(stats, eve_accuracy=None, eve_mutual_info_bits=None)
+    if blocks is not None:
+        for rec, n in zip(blocks.table.tolist(), tally.tolist()):
+            if n:
+                counts[outcome(rec)] += n
+    stats = session_stats(counts, cfg.seed, scored=adv.width == message_bit_width(cfg.kind))
     if shared is not None:
         shared[key] = stats, tuple(log)
     return stats, log

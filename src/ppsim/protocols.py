@@ -152,6 +152,9 @@ _record_values = attrgetter(*RoundRecord.__slots__)
 for _name in _RECORD_FIELDS:
     setattr(RoundRecord, _name, property(attrgetter("_" + _name)))
 
+# A round's outcome, the key of a count table: all its fields but kkkp_angles, which no statistic reads.
+outcome = attrgetter(*RoundRecord.__slots__[:8])
+
 
 class Block(NamedTuple):
     """A block of rounds: round i ends at leaf ``leaves[i]``, whose record is ``table[leaves[i]]``.
@@ -164,17 +167,12 @@ class Block(NamedTuple):
     table: np.ndarray
     kkkp_angles: tuple[np.ndarray, np.ndarray] | None
 
-    def counts(self) -> list[tuple[RoundRecord, int]]:
-        """Each leaf's record and the number of rounds that end there, in leaf order."""
-        counts = np.bincount(self.leaves, minlength=len(self.table)).tolist()
-        return [(rec, n) for rec, n in zip(self.table.tolist(), counts) if n]
-
     def records(self) -> list[RoundRecord]:
         """One record per round: its leaf's own record, or in ``kkkp`` a
         new record that adds the round's angles to it."""
         if self.kkkp_angles is None:
             return self.table[self.leaves].tolist()
-        fields = [_record_values(rec)[:8] for rec in self.table.tolist()]  # all but the angles
+        fields = [outcome(rec) for rec in self.table.tolist()]
         angles = zip(*(a.tolist() for a in self.kkkp_angles))
         return [RoundRecord(*fields[leaf], ang) for leaf, ang in zip(self.leaves.tolist(), angles)]
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ppsim import adversaries, harness, protocols, quantum
@@ -22,7 +22,6 @@ from ppsim.adversaries import AdversaryStrategy, RoundContext, StrategyKind, Str
 from ppsim.cli import _compare_attacks
 from ppsim.harness import (
     BLOCK_ROUNDS,
-    _Accumulator,
     _block_words,
     _philox_words,
     _round_words,
@@ -30,6 +29,7 @@ from ppsim.harness import (
     mutual_information,
     round_rng,
     run_session,
+    session_stats,
 )
 from ppsim.optics import Detector, OpticalFilter, default_filter
 from ppsim.protocols import (
@@ -42,6 +42,7 @@ from ppsim.protocols import (
     ProtocolKind,
     RoundRecord,
     block_form,
+    outcome,
     run_round,
 )
 
@@ -165,16 +166,13 @@ class TestOrderFree:
 
 
 class TestQber:
-    """QBER as reported: through ``_Accumulator.add`` and ``.stats``."""
+    """QBER as reported: through a count table and ``session_stats``."""
 
     def _msg(self, alice, bob):
         return RoundRecord(mode=Mode.MESSAGE, alice_bits=alice, bob_bits=bob)
 
     def _stats(self, records):
-        acc = _Accumulator()
-        for rec in records:
-            acc.add(rec)
-        return acc.stats(seed=0)
+        return session_stats(Counter(map(outcome, records)), seed=0)
 
     def test_all_correct(self):
         assert self._stats([self._msg(b, b) for b in (0, 1, 0)]).qber == 0.0
@@ -291,29 +289,96 @@ _RECORDS = st.builds(
 )
 
 
+class _FixedLeaves:
+    """A block form of one word a round whose rounds 1, 2, ... end at ``leaves`` in ``table``."""
+
+    words = 1
+
+    def __init__(self, table, leaves):
+        self.table, self.leaves, self.done = np.array(table, object), np.array(leaves, np.intp), 0
+
+    def run(self, words):
+        self.done += len(words)
+        return Block(self.leaves[self.done - len(words):self.done], self.table, None)
+
+
+def _blocked_session(first, table, leaves, block_rounds):
+    """The count table, statistics and log of ``run_session`` on a session
+    whose round 0 ends in ``first`` and whose later rounds end at
+    ``leaves``, run in blocks of ``block_rounds``."""
+    counted = []
+
+    def stats(counts, *args, **kw):
+        counted.append(dict(counts))
+        return session_stats(counts, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BLOCK_ROUNDS", block_rounds)
+        mp.setattr(harness, "block_form", lambda cfg, adv: _FixedLeaves(table, leaves))
+        mp.setattr(harness, "_block_words", lambda seed, start, stop, k: np.zeros((stop - start, k), np.uint64))
+        mp.setattr(harness, "run_round", lambda *args: first)
+        mp.setattr(harness, "session_stats", stats)
+        result = run_session(epr_cfg(rounds=1 + len(leaves), seed=3, log_rounds=True), NO_EVE)
+    return (counted[0], *result)
+
+
+def _angled(rec: RoundRecord, angles: tuple[float, float]) -> RoundRecord:
+    return RoundRecord(*outcome(rec), angles)
+
+
 class TestLeafCounts:
+    """A session is its count table, keyed by outcome: however its rounds
+    are split into blocks or ordered, ``session_stats`` reads what
+    counting its log record by record gives."""
+
     @given(first=_RECORDS, table=st.lists(_RECORDS, min_size=1, max_size=12), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_counting_leaves_matches_adding_records(self, first, table, data):
-        leaves = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=300))
-        block = Block(np.array(leaves), np.array(table, object), None)
-        by_counts, by_record = _Accumulator(), _Accumulator()
-        for acc in (by_counts, by_record):
-            acc.add(first)  # round 0, run round by round
-        for rec, times in block.counts():
-            by_counts.add(rec, times)
-        for leaf in leaves:
-            by_record.add(table[leaf])
-        assert by_counts.stats(0) == by_record.stats(0)
-        assert by_counts.joint == by_record.joint
-        assert block.records() == [table[leaf] for leaf in leaves]
-        # Any order of the rows gives the same statistics: an engine may
-        # count a session's rounds in whatever order it runs them.
-        shuffled = _Accumulator()
-        shuffled.add(first)
-        for leaf in data.draw(st.permutations(leaves)):
-            shuffled.add(table[leaf])
-        assert shuffled.stats(0) == by_record.stats(0)
+    def test_split_and_permuted_blocks_count_as_record_by_record(self, first, table, data):
+        # Equal records at two leaves, and records that differ only in their angles.
+        copies = data.draw(st.lists(st.sampled_from(table), max_size=4))
+        table = table + [_angled(rec, (0.25, i)) for i, rec in enumerate(copies)]
+        leaves = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=300))
+        by_record = Counter(map(outcome, [first, *(table[leaf] for leaf in leaves)]))
+        expected = session_stats(by_record, 3)
+        # Blocks split where run_session splits them, rows in any order.
+        shuffled = data.draw(st.permutations(leaves))
+        counts, stats, log = _blocked_session(first, table, shuffled, data.draw(st.integers(1, 301)))
+        assert counts == by_record
+        assert stats == expected
+        assert log == [first, *(table[leaf] for leaf in shuffled)]
+        # Any split points: the chunks' summed leaf counts give the same table.
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(leaves)))))
+        tally = sum(np.bincount(chunk, minlength=len(table)) for chunk in np.split(np.array(shuffled, np.intp), cuts))
+        chunked = Counter({outcome(first): 1})
+        for rec, n in zip(table, tally.tolist()):
+            chunked[outcome(rec)] += n
+        assert session_stats(chunked, 3) == expected
+
+    def test_records_differing_only_in_angles_share_a_cell(self):
+        rec = RoundRecord(Mode.MESSAGE, 1, 1, None, 0, kkkp_angles=(0.5, 1.5))
+        table = [rec, _angled(rec, (2.0, 3.0)), _angled(rec, None)]
+        counts, stats, _ = _blocked_session(_angled(rec, (4.0, 5.0)), table, [0, 1, 2, 1], 2)
+        assert counts == {outcome(rec): 5}
+        assert (stats.rounds, stats.message_rounds, stats.eve_accuracy) == (5, 5, 0.0)
+
+    def test_equal_records_at_two_leaves_share_a_cell(self):
+        def control():
+            return RoundRecord(Mode.CONTROL, control_pass=False, anomaly=True)
+
+        counts, stats, _ = _blocked_session(control(), [control(), control()], [1, 0, 1, 1], 3)
+        assert counts == {outcome(control()): 5}
+        assert (stats.control_rounds_evaluated, stats.control_failure_rate, stats.anomaly_count) == (5, 1.0, 5)
+
+
+class TestSessionStats:
+    @given(records=st.lists(_RECORDS, max_size=40))
+    @example(records=[RoundRecord(Mode.MESSAGE, 1, 1, None, 1), RoundRecord(Mode.CONTROL, control_pass=True)])
+    @settings(max_examples=150, deadline=None)
+    def test_unscored_guesses_read_none_and_change_nothing_else(self, records):
+        counts = Counter(map(outcome, records))
+        scored = session_stats(counts, 9)
+        assert session_stats(counts, 9, scored=False) == replace(
+            scored, eve_accuracy=None, eve_mutual_info_bits=None)
 
 
 @pytest.fixture
@@ -339,11 +404,8 @@ def round_by_round(cfg: ProtocolConfig, spec: StrategySpec, adv: AdversaryStrate
     """The oracle: run_round on fresh round_rng streams, aggregated record by
     record; ``adv``, if given, stands in for the strategy ``spec`` makes."""
     adv = make_strategy(spec) if adv is None else adv
-    acc = _Accumulator()
     log = [run_round(cfg, adv, round_rng(cfg.seed, i)) for i in range(cfg.rounds)]
-    for rec in log:
-        acc.add(rec)
-    return acc.stats(cfg.seed), log
+    return session_stats(Counter(map(outcome, log)), cfg.seed), log
 
 
 SEEDS = (42, 7, 123456789)
@@ -1204,10 +1266,7 @@ class TestRareBranches:
         expected = [run_round(cfg, adv, WordStream(row)) for row in words]
         assert log == expected
         assert sum(rec.eve_guess is not None for rec in log) == len(rare)
-        acc = _Accumulator()
-        for rec in expected:
-            acc.add(rec)
-        assert stats == acc.stats(cfg.seed)
+        assert stats == session_stats(Counter(map(outcome, expected)), cfg.seed)
         assert widths == [5] * 4
 
 

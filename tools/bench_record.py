@@ -29,8 +29,9 @@ file holds the parent and the change side by side.  The figures:
   (:data:`SPLIT_ARGS`): the time in ``harness.block_form`` (building the
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
   in ``protocols.BranchBlocks.run`` (finding each ping-pong round's
-  leaf), in ``protocols.Block.counts`` (counting a block's rounds
-  per leaf) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
+  leaf), in ``harness.session_stats`` (each session's statistics from
+  its count table; ``protocols.Block.counts``, counting a block's
+  rounds per leaf, in checkouts without it) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
   interpreters runs one untimed pass and then :data:`SPLIT_PASSES` timed
   ones, and keeps the best of each part; the figures are the medians over the interpreters.  A warm pass reads
   the words the untimed pass kept, so its Philox part is 0 where
@@ -38,8 +39,8 @@ file holds the parent and the change side by side.  The figures:
 * the same warm split of a logged ``pp_dense`` session under
   ``ipe_dense`` (:data:`DENSE_SPLIT_ROUNDS` rounds, seed 1), the
   configuration of the benchmark's ``dense_logged_workers``: the time in
-  ``harness.block_form``, in ``protocols.BranchBlocks.run``, in
-  ``protocols.Block.counts`` and the rest (aggregation and the log); its words stay kept from the untimed pass;
+  ``harness.block_form``, in ``protocols.BranchBlocks.run``, in the
+  count step as above and the rest (the leaf counts and the log); its words stay kept from the untimed pass;
 * the same warm split of ``kkkp`` sessions under ``kkkp_probe`` at
   n = 1, 4 and 16 (:data:`KKKP_SPLIT_ROUNDS` rounds, seed 1), each
   pass starting with no kept words: the time in
@@ -192,6 +193,13 @@ def _philox_name(harness) -> str:
     return "_philox_words" if hasattr(harness, "_philox_words") else "_block_words"
 
 
+def _count_part(harness, protocols) -> dict:
+    """The split's count step: ``harness.session_stats``, or ``protocols.Block.counts`` where it is absent."""
+    if hasattr(harness, "session_stats"):
+        return {"session_stats": (harness, "session_stats")}
+    return {"block_counts": (protocols.Block, "counts")}
+
+
 def _best_split(parts: dict, run_pass, nested: tuple[str, ...] = ()) -> dict:
     """Best of :data:`SPLIT_PASSES` warm calls of ``run_pass``, in seconds per part.
 
@@ -204,10 +212,10 @@ def _best_split(parts: dict, run_pass, nested: tuple[str, ...] = ()) -> dict:
     spent = dict.fromkeys(parts, 0.0)
     saved = {part: getattr(owner, name) for part, (owner, name) in parts.items()}
     for part, (owner, name) in parts.items():
-        def timed(*args, inner=saved[part], part=part):
+        def timed(*args, inner=saved[part], part=part, **kwargs):
             start = perf_counter()
             try:
-                return inner(*args)
+                return inner(*args, **kwargs)
             finally:
                 spent[part] += perf_counter() - start
 
@@ -233,8 +241,7 @@ def _split_here() -> dict:
     from ppsim import harness, protocols
 
     parts = {"block_form": (harness, "block_form"), "philox_words": (harness, _philox_name(harness)),
-             "branch_blocks_run": (protocols.BranchBlocks, "run"),
-             "block_counts": (protocols.Block, "counts")}
+             "branch_blocks_run": (protocols.BranchBlocks, "run"), **_count_part(harness, protocols)}
     with tempfile.TemporaryDirectory() as tmp:
         argv = SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")]
         return _best_split(parts, lambda: ppsim.cli.main(argv))
@@ -266,7 +273,7 @@ def _dense_split_here() -> dict:
     from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols
 
     parts = {"block_form": (harness, "block_form"), "branch_blocks_run": (protocols.BranchBlocks, "run"),
-             "block_counts": (protocols.Block, "counts")}
+             **_count_part(harness, protocols)}
     cfg = ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=DENSE_SPLIT_ROUNDS, seed=1, log_rounds=True)
     spec = StrategySpec(StrategyKind.IPE_DENSE)
     return _best_split(parts, lambda: harness.run_session(cfg, spec))
