@@ -494,7 +494,8 @@ class BranchBlocks:
     scalar kernels compute is below it just when w >> 11 < ceil(p * 2**53),
     so the ends of an interval are exact integer cuts, and no float
     operation is written a second time.  The kernels read a probability within 2**-50 of 0 or 1
-    as exactly 0 or 1, so float rounding makes no leaf.
+    as exactly 0 or 1 and take the draw of such a certain outcome without comparing it, so
+    float rounding makes no leaf and a certain outcome is no decision.
 
     Each uniform word that a leaf narrows is an axis, cut by the ends of
     the leaves' intervals on it: a row's code there is the number of ends

@@ -7,15 +7,15 @@ significant bit, so for two qubits the amplitudes are ordered
 
 The protocols build only 1- and 2-qubit registers, and numpy's
 per-call overhead dwarfs the arithmetic at those sizes, so both run on
-scalar paths.  A 1-qubit register keeps its two amplitudes as plain
-Python complex numbers.  A 2-qubit register keeps a numpy vector, but
-its gates, single-qubit measurements and Bell measurement read the four
-amplitudes into Python complex numbers, do the arithmetic there and
-write the result back into the vector.  The generic path, a contraction
-over the reshaped vector, serves registers of three or more qubits and
-is the oracle the scalar paths are tested against.  Every path samples
-with one ``rng.random()`` per measurement, so a register embedded in a
-larger one yields the same outcomes from the same stream.
+scalar paths: a register of n <= 2 qubits keeps its two or four
+amplitudes as plain Python complex numbers, and its gates, single-qubit
+measurements and Bell measurement do their arithmetic on them.  The
+generic path, a contraction over a numpy vector, serves registers of
+three or more qubits and is the oracle the scalar paths are tested
+against.  Every path samples with one ``rng.random()`` per measurement,
+so a register embedded in a larger one yields the same outcomes from the
+same stream.  A certain outcome, one whose probability reads as 0 or 1
+(:func:`_below`), takes its draw without comparing it.
 
 Single-qubit unitaries and measurement bases are plain 2x2 complex
 arrays.  A measurement basis matrix has the outcome-0 eigenvector in
@@ -46,9 +46,14 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _SNAP = 2.0**-50
 
 
-def _snap(p: float) -> float:
-    """``p``, or 0 or 1 where it lies within :data:`_SNAP` of them."""
-    return 0.0 if p <= _SNAP else 1.0 if p >= 1.0 - _SNAP else p
+def _below(r: float, p: float) -> bool:
+    """Whether the uniform draw ``r`` is below ``p``, read as 0 or 1 within :data:`_SNAP` of them.
+
+    A ``p`` read as 0 or 1 (or beyond them, or NaN) decides without
+    comparing ``r``, so a certain outcome is no decision of a tree build.
+    """
+    return p > _SNAP and (p >= 1.0 - _SNAP or r < p)
+
 
 # Single-qubit gates.  ZX is "apply X, then Z"; IY = i*Y is the real
 # matrix that flips a qubit in both the Z and the X basis.
@@ -96,7 +101,7 @@ _BELL_MATRIX = np.stack([BELL_AMPLITUDES[k] for k in _BELL_ORDER])
 
 # The per-round lookups below are keyed by member name: a str hashes in C,
 # while hashing the member itself runs Enum.__hash__ in Python.
-_BELL_BY_NAME = {kind._name_: amps for kind, amps in BELL_AMPLITUDES.items()}
+_BELL_BY_NAME = {kind._name_: tuple(amps.tolist()) for kind, amps in BELL_AMPLITUDES.items()}
 
 
 class Prep(Enum):
@@ -119,15 +124,15 @@ _PREP_AMPLITUDES: dict[str, tuple[complex, complex]] = {  # keyed by member name
 class QuantumRegister:
     """Joint pure state of ``n`` qubits; amplitudes has length ``2**n``.
 
-    For ``n >= 2`` the amplitudes are a numpy vector, shared with the
-    caller's array and mutable in place; 2-qubit registers run the
-    scalar kernels on it, larger ones the generic path.  For ``n == 1``
-    they are held as two Python complex numbers (``_a0``, ``_a1``);
-    ``amplitudes`` then returns a fresh read-only length-2 vector, and
-    assigning to it replaces the state.
+    For ``n <= 2`` the amplitudes are held as Python complex numbers
+    (``_a0``, ``_a1`` and, for two qubits, ``_a2``, ``_a3``), which the
+    scalar kernels run on; ``amplitudes`` then returns a fresh read-only
+    vector, and assigning to it replaces the state.  For ``n >= 3`` they
+    are a numpy vector, shared with the caller's array and mutable in
+    place, which the generic path runs on.
     """
 
-    __slots__ = ("n", "_vec", "_a0", "_a1")
+    __slots__ = ("n", "_vec", "_a0", "_a1", "_a2", "_a3")
 
     def __init__(self, amplitudes: np.ndarray, n: int):
         if not 1 <= n <= MAX_QUBITS:
@@ -137,11 +142,12 @@ class QuantumRegister:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if self.n == 1:
-            vec = np.array([self._a0, self._a1], dtype=complex)
-            vec.flags.writeable = False
-            return vec
-        return self._vec
+        if self.n > 2:
+            return self._vec
+        amps = [self._a0, self._a1] if self.n == 1 else [self._a0, self._a1, self._a2, self._a3]
+        vec = np.array(amps, dtype=complex)
+        vec.flags.writeable = False
+        return vec
 
     @amplitudes.setter
     def amplitudes(self, value: np.ndarray) -> None:
@@ -150,6 +156,8 @@ class QuantumRegister:
             raise ValueError(f"expected {1 << self.n} amplitudes for {self.n} qubits, got {vec.shape}")
         if self.n == 1:
             self._a0, self._a1 = vec.tolist()
+        elif self.n == 2:
+            self._a0, self._a1, self._a2, self._a3 = vec.tolist()
         else:
             self._vec = vec
 
@@ -171,7 +179,7 @@ def make_bell(kind: BellKind) -> QuantumRegister:
     """Fresh 2-qubit register in the requested Bell state."""
     reg = object.__new__(QuantumRegister)  # amplitudes made here need no validation
     reg.n = 2
-    reg._vec = _BELL_BY_NAME[kind._name_].copy()
+    reg._a0, reg._a1, reg._a2, reg._a3 = _BELL_BY_NAME[kind._name_]
     return reg
 
 
@@ -207,13 +215,13 @@ def apply_unitary(reg: QuantumRegister, qubit: int, u: np.ndarray) -> QuantumReg
         return reg
     if n == 2 and (qubit == 0 or qubit == 1):
         (u00, u01), (u10, u11) = u.tolist()
-        a, b, c, d = reg._vec.tolist()
+        a, b, c, d = reg._a0, reg._a1, reg._a2, reg._a3
         if qubit == 0:  # pairs (|0x>, |1x>): (a, c) and (b, d)
-            reg._vec[:] = (u00 * a + u01 * c, u00 * b + u01 * d,
-                           u10 * a + u11 * c, u10 * b + u11 * d)
+            reg._a0, reg._a1, reg._a2, reg._a3 = (u00 * a + u01 * c, u00 * b + u01 * d,
+                                                  u10 * a + u11 * c, u10 * b + u11 * d)
         else:  # pairs (|x0>, |x1>): (a, b) and (c, d)
-            reg._vec[:] = (u00 * a + u01 * b, u10 * a + u11 * b,
-                           u00 * c + u01 * d, u10 * c + u11 * d)
+            reg._a0, reg._a1, reg._a2, reg._a3 = (u00 * a + u01 * b, u10 * a + u11 * b,
+                                                  u00 * c + u01 * d, u10 * c + u11 * d)
         return reg
     _check_index(reg, qubit)
     # Axis 1 of the (left, 2, right) view is the qubit; u acts on it.
@@ -280,7 +288,8 @@ def draws_below(words: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _snap_each(p: np.ndarray) -> np.ndarray:
-    """:func:`_snap` of each probability in ``p``, bit for bit."""
+    """Each probability in ``p``, or 0 or 1 where it lies within :data:`_SNAP` of them:
+    :func:`_below`'s reading of a scalar, bit for bit."""
     return np.where(p <= _SNAP, 0.0, np.where(p >= 1.0 - _SNAP, 1.0, p))
 
 
@@ -308,7 +317,7 @@ def _collapse_qubit(reg: QuantumRegister, basis: np.ndarray, r: float) -> int:
         a0, a1 = (b00.conjugate() * a0 + b10.conjugate() * a1,
                   b01.conjugate() * a0 + b11.conjugate() * a1)
     p1 = a1.real * a1.real + a1.imag * a1.imag
-    if r < _snap(p1):  # the raw p1 normalises
+    if _below(r, p1):  # the raw p1 normalises
         kept = a1 / math.sqrt(p1)
         reg._a0, reg._a1 = (0j, kept) if in_z else (b01 * kept, b11 * kept)
         return 1
@@ -326,7 +335,7 @@ def _collapse_vector(reg: QuantumRegister, qubit: int, basis: np.ndarray, r: flo
     if not in_z:  # amplitudes in the measurement basis
         psi = basis.conj().T @ psi
     p1 = float(np.sum(np.abs(psi[:, 1]) ** 2))
-    outcome = 1 if r < _snap(p1) else 0
+    outcome = 1 if _below(r, p1) else 0
     psi[:, 1 - outcome] = 0.0
     psi /= math.sqrt(p1 if outcome else 1.0 - p1)
     if not in_z:
@@ -336,8 +345,7 @@ def _collapse_vector(reg: QuantumRegister, qubit: int, basis: np.ndarray, r: flo
 
 def _collapse_pair(reg: QuantumRegister, qubit: int, basis: np.ndarray, in_z: bool, r: float) -> int:
     """Scalar :func:`_collapse_vector` for a 2-qubit register."""
-    vec = reg._vec
-    a, b, c, d = vec.tolist()
+    a, b, c, d = reg._a0, reg._a1, reg._a2, reg._a3
     # (x0, x1): the measured qubit's amplitudes with the other qubit at 0;
     # (y0, y1): the same with the other qubit at 1.
     x0, x1, y0, y1 = (a, c, b, d) if qubit == 0 else (a, b, c, d)
@@ -347,7 +355,7 @@ def _collapse_pair(reg: QuantumRegister, qubit: int, basis: np.ndarray, in_z: bo
         x0, x1 = b00c * x0 + b10c * x1, b01c * x0 + b11c * x1
         y0, y1 = b00c * y0 + b10c * y1, b01c * y0 + b11c * y1
     p1 = x1.real * x1.real + x1.imag * x1.imag + y1.real * y1.real + y1.imag * y1.imag
-    if r < _snap(p1):
+    if _below(r, p1):
         outcome, norm = 1, math.sqrt(p1)
         kx, ky = x1 / norm, y1 / norm
         x0, x1, y0, y1 = (0j, kx, 0j, ky) if in_z else (b01 * kx, b11 * kx, b01 * ky, b11 * ky)
@@ -355,7 +363,7 @@ def _collapse_pair(reg: QuantumRegister, qubit: int, basis: np.ndarray, in_z: bo
         outcome, norm = 0, math.sqrt(1.0 - p1)
         kx, ky = x0 / norm, y0 / norm
         x0, x1, y0, y1 = (kx, 0j, ky, 0j) if in_z else (b00 * kx, b10 * kx, b00 * ky, b10 * ky)
-    vec[:] = (x0, y0, x1, y1) if qubit == 0 else (x0, x1, y0, y1)
+    reg._a0, reg._a1, reg._a2, reg._a3 = (x0, y0, x1, y1) if qubit == 0 else (x0, x1, y0, y1)
     return outcome
 
 
@@ -391,7 +399,7 @@ def _pick(probs: list[float], r: float) -> int:
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p
-        if r < _snap(acc):
+        if _below(r, acc):
             return i
     return probs.index(max(probs))  # a state whose norm falls short of 1
 
@@ -402,21 +410,16 @@ def _measure_bell_pair(reg: QuantumRegister, r: float) -> tuple[BellKind, Quantu
     Either qubit order gives the same outcome probabilities and the same
     collapsed state, the normalised projection onto the outcome.
     """
-    vec = reg._vec
-    a, b, c, d = vec.tolist()
+    a, b, c, d = reg._a0, reg._a1, reg._a2, reg._a3
     coeff = ((b + c) * _SQRT2_INV, (b - c) * _SQRT2_INV,   # Psi+, Psi-
              (a + d) * _SQRT2_INV, (a - d) * _SQRT2_INV)   # Phi+, Phi-
     probs = [z.real * z.real + z.imag * z.imag for z in coeff]
     k = _pick(probs, r)
     h = coeff[k] * (_SQRT2_INV / math.sqrt(probs[k]))
-    if k == 0:
-        vec[:] = (0j, h, h, 0j)
-    elif k == 1:
-        vec[:] = (0j, h, -h, 0j)
-    elif k == 2:
-        vec[:] = (h, 0j, 0j, h)
-    else:
-        vec[:] = (h, 0j, 0j, -h)
+    if k < 2:  # Psi+ or Psi-
+        reg._a0, reg._a1, reg._a2, reg._a3 = 0j, h, h if k == 0 else -h, 0j
+    else:  # Phi+ or Phi-
+        reg._a0, reg._a1, reg._a2, reg._a3 = h, 0j, 0j, h if k == 2 else -h
     return _BELL_ORDER[k], reg
 
 

@@ -1230,17 +1230,25 @@ class TestRareBranches:
     def test_dense_tree_runs_the_round_once_per_branch_built(self, monkeypatch):
         # One run per decision path: float rounding makes no branch of the
         # pp_dense/ipe_dense tree, and the blind guess's values 1-3 copy the
-        # record of the run that reads 0, so 6 runs build its 12 leaves.
-        calls = []
-        compute = protocols._round
+        # record of the run that reads 0, so 6 runs build its 12 leaves.  A
+        # certain outcome takes its draw without comparing it, so the runs
+        # compare draws 8 times in all, each a real branch or its replay.
+        calls, compared = [], []
+        compute, below = protocols._round, protocols._Draw.__lt__
 
         def counted(*args):
             calls.append(1)
             return compute(*args)
 
+        def counted_below(draw, threshold):
+            compared.append(threshold)
+            return below(draw, threshold)
+
         monkeypatch.setattr(protocols, "_round", counted)
+        monkeypatch.setattr(protocols._Draw, "__lt__", counted_below)
         tree = block_form(ProtocolConfig(kind=ProtocolKind.PP_DENSE), make_strategy(IPE_DENSE))
         assert len(calls) == 6
+        assert len(compared) == 8
         assert len(tree.table) == 12
 
     def test_a_rare_branch_is_built_up_front(self, monkeypatch):

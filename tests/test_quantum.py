@@ -38,8 +38,10 @@ class TestBellConstruction:
 
     def test_fresh_register_per_call(self):
         a, b = q.make_bell(q.BellKind.PSI_PLUS), q.make_bell(q.BellKind.PSI_PLUS)
-        a.amplitudes[0] = 1.0
+        a.amplitudes = np.array([1, 0, 0, 0], dtype=complex)
+        q.apply_unitary(a, 1, q.X)
         assert b.amplitudes[0] == 0.0
+        assert q.states_equal(b, q.make_bell(q.BellKind.PSI_PLUS))
 
 
 class TestSinglePreparation:
@@ -255,13 +257,16 @@ class TestRegisterValidation:
         with pytest.raises(ValueError):
             reg.amplitudes = np.array([1, 0, 0], dtype=complex)
 
-    def test_one_qubit_amplitudes_are_a_read_only_copy(self):
-        # In-place writes would be lost, so they fail; assignment replaces the state.
-        reg = q.make_single(q.Prep.ZERO)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scalar_register_amplitudes_are_a_read_only_copy(self, n):
+        # Registers of up to two qubits hold Python scalars: in-place writes
+        # would be lost, so they fail; assignment replaces the state.
+        reg, other = ((q.make_single(q.Prep.ZERO), q.make_single(q.Prep.ONE)) if n == 1
+                      else (q.make_bell(q.BellKind.PSI_PLUS), q.make_bell(q.BellKind.PHI_MINUS)))
         with pytest.raises(ValueError):
             reg.amplitudes[0] = 0.0
-        reg.amplitudes = np.array([0, 1], dtype=complex)
-        assert q.states_equal(reg, q.make_single(q.Prep.ONE))
+        reg.amplitudes = other.amplitudes
+        assert q.states_equal(reg, other)
 
 
 def _ground(n: int) -> np.ndarray:
@@ -493,16 +498,34 @@ class TestRealBlockKernels:
         self._assert_cos_sin_is_libm(m)
 
     def test_snap_is_one_rule_for_scalars_and_arrays(self):
-        # The rule is written twice: _snap for the scalar kernels, and
+        # The rule is written twice: _below for the scalar kernels, and
         # _snap_each, with np.where, for prob_one_real.  At each edge and
-        # the floats next to it, both must read the same bits.
+        # the floats next to it, every draw in [0, 1) must be below p just
+        # when it is below the snapped p.
         lo, hi = 2.0**-50, 1.0 - 2.0**-50
         probs = [p for edge in (0.0, lo, 0.5, hi, 1.0)
                  for p in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0))]
-        scalar = [q._snap(p) for p in probs]
-        assert list(map(float.hex, q._snap_each(np.array(probs)).tolist())) == list(map(float.hex, scalar))
-        assert scalar[3:6] == [0.0, 0.0, math.nextafter(lo, 1.0)]
-        assert scalar[9:12] == [math.nextafter(hi, 0.0), 1.0, 1.0]
+        snapped = q._snap_each(np.array(probs)).tolist()
+        for p, s in zip(probs, snapped):
+            for r in (0.0, math.nextafter(p, 0.0), p, 1.0 - 2.0**-53):
+                if 0.0 <= r < 1.0:
+                    assert q._below(r, p) is (r < s), (p, r)
+        assert snapped[3:6] == [0.0, 0.0, math.nextafter(lo, 1.0)]
+        assert snapped[9:12] == [math.nextafter(hi, 0.0), 1.0, 1.0]
+
+        # A p read as 0 or 1, or lying beyond them, or NaN, is a certain
+        # outcome: it decides without comparing the draw.
+        class Uncompared:
+            def __lt__(self, p):
+                raise AssertionError(f"the draw was compared with the certain p = {p!r}")
+
+        certain = [(p, s == 1.0) for p, s in zip(probs, snapped) if s in (0.0, 1.0)]
+        certain += [(-1.0, False), (2.0, True), (math.nan, False)]
+        assert len(certain) == 13
+        for p, below in certain:
+            assert q._below(Uncompared(), p) is below, p
+        with pytest.raises(AssertionError):
+            q._below(Uncompared(), 0.5)
         # prob_one_real snaps the squares that land on the edges.
         amps = np.array([2.0**-25, 1.0 - 2.0**-51])
         assert (amps * amps).tolist() == [lo, hi]
