@@ -15,7 +15,9 @@ A strategy may add or remove photons, but must never touch the register
 of a photon it did not create.  Every photon of a pulse a hook returns
 is at the signal's wavelength or at one of the strategy's
 ``probe_wavelengths``, so a session reads the filter and the detector
-only through their verdicts on those wavelengths.  All per-round state
+only through their verdicts on those wavelengths.  Eve's spectroscope
+is modelled by photon ids: she takes back exactly the photons she
+injected, whatever the wavelengths of the others.  All per-round state
 lives in the typed slots of the :class:`RoundContext`, so one strategy
 instance serves every round of a session.
 
@@ -32,9 +34,10 @@ in ``width`` the number of bits its guess holds.  A session whose
 strategy's own class lists the protocol runs a block of rounds at a
 time, as numpy arrays over the rounds (see ``protocols.block_form``).
 For a ping-pong protocol the block form is the hooks themselves, run
-once per decision path of the round: listing the protocol promises that
-they read the round's stream only through ``quantum``'s measurements and
-:meth:`RoundContext.random_bits`, and route photons by wavelength alone.
+once per decision path of the round: listing the protocol promises
+that they read the round's stream only through ``quantum``'s
+measurements and :meth:`RoundContext.random_bits`, and route photons
+by wavelength and id alone.
 For ``kkkp`` the own class must also define the array form
 ``kkkp_block_form``, as ``no_eve`` and ``kkkp_probe`` do; ``ipe`` and
 ``intercept_resend`` run ``kkkp`` round by round.  So does any
@@ -46,22 +49,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Container, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import quantum
-from .optics import (EVE_WAVELENGTH_NM, ConfigError, OpticalFilter, Photon, Pulse, check_wavelength,
-                     split_by_wavelength)
+from .optics import EVE_WAVELENGTH_NM, ConfigError, OpticalFilter, Photon, Pulse, check_wavelength
 from .quantum import BASIS_X, BASIS_Z, BellKind, Prep, QuantumRegister
 
 if TYPE_CHECKING:
     from .protocols import WordStream
-
-# Half-width of the spectroscope band Eve uses to pick out her probe.
-# Any band separating the probe wavelength from the signal works; fixed
-# for determinism.
-PROBE_BAND_HALF_WIDTH_NM = 1.0
 
 # Bell outcome -> two-bit value (high bit = phase flip, low bit = bit flip).
 # Keyed by member name: a str hashes in C, while hashing the member itself
@@ -203,41 +200,44 @@ def make_no_eve() -> AdversaryStrategy:
     return AdversaryStrategy()
 
 
-def _probe_band(lambda_e_nm: float) -> tuple[float, float]:
-    return (lambda_e_nm - PROBE_BAND_HALF_WIDTH_NM, lambda_e_nm + PROBE_BAND_HALF_WIDTH_NM)
+class _ProbeAttack(AdversaryStrategy):
+    """``n`` probes at ``lambda_e_nm`` ride through the encoder beside the signal.
 
-
-def _take_probes(pulse: Pulse, band_nm: tuple[float, float],
-                 probe_ids: Container[int]) -> tuple[list[Photon], Pulse]:
-    """Split off Eve's own probes via the spectroscope band.
-
-    She captures the photons in the band that carry her probe ids and
-    forwards every other photon of the pulse, in the band or not (as the
-    signal is when the probe wavelength lies near it), untouched and in
-    order.  So whether the band holds the signal changes no result.
+    ``on_b_to_a`` injects them, each in a fresh ``_probe_qubit()`` (|0> here);
+    ``on_a_to_b``, Eve's spectroscope, moves the photons with her probe ids to
+    ``ctx.captured`` and forwards the rest untouched and in order.
     """
-    in_band, _ = split_by_wavelength(pulse, band_nm)
-    captured = [p for p in in_band.photons if p.id in probe_ids]
-    captured_ids = {p.id for p in captured}
-    return captured, Pulse(pulse.leg, [p for p in pulse.photons if p.id not in captured_ids])
+
+    def __init__(self, lambda_e_nm: float, n: int = 1):
+        check_wavelength("probe lambda_e_nm", lambda_e_nm)
+        self.lambda_e_nm = lambda_e_nm
+        self.probe_wavelengths = (lambda_e_nm,)
+        self.n = n
+
+    def _probe_qubit(self) -> tuple[QuantumRegister, int]:
+        return quantum.make_single(Prep.ZERO), 0
+
+    def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
+        ids = ctx.probe_ids = ctx.new_photon_ids(self.n)
+        probes = [Photon(pid, self.lambda_e_nm, *self._probe_qubit()) for pid in ids]
+        return Pulse(pulse.leg, pulse.photons + probes)
+
+    def on_a_to_b(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
+        ids = ctx.probe_ids
+        ctx.captured = [p for p in pulse.photons if p.id in ids]
+        return Pulse(pulse.leg, [p for p in pulse.photons if p.id not in ids])
 
 
-class _InvisiblePhotonEavesdropper(AdversaryStrategy):
+class _InvisiblePhotonEavesdropper(_ProbeAttack):
     """Adds a |+> probe on B->A, reads the encoding off it on A->B.
 
     The probe rides through the encoder alongside the travel photon, so
     a phase-flip encoding maps it to |-> and an X measurement after the
     spectroscope reveals the encoded bit without ever touching the
-    legitimate photon.
+    legitimate photon.  The probe is read before the receiver decodes.
     """
 
     protocols = frozenset({"pp_epr", "pp_single", "kkkp"})
-
-    def __init__(self, lambda_e_nm: float):
-        check_wavelength("probe lambda_e_nm", lambda_e_nm)
-        self.lambda_e_nm = lambda_e_nm
-        self.probe_wavelengths = (lambda_e_nm,)
-        self.band_nm = _probe_band(lambda_e_nm)
 
     def _probe_qubit(self) -> tuple[QuantumRegister, int]:
         return quantum.make_single(Prep.PLUS), 0
@@ -246,16 +246,10 @@ class _InvisiblePhotonEavesdropper(AdversaryStrategy):
         outcome, _ = quantum.measure(probe.register, probe.qubit, BASIS_X, rng)
         return outcome
 
-    def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        ctx.probe_ids = ctx.new_photon_ids(1)
-        reg, qubit = self._probe_qubit()
-        probe = Photon(ctx.probe_ids[0], self.lambda_e_nm, reg, qubit)
-        return Pulse(pulse.leg, pulse.photons + [probe])
-
     def on_a_to_b(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        captured, forwarded = _take_probes(pulse, self.band_nm, ctx.probe_ids)
-        if captured:
-            ctx.readout = self._read(captured[0], ctx.rng)
+        forwarded = super().on_a_to_b(pulse, ctx)
+        if ctx.captured:
+            ctx.readout = self._read(ctx.captured[0], ctx.rng)
         return forwarded
 
     def finalize(self, ctx: RoundContext) -> object:
@@ -313,7 +307,7 @@ def make_intercept_resend(basis: np.ndarray = BASIS_Z) -> AdversaryStrategy:
     return _InterceptResend(basis)
 
 
-class _BlindBaseProbe(AdversaryStrategy):
+class _BlindBaseProbe(_ProbeAttack):
     """n-photon probe against the three-way blind-rotation protocol.
 
     Probes injected after the receiver's blinding rotation pick up only
@@ -330,21 +324,8 @@ class _BlindBaseProbe(AdversaryStrategy):
     def __init__(self, n: int, lambda_e_nm: float, theta_known: bool):
         if n < 1:
             raise ValueError(f"probe photon count must be >= 1, got {n}")
-        check_wavelength("probe lambda_e_nm", lambda_e_nm)
-        self.n = n
-        self.lambda_e_nm = lambda_e_nm
-        self.probe_wavelengths = (lambda_e_nm,)
-        self.band_nm = _probe_band(lambda_e_nm)
+        super().__init__(lambda_e_nm, n)
         self.theta_known = theta_known
-
-    def on_b_to_a(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        ids = ctx.probe_ids = ctx.new_photon_ids(self.n)
-        probes = [Photon(pid, self.lambda_e_nm, quantum.make_single(0.0), 0) for pid in ids]
-        return Pulse(pulse.leg, pulse.photons + probes)
-
-    def on_a_to_b(self, pulse: Pulse, ctx: RoundContext) -> Pulse:
-        ctx.captured, forwarded = _take_probes(pulse, self.band_nm, ctx.probe_ids)
-        return forwarded
 
     def finalize(self, ctx: RoundContext) -> object:
         captured = ctx.captured

@@ -14,12 +14,13 @@ from dataclasses import fields, replace
 from .adversaries import StrategyKind, StrategySpec
 from .harness import RunStats, run_session
 from .optics import EVE_WAVELENGTH_NM
-from .protocols import ConfigError, ProtocolKind, has_control_mode
+from .protocols import ConfigError, ProtocolKind
 from .scenario import (
     DEFAULT_ROUNDS,
     DEFAULT_SEED,
     Scenario,
     ScenarioError,
+    default_control_prob,
     load_scenario,
     with_overrides,
 )
@@ -144,7 +145,7 @@ def cmd_compare(output: str | None, seed: int | None = None, rounds: int | None 
     for kind in ProtocolKind:
         base = Scenario(
             protocol=kind,
-            control_prob=0.5 if has_control_mode(kind) else 0.0,
+            control_prob=default_control_prob(kind),
             rounds=rounds if rounds is not None else DEFAULT_ROUNDS,
             seed=seed if seed is not None else DEFAULT_SEED,
         )

@@ -324,10 +324,7 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
     their results.  A session that differs from an earlier one only in a
     filter, a detector or a ``lambda_e_nm`` giving the same verdicts on
     the signal's wavelength and the strategy's ``probe_wavelengths``
-    returns that one's statistics and a copy of its log.  Whether a
-    probe's spectroscope band holds the signal is no part of the key:
-    Eve captures only her own probes and forwards every other photon of
-    the pulse in order either way.
+    returns that one's statistics and a copy of its log.
     """
     cfg.validate()
     adv: AdversaryStrategy = make_strategy(strategy)

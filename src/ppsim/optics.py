@@ -62,8 +62,12 @@ class OpticalFilter:
         return lo <= wavelength_nm <= hi
 
 
+def default_passband(center_nm: float = SIGNAL_WAVELENGTH_NM) -> tuple[float, float]:
+    return (center_nm - FILTER_HALF_WIDTH_NM, center_nm + FILTER_HALF_WIDTH_NM)
+
+
 def default_filter(center_nm: float = SIGNAL_WAVELENGTH_NM) -> OpticalFilter:
-    return OpticalFilter((center_nm - FILTER_HALF_WIDTH_NM, center_nm + FILTER_HALF_WIDTH_NM))
+    return OpticalFilter(default_passband(center_nm))
 
 
 class Leg(Enum):
@@ -136,16 +140,3 @@ def apply_filter(filt: OpticalFilter, pulse: Pulse) -> tuple[Pulse, int]:
     lo, hi = filt.passband_nm
     passed = [p for p in pulse.photons if lo <= p.wavelength_nm <= hi]
     return _subpulse(pulse.leg, passed), len(pulse.photons) - len(passed)
-
-
-def split_by_wavelength(pulse: Pulse, band_nm: tuple[float, float]) -> tuple[Pulse, Pulse]:
-    """Spectroscope: partition a pulse into in-band and out-of-band parts.
-
-    Order is preserved in each part and no photon is created or lost.
-    """
-    lo, hi = band_nm
-    in_band: list[Photon] = []
-    out_band: list[Photon] = []
-    for p in pulse.photons:
-        (in_band if lo <= p.wavelength_nm <= hi else out_band).append(p)
-    return _subpulse(pulse.leg, in_band), _subpulse(pulse.leg, out_band)

@@ -17,17 +17,22 @@ from .adversaries import StrategyKind, StrategySpec, make_strategy
 from .optics import (
     DETECTOR_WINDOW_NM,
     EVE_WAVELENGTH_NM,
-    FILTER_HALF_WIDTH_NM,
     SIGNAL_WAVELENGTH_NM,
     ConfigError,
     Detector,
     OpticalFilter,
+    default_passband,
 )
 from .protocols import ProtocolConfig, ProtocolKind, has_control_mode
 
 DEFAULT_ROUNDS = 10_000
 DEFAULT_SEED = 42
 DEFAULT_CONTROL_PROB = 0.5
+
+
+def default_control_prob(kind: ProtocolKind) -> float:
+    """The control probability a scenario of protocol ``kind`` gets when it names none."""
+    return DEFAULT_CONTROL_PROB if has_control_mode(kind) else 0.0
 
 
 class ScenarioError(ValueError):
@@ -48,10 +53,8 @@ class Scenario:
     log_rounds: bool = False
 
     def effective_passband(self) -> tuple[float, float]:
-        if self.filter_passband_nm is not None:
-            return self.filter_passband_nm
-        center = self.signal_wavelength_nm
-        return (center - FILTER_HALF_WIDTH_NM, center + FILTER_HALF_WIDTH_NM)
+        passband = self.filter_passband_nm
+        return default_passband(self.signal_wavelength_nm) if passband is None else passband
 
     def to_config(self) -> ProtocolConfig:
         return ProtocolConfig(
@@ -203,17 +206,15 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ScenarioError(f"filter must be an object, got {filt!r}")
     _reject_unknown(filt, {"enabled", "passband_nm"}, "filter")
 
-    default_c = DEFAULT_CONTROL_PROB if has_control_mode(protocol) else 0.0
     signal = _as_number(obj, "signal_wavelength_nm", SIGNAL_WAVELENGTH_NM)
-    default_passband = (signal - FILTER_HALF_WIDTH_NM, signal + FILTER_HALF_WIDTH_NM)
     sc = Scenario(
         protocol=protocol,
         rounds=_as_int(obj, "rounds", DEFAULT_ROUNDS),
-        control_prob=_as_number(obj, "control_prob", default_c),
+        control_prob=_as_number(obj, "control_prob", default_control_prob(protocol)),
         signal_wavelength_nm=signal,
         detector_window_nm=_as_interval(obj, "detector_window_nm", DETECTOR_WINDOW_NM),
         filter_enabled=_as_bool(filt, "enabled", False),
-        filter_passband_nm=_as_interval(filt, "passband_nm", default_passband),
+        filter_passband_nm=_as_interval(filt, "passband_nm", default_passband(signal)),
         attack=_parse_attack(obj.get("attack", {})),
         seed=_as_int(obj, "seed", DEFAULT_SEED),
         log_rounds=_as_bool(obj, "log_rounds", False),

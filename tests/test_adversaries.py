@@ -400,6 +400,77 @@ class TestStrategyDispatch:
         StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=0.7).validate()
 
 
+PROBE_KINDS = (StrategyKind.IPE, StrategyKind.IPE_DENSE, StrategyKind.KKKP_PROBE)
+
+
+def same(xs, ys):
+    """The same photon objects, in the same order."""
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+class TestProbeCapture:
+    """Eve's spectroscope takes back exactly her own probes, by photon id."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(PROBE_KINDS),
+           n=st.integers(1, 5), lambda_e_nm=st.floats(2.0, 1e6), data=st.data())
+    def test_forwards_every_other_photon_and_captures_the_probes_present(self, kind, n, lambda_e_nm,
+                                                                         data):
+        # The signal may sit at the probe wavelength or within 1 nm of it,
+        # and foreign photons at any wavelength, the probe's included.
+        near = st.floats(lambda_e_nm - 1.0, lambda_e_nm + 1.0)
+        anywhere = st.one_of(st.just(lambda_e_nm), near, st.floats(1.0, 1e6))
+        adv = make_strategy(StrategySpec(kind, lambda_e_nm, n=n))
+        ctx = RoundContext(rng=round_rng(7, 0))
+        signal, *foreign = [Photon(ctx.new_photon_id(), nm, quantum.make_single(Prep.ZERO), 0)
+                            for nm in data.draw(st.lists(anywhere, min_size=1, max_size=5))]
+        probes = adv.on_b_to_a(Pulse(Leg.B_TO_A, [signal]), ctx).photons[1:]
+        assert [p.id for p in probes] == list(ctx.probe_ids)
+        assert {p.wavelength_nm for p in probes} == {lambda_e_nm}
+        present = [p for p in probes if data.draw(st.booleans())]  # the others absorbed
+        returning = data.draw(st.permutations([signal, *foreign, *present]))
+        forwarded = adv.on_a_to_b(Pulse(Leg.A_TO_B, list(returning)), ctx)
+        present_ids = {p.id for p in present}
+        assert forwarded.leg is Leg.A_TO_B
+        assert same(forwarded.photons, [p for p in returning if p.id not in ctx.probe_ids])
+        assert same(ctx.captured, [p for p in returning if p.id in present_ids])
+
+    @staticmethod
+    def _inject(kind, lambda_e_nm, n, signal_nm=800.0):
+        adv = make_strategy(StrategySpec(kind, lambda_e_nm, n=n))
+        ctx = RoundContext(rng=round_rng(7, 0))
+        signal = Photon(ctx.new_photon_id(), signal_nm, quantum.make_single(Prep.ZERO), 0)
+        probes = adv.on_b_to_a(Pulse(Leg.B_TO_A, [signal]), ctx).photons[1:]
+        return adv, ctx, signal, probes
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_probe_at_the_signal_wavelength_is_told_apart_by_id(self, kind):
+        n = 1 if kind is not StrategyKind.KKKP_PROBE else 2
+        adv, ctx, signal, probes = self._inject(kind, 800.0, n)
+        forwarded = adv.on_a_to_b(Pulse(Leg.A_TO_B, [*probes, signal]), ctx)
+        assert same(forwarded.photons, [signal])
+        assert same(ctx.captured, probes)
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_order_preserved_within_parts(self, kind):
+        n = 1 if kind is not StrategyKind.KKKP_PROBE else 3
+        adv, ctx, signal, probes = self._inject(kind, 190_000.0, n)
+        foreign = [Photon(ctx.new_photon_id(), nm, quantum.make_single(Prep.ZERO), 0)
+                   for nm in (190_000.0, 801.0)]
+        returning = [foreign[0], probes[-1], signal, *probes[:-1], foreign[1]]
+        forwarded = adv.on_a_to_b(Pulse(Leg.A_TO_B, returning), ctx)
+        assert same(forwarded.photons, [foreign[0], signal, foreign[1]])
+        assert same(ctx.captured, [probes[-1], *probes[:-1]])
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_absorbed_probes_leave_nothing_captured(self, kind):
+        adv, ctx, signal, _ = self._inject(kind, 190_000.0, 2 if kind is StrategyKind.KKKP_PROBE else 1)
+        foreign = Photon(ctx.new_photon_id(), 190_000.0, quantum.make_single(Prep.ZERO), 0)
+        forwarded = adv.on_a_to_b(Pulse(Leg.A_TO_B, [signal, foreign]), ctx)
+        assert same(forwarded.photons, [signal, foreign])
+        assert ctx.captured == []
+
+
 class TestWavelengthContract:
     """Every photon a hook returns is at the signal's wavelength or at one of ``probe_wavelengths``."""
 

@@ -338,7 +338,7 @@ class TestSweep:
     @pytest.mark.parametrize("scenario, field, values, golden", [
         ("kkkp_probe_seed7.json", "n", "1,2,4,16", "sweep_kkkp_probe_n_seed7.csv"),
         # Filter on: 850 nm is visible but outside the passband; 800 nm is
-        # inside it and inside the spectroscope band of the signal.
+        # inside it, at the signal's own wavelength.
         ("kkkp_probe_filter_seed7.json", "lambda_e_nm", "190000,850,800",
          "sweep_kkkp_probe_lambda_filter_seed7.csv"),
     ])

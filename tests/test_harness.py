@@ -431,7 +431,7 @@ class TestBlockEngine:
     @pytest.mark.parametrize("spec", PROBE_SPECS, ids=lambda s: f"n{s.n}{'_known' if s.theta_known else ''}")
     def test_probe_matches_round_by_round(self, spec, lambda_e_nm, filt, seed):
         # 850 nm is visible but outside the default passband; 800 nm is
-        # inside it and inside the spectroscope band of the signal.
+        # inside it, at the signal's own wavelength.
         spec = StrategySpec(spec.kind, lambda_e_nm, n=spec.n, theta_known=spec.theta_known)
         cfg = kkkp_cfg(rounds=120, seed=seed, filter=FILTERS[filt])
         assert run_session(cfg, spec) == round_by_round(cfg, spec)
@@ -1611,10 +1611,10 @@ class TestSharedWords:
 # The session memo's grid, fixed before its first run: every pair a
 # scenario accepts, the per-round kkkp pairs among them, behind filters and
 # detector windows around the 800 nm signal, with the probe far out
-# (190000 nm), in the spectroscope band of the signal (800.5 nm) and at
-# 1550 nm.  The passbands and windows give each wavelength both verdicts,
-# so the keys both group sessions and part them; a probe in the band of
-# the signal groups with one outside it wherever their verdicts agree.
+# (190000 nm), within 1 nm of the signal (800.5 nm) and at 1550 nm.  The
+# passbands and windows give each wavelength both verdicts, so the keys
+# both group sessions and part them; a probe near the signal groups with
+# one far from it wherever their verdicts agree.
 MEMO_SEEDS = (42, 2718281828)
 MEMO_ROUNDS = 150
 MEMO_PASSBANDS = (None, (799.95, 800.05), (640.0, 900.0), (700.0, 750.0), (700.0, 200_000.0))

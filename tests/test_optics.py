@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ppsim import optics
 from ppsim.optics import Detector, Leg, OpticalFilter, Photon, Pulse
@@ -61,34 +59,6 @@ class TestFilter:
     def test_default_filter_centered_on_signal(self):
         f = optics.default_filter()
         assert f.passband_nm == (799.95, 800.05)
-
-
-class TestSpectroscope:
-    def test_splits_probe_from_signal(self):
-        in_band, out_band = optics.split_by_wavelength(pulse(800, 190_000), (175_000, 210_000))
-        assert [p.wavelength_nm for p in in_band.photons] == [190_000]
-        assert [p.wavelength_nm for p in out_band.photons] == [800]
-
-    def test_disjoint_band(self):
-        in_band, out_band = optics.split_by_wavelength(pulse(800, 810), (1000, 2000))
-        assert in_band.photons == [] and len(out_band.photons) == 2
-
-    @given(st.lists(st.floats(1, 1e6), max_size=8), st.floats(1, 1e6), st.floats(1, 1e6))
-    @settings(max_examples=60, deadline=None)
-    def test_partition_never_loses_photons(self, wavelengths, a, b):
-        band = (min(a, b), max(a, b))
-        before = pulse(*wavelengths)
-        in_band, out_band = optics.split_by_wavelength(before, band)
-        assert len(in_band.photons) + len(out_band.photons) == len(before.photons)
-        assert {p.id for p in in_band.photons} | {p.id for p in out_band.photons} == {
-            p.id for p in before.photons
-        }
-
-    def test_order_preserved_within_parts(self):
-        before = pulse(800, 190_000, 801, 190_001)
-        in_band, out_band = optics.split_by_wavelength(before, (189_000, 191_000))
-        assert [p.id for p in in_band.photons] == [1, 3]
-        assert [p.id for p in out_band.photons] == [0, 2]
 
 
 class TestInvariants:
