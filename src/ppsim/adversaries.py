@@ -196,10 +196,6 @@ class AdversaryStrategy:
         return KkkpBlockForm()
 
 
-def make_no_eve() -> AdversaryStrategy:
-    return AdversaryStrategy()
-
-
 class _ProbeAttack(AdversaryStrategy):
     """``n`` probes at ``lambda_e_nm`` ride through the encoder beside the signal.
 
@@ -209,7 +205,6 @@ class _ProbeAttack(AdversaryStrategy):
     """
 
     def __init__(self, lambda_e_nm: float, n: int = 1):
-        check_wavelength("probe lambda_e_nm", lambda_e_nm)
         self.lambda_e_nm = lambda_e_nm
         self.probe_wavelengths = (lambda_e_nm,)
         self.n = n
@@ -256,11 +251,6 @@ class _InvisiblePhotonEavesdropper(_ProbeAttack):
         return ctx.blind_guess() if ctx.readout is None else ctx.readout
 
 
-def make_ipe(lambda_e_nm: float = EVE_WAVELENGTH_NM) -> AdversaryStrategy:
-    """Invisible-photon eavesdropper for the one-bit ping-pong variants."""
-    return _InvisiblePhotonEavesdropper(lambda_e_nm)
-
-
 class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
     """Entangled-pair probe for the dense-coding variant.
 
@@ -278,11 +268,6 @@ class _DenseInvisiblePhotonEavesdropper(_InvisiblePhotonEavesdropper):
     def _read(self, probe: Photon, rng: WordStream) -> int:
         kind, _ = quantum.measure_bell(probe.register, 0, probe.qubit, rng)
         return DENSE_DECODE[kind._name_]
-
-
-def make_ipe_dense(lambda_e_nm: float = EVE_WAVELENGTH_NM) -> AdversaryStrategy:
-    """Invisible entangled-pair eavesdropper for the dense-coding variant."""
-    return _DenseInvisiblePhotonEavesdropper(lambda_e_nm)
 
 
 class _InterceptResend(AdversaryStrategy):
@@ -303,10 +288,6 @@ class _InterceptResend(AdversaryStrategy):
         return pulse
 
 
-def make_intercept_resend(basis: np.ndarray = BASIS_Z) -> AdversaryStrategy:
-    return _InterceptResend(basis)
-
-
 class _BlindBaseProbe(_ProbeAttack):
     """n-photon probe against the three-way blind-rotation protocol.
 
@@ -317,13 +298,15 @@ class _BlindBaseProbe(_ProbeAttack):
     exactly.  The probes are split off the returning pulse in
     ``on_a_to_b`` and read in ``finalize``, after the receiver's
     measurement.
+
+    ``theta_known`` grants per-round oracle access to the sender's
+    blinding angle (the protocol draws a fresh angle every round, so the
+    knowledge is modelled as a flag rather than a constant).
     """
 
     protocols = frozenset({"kkkp"})
 
     def __init__(self, n: int, lambda_e_nm: float, theta_known: bool):
-        if n < 1:
-            raise ValueError(f"probe photon count must be >= 1, got {n}")
         super().__init__(lambda_e_nm, n)
         self.theta_known = theta_known
 
@@ -380,18 +363,6 @@ class _BlindBaseProbeBlocks(KkkpBlockForm):
         return np.where(2 * zeros > self.n, 0, np.where(2 * zeros < self.n, 1, coin))
 
 
-def make_kkkp_probe(
-    n: int, lambda_e_nm: float = EVE_WAVELENGTH_NM, theta_known: bool = False
-) -> AdversaryStrategy:
-    """Probe attack on the blind-rotation protocol.
-
-    ``theta_known`` grants per-round oracle access to the sender's
-    blinding angle (the protocol draws a fresh angle every round, so the
-    knowledge is modelled as a flag rather than a constant).
-    """
-    return _BlindBaseProbe(n, lambda_e_nm, theta_known)
-
-
 class StrategyKind(Enum):
     NO_EVE = "no_eve"
     IPE = "ipe"
@@ -404,7 +375,8 @@ class StrategyKind(Enum):
 class StrategySpec:
     """Declarative strategy description used by the session runner and CLI.
 
-    ``basis`` is "z", "x", or a rotation angle in radians.
+    ``basis`` is "z", "x", or a rotation angle in radians.  A spec checks
+    itself when built and raises ``ConfigError``.
     """
 
     kind: StrategyKind
@@ -413,7 +385,7 @@ class StrategySpec:
     n: int = 1
     theta_known: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_wavelength("attack lambda_e_nm", self.lambda_e_nm)
         if self.n < 1:
             raise ConfigError(f"attack n must be >= 1, got {self.n}")
@@ -435,13 +407,12 @@ def parse_basis(basis: str | float) -> np.ndarray:
 
 def make_strategy(spec: StrategySpec) -> AdversaryStrategy:
     """Instantiate the strategy described by ``spec``."""
-    spec.validate()
     if spec.kind is StrategyKind.NO_EVE:
-        return make_no_eve()
+        return AdversaryStrategy()
     if spec.kind is StrategyKind.IPE:
-        return make_ipe(spec.lambda_e_nm)
+        return _InvisiblePhotonEavesdropper(spec.lambda_e_nm)
     if spec.kind is StrategyKind.IPE_DENSE:
-        return make_ipe_dense(spec.lambda_e_nm)
+        return _DenseInvisiblePhotonEavesdropper(spec.lambda_e_nm)
     if spec.kind is StrategyKind.INTERCEPT_RESEND:
-        return make_intercept_resend(parse_basis(spec.basis))
-    return make_kkkp_probe(spec.n, spec.lambda_e_nm, spec.theta_known)
+        return _InterceptResend(parse_basis(spec.basis))
+    return _BlindBaseProbe(spec.n, spec.lambda_e_nm, spec.theta_known)

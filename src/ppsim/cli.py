@@ -15,15 +15,7 @@ from .adversaries import StrategyKind, StrategySpec
 from .harness import RunStats, run_session
 from .optics import EVE_WAVELENGTH_NM
 from .protocols import ConfigError, ProtocolKind
-from .scenario import (
-    DEFAULT_ROUNDS,
-    DEFAULT_SEED,
-    Scenario,
-    ScenarioError,
-    default_control_prob,
-    load_scenario,
-    with_overrides,
-)
+from .scenario import Scenario, ScenarioError, load_scenario, with_overrides
 
 SWEEP_FIELDS = ("passband_half_width_nm", "lambda_e_nm", "control_prob", "n")
 
@@ -122,7 +114,6 @@ def cmd_sweep(scenario_path: str, field: str, values: str, output: str | None,
     shared: dict = {}
     for token in tokens:
         sc = _apply_sweep_value(base, field, token)
-        sc.validate()
         stats, _ = run_session(sc.to_config(), sc.attack, shared=shared)
         lines.append(_row([token], SWEEP_HEADER, stats))
     _write_output(output, "\n".join(lines) + "\n")
@@ -142,17 +133,11 @@ def _compare_attacks(kind: ProtocolKind) -> list[tuple[str, StrategySpec]]:
 def cmd_compare(output: str | None, seed: int | None = None, rounds: int | None = None) -> int:
     lines = [COMPARE_HEADER]
     shared: dict = {}
+    overrides = {name: value for name, value in (("seed", seed), ("rounds", rounds)) if value is not None}
     for kind in ProtocolKind:
-        base = Scenario(
-            protocol=kind,
-            control_prob=default_control_prob(kind),
-            rounds=rounds if rounds is not None else DEFAULT_ROUNDS,
-            seed=seed if seed is not None else DEFAULT_SEED,
-        )
         for attack_name, attack in _compare_attacks(kind):
             for filter_on in (False, True):
-                sc = replace(base, attack=attack, filter_enabled=filter_on)
-                sc.validate()
+                sc = Scenario(kind, attack=attack, filter_enabled=filter_on, **overrides)
                 stats, _ = run_session(sc.to_config(), sc.attack, shared=shared)
                 lines.append(_row([kind.value, attack_name, "on" if filter_on else "off"],
                                   COMPARE_HEADER, stats))

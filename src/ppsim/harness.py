@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from math import frexp, fsum, ldexp, log2
 from typing import Mapping
@@ -326,12 +326,11 @@ def run_session(cfg: ProtocolConfig, strategy: StrategySpec, workers: int = 1, *
     the signal's wavelength and the strategy's ``probe_wavelengths``
     returns that one's statistics and a copy of its log.
     """
-    cfg.validate()
     adv: AdversaryStrategy = make_strategy(strategy)
     if shared is not None:
         (lo, hi), signal = cfg.detector.window_nm, cfg.signal_wavelength_nm
         key = (cfg.kind, cfg.control_prob, signal, cfg.rounds, cfg.seed, cfg.log_rounds,
-               replace(strategy, lambda_e_nm=None),
+               strategy.kind, strategy.basis, strategy.n, strategy.theta_known,
                tuple((cfg.filter is None or cfg.filter.transmits(w), lo <= w <= hi)
                      for w in (signal, *adv.probe_wavelengths)))
         hit = shared.get(key)

@@ -53,8 +53,8 @@ import numpy as np
 
 from . import quantum
 from .adversaries import BLIND_GUESS, DENSE_DECODE, AdversaryStrategy, RoundContext
-from .optics import (ConfigError, Detector, Leg, OpticalFilter, Photon, Pulse, apply_filter,
-                     check_wavelength, is_visible)
+from .optics import (SIGNAL_WAVELENGTH_NM, ConfigError, Detector, Leg, OpticalFilter, Photon, Pulse,
+                     apply_filter, check_wavelength, is_visible)
 from .quantum import BASIS_X, BASIS_Z, I2, IY, X, Z, BellKind, Prep, QuantumRegister
 
 TWO_PI = 2.0 * math.pi
@@ -85,16 +85,24 @@ def has_control_mode(kind: ProtocolKind) -> bool:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """One session's protocol and optics; it checks itself when built and raises ``ConfigError``.
+
+    ``control_prob`` None is the protocol's own value: 0.5 for a protocol
+    with a control mode, 0 for ``kkkp``, which has none.
+    """
+
     kind: ProtocolKind
-    control_prob: float = 0.5
-    signal_wavelength_nm: float = 800.0
+    control_prob: float | None = None
+    signal_wavelength_nm: float = SIGNAL_WAVELENGTH_NM
     filter: OpticalFilter | None = None
     detector: Detector = Detector()
     rounds: int = 10_000
     seed: int = 42
     log_rounds: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if self.control_prob is None:
+            object.__setattr__(self, "control_prob", 0.5 if has_control_mode(self.kind) else 0.0)
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         check_wavelength("signal_wavelength_nm", self.signal_wavelength_nm)

@@ -2,9 +2,9 @@
 
 A scenario is a single JSON object; unknown keys anywhere are rejected.
 Every key except ``protocol`` has a canonical default, and numeric
-constraints are enforced at parse time, so a parsed scenario is always
-runnable.  Re-serializing emits every recognized key with its effective
-value, making parse -> serialize -> parse lossless.
+constraints are enforced when a scenario is built, so a scenario is
+always runnable.  Re-serializing emits every recognized key with its
+effective value, making parse -> serialize -> parse lossless.
 """
 
 from __future__ import annotations
@@ -23,16 +23,7 @@ from .optics import (
     OpticalFilter,
     default_passband,
 )
-from .protocols import ProtocolConfig, ProtocolKind, has_control_mode
-
-DEFAULT_ROUNDS = 10_000
-DEFAULT_SEED = 42
-DEFAULT_CONTROL_PROB = 0.5
-
-
-def default_control_prob(kind: ProtocolKind) -> float:
-    """The control probability a scenario of protocol ``kind`` gets when it names none."""
-    return DEFAULT_CONTROL_PROB if has_control_mode(kind) else 0.0
+from .protocols import ProtocolConfig, ProtocolKind
 
 
 class ScenarioError(ValueError):
@@ -41,16 +32,29 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One protocol session under one attack.
+
+    It checks itself when built, as its :class:`ProtocolConfig` does, and
+    rejects an attack that does not apply to the protocol.  ``control_prob``
+    None is the protocol's own value, and reads as that value once built.
+    """
+
     protocol: ProtocolKind
-    rounds: int = DEFAULT_ROUNDS
-    control_prob: float = DEFAULT_CONTROL_PROB
+    rounds: int = ProtocolConfig.rounds
+    control_prob: float | None = None
     signal_wavelength_nm: float = SIGNAL_WAVELENGTH_NM
     detector_window_nm: tuple[float, float] = DETECTOR_WINDOW_NM
     filter_enabled: bool = False
     filter_passband_nm: tuple[float, float] | None = None
     attack: StrategySpec = StrategySpec(StrategyKind.NO_EVE)
-    seed: int = DEFAULT_SEED
+    seed: int = ProtocolConfig.seed
     log_rounds: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "control_prob", self.to_config().control_prob)
+        if self.protocol.value not in make_strategy(self.attack).protocols:
+            raise ConfigError(f"attack.kind {self.attack.kind.value!r} does not apply to "
+                              f"protocol {self.protocol.value!r}")
 
     def effective_passband(self) -> tuple[float, float]:
         passband = self.filter_passband_nm
@@ -67,12 +71,6 @@ class Scenario:
             seed=self.seed,
             log_rounds=self.log_rounds,
         )
-
-    def validate(self) -> None:
-        self.to_config().validate()
-        if self.protocol.value not in make_strategy(self.attack).protocols:
-            raise ConfigError(f"attack.kind {self.attack.kind.value!r} does not apply to "
-                              f"protocol {self.protocol.value!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -128,8 +126,10 @@ def _to_float(key: str, value: int | float) -> float:
         raise ScenarioError(f"{key} is beyond float range") from None
 
 
-def _as_number(obj: dict, key: str, default: float) -> float:
-    value = obj.get(key, default)
+def _as_number(obj: dict, key: str, default: float | None) -> float | None:
+    if key not in obj:
+        return default
+    value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{key} must be a number, got {value!r}")
     return _to_float(key, value)
@@ -177,10 +177,11 @@ _TOP_KEYS = {
 
 
 def parse_scenario_text(text: str) -> Scenario:
-    """Parse and fully validate a scenario.
+    """Parse a scenario, which checks itself when built.
 
     Raises :class:`ScenarioError` for malformed text and propagates
-    constraint violations from the config layer.
+    constraint violations from the config layer: the attack's first, then
+    the scenario's.
     """
     def _no_constants(name: str) -> float:
         raise ScenarioError(f"non-finite number {name} not allowed")
@@ -207,20 +208,18 @@ def parse_scenario_text(text: str) -> Scenario:
     _reject_unknown(filt, {"enabled", "passband_nm"}, "filter")
 
     signal = _as_number(obj, "signal_wavelength_nm", SIGNAL_WAVELENGTH_NM)
-    sc = Scenario(
+    return Scenario(
         protocol=protocol,
-        rounds=_as_int(obj, "rounds", DEFAULT_ROUNDS),
-        control_prob=_as_number(obj, "control_prob", default_control_prob(protocol)),
+        rounds=_as_int(obj, "rounds", Scenario.rounds),
+        control_prob=_as_number(obj, "control_prob", None),
         signal_wavelength_nm=signal,
         detector_window_nm=_as_interval(obj, "detector_window_nm", DETECTOR_WINDOW_NM),
         filter_enabled=_as_bool(filt, "enabled", False),
         filter_passband_nm=_as_interval(filt, "passband_nm", default_passband(signal)),
-        attack=_parse_attack(obj.get("attack", {})),
-        seed=_as_int(obj, "seed", DEFAULT_SEED),
+        seed=_as_int(obj, "seed", Scenario.seed),
         log_rounds=_as_bool(obj, "log_rounds", False),
+        attack=_parse_attack(obj.get("attack", {})),  # last: every type error comes first
     )
-    sc.validate()
-    return sc
 
 
 def load_scenario(path: str) -> Scenario:
@@ -229,9 +228,5 @@ def load_scenario(path: str) -> Scenario:
 
 
 def with_overrides(sc: Scenario, seed: int | None = None, rounds: int | None = None) -> Scenario:
-    if seed is not None:
-        sc = replace(sc, seed=seed)
-    if rounds is not None:
-        sc = replace(sc, rounds=rounds)
-    sc.validate()
-    return sc
+    return replace(sc, **{name: value for name, value in (("seed", seed), ("rounds", rounds))
+                          if value is not None})

@@ -15,11 +15,6 @@ from ppsim.adversaries import (
     RoundContext,
     StrategyKind,
     StrategySpec,
-    make_intercept_resend,
-    make_ipe,
-    make_ipe_dense,
-    make_kkkp_probe,
-    make_no_eve,
     make_strategy,
 )
 from ppsim.optics import ConfigError
@@ -99,14 +94,14 @@ class TestRoundContext:
 
 class TestNoEve:
     def test_hooks_are_identity(self):
-        adv = make_no_eve()
+        adv = make_strategy(StrategySpec(StrategyKind.NO_EVE))
         ctx = RoundContext(rng=RNG(0))
         pulse = Pulse(Leg.B_TO_A, [Photon(0, 800.0, quantum.make_single(Prep.ZERO), 0)])
         assert adv.on_b_to_a(pulse, ctx) is pulse
         assert adv.on_a_to_b(pulse, ctx) is pulse
 
     def test_never_guesses(self):
-        adv = make_no_eve()
+        adv = make_strategy(StrategySpec(StrategyKind.NO_EVE))
         assert adv.finalize(RoundContext(rng=RNG(0))) is None
 
     def test_session_has_no_eve_statistics(self):
@@ -120,7 +115,7 @@ class TestInvisiblePhotonEavesdropping:
     def test_reads_phase_encoding_exactly(self):
         cfg = epr_cfg(control_prob=ALWAYS_MESSAGE)
         rng = RNG(20)
-        adv = make_ipe()
+        adv = make_strategy(StrategySpec(StrategyKind.IPE))
         for _ in range(60):
             rec = run_round(cfg, adv, rng)
             assert rec.eve_guess == rec.alice_bits
@@ -129,28 +124,28 @@ class TestInvisiblePhotonEavesdropping:
     def test_reads_single_photon_encoding_exactly(self):
         cfg = ProtocolConfig(kind=ProtocolKind.PP_SINGLE, control_prob=ALWAYS_MESSAGE)
         rng = RNG(21)
-        adv = make_ipe()
+        adv = make_strategy(StrategySpec(StrategyKind.IPE))
         for _ in range(60):
             rec = run_round(cfg, adv, rng)
             assert rec.eve_guess == rec.alice_bits
 
     def test_control_round_leaves_eve_blind(self):
         cfg = epr_cfg(control_prob=ALWAYS_CONTROL)
-        rec = run_round(cfg, make_ipe(), RNG(22))
+        rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.IPE)), RNG(22))
         assert rec.mode is Mode.CONTROL
         assert rec.eve_blind
         assert rec.eve_guess in (0, 1)
         assert not rec.anomaly  # far-infrared probe is invisible
 
-    @pytest.mark.parametrize("make", [make_ipe, make_ipe_dense])
-    def test_the_round_draws_a_blind_guess_last(self, make):
+    @pytest.mark.parametrize("kind", [StrategyKind.IPE, StrategyKind.IPE_DENSE], ids=lambda k: k.value)
+    def test_the_round_draws_a_blind_guess_last(self, kind):
         # finalize only flags the round; the round then draws the strategy's
         # width of bits, where a random_bits call in finalize would have.
-        adv = make()
+        adv = make_strategy(StrategySpec(kind))
         ctx = RoundContext(rng=RNG(0))
         assert adv.finalize(ctx) is BLIND_GUESS and ctx.blind
-        kind = ProtocolKind.PP_DENSE if adv.width == 2 else ProtocolKind.PP_EPR
-        cfg = ProtocolConfig(kind=kind, control_prob=ALWAYS_CONTROL)
+        protocol = ProtocolKind.PP_DENSE if adv.width == 2 else ProtocolKind.PP_EPR
+        cfg = ProtocolConfig(kind=protocol, control_prob=ALWAYS_CONTROL)
         for seed in range(20):
             rng = round_rng(seed, 0)
             rec = run_round(cfg, adv, rng)
@@ -193,7 +188,7 @@ class TestDenseInvisiblePhotonEavesdropping:
     def test_reads_both_bits_exactly(self):
         cfg = ProtocolConfig(kind=ProtocolKind.PP_DENSE, control_prob=ALWAYS_MESSAGE)
         rng = RNG(23)
-        adv = make_ipe_dense()
+        adv = make_strategy(StrategySpec(StrategyKind.IPE_DENSE))
         seen = set()
         for _ in range(80):
             rec = run_round(cfg, adv, rng)
@@ -215,7 +210,7 @@ class TestInterceptResend:
     def test_z_collapse_passes_epr_control(self):
         cfg = epr_cfg(control_prob=ALWAYS_CONTROL)
         rng = RNG(24)
-        adv = make_intercept_resend(BASIS_Z)
+        adv = make_strategy(StrategySpec(StrategyKind.INTERCEPT_RESEND, basis="z"))
         for _ in range(200):
             rec = run_round(cfg, adv, rng)
             assert rec.control_pass
@@ -256,7 +251,7 @@ class TestBlindBaseProbe:
     def test_known_angle_reads_encoding_exactly(self):
         cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0)
         rng = RNG(26)
-        adv = make_kkkp_probe(n=1, theta_known=True)
+        adv = make_strategy(StrategySpec(StrategyKind.KKKP_PROBE, n=1, theta_known=True))
         for _ in range(60):
             rec = run_round(cfg, adv, rng)
             assert rec.eve_guess == rec.alice_bits
@@ -271,9 +266,7 @@ class TestBlindBaseProbe:
 
     def test_probe_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            make_kkkp_probe(n=0)
-        with pytest.raises(ValueError):
-            StrategySpec(StrategyKind.KKKP_PROBE, n=0).validate()
+            StrategySpec(StrategyKind.KKKP_PROBE, n=0)
 
     def test_outcome_distribution_independent_of_encoding(self):
         # Two-sample chi-square over the per-round count of 0 readouts,
@@ -376,28 +369,26 @@ class TestStrategyDispatch:
 
     def test_bad_wavelength_rejected(self):
         with pytest.raises(ValueError):
-            StrategySpec(StrategyKind.IPE, lambda_e_nm=0).validate()
+            StrategySpec(StrategyKind.IPE, lambda_e_nm=0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("make", [make_ipe, make_ipe_dense, lambda nm: make_kkkp_probe(2, nm)],
-                             ids=["ipe", "ipe_dense", "kkkp_probe"])
-    def test_non_finite_wavelength_rejected(self, make, value):
+    @pytest.mark.parametrize("kind", [StrategyKind.IPE, StrategyKind.IPE_DENSE, StrategyKind.KKKP_PROBE],
+                             ids=lambda k: k.value)
+    def test_non_finite_wavelength_rejected(self, kind, value):
         with pytest.raises(ConfigError, match="lambda_e_nm"):
-            StrategySpec(StrategyKind.IPE, lambda_e_nm=value).validate()
-        with pytest.raises(ConfigError, match="lambda_e_nm"):
-            make(value)
+            StrategySpec(kind, lambda_e_nm=value, n=2)
 
     def test_bad_basis_rejected(self):
         with pytest.raises(ValueError):
-            StrategySpec(StrategyKind.INTERCEPT_RESEND, basis="diagonal").validate()
+            StrategySpec(StrategyKind.INTERCEPT_RESEND, basis="diagonal")
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_basis_angle_rejected(self, angle):
         with pytest.raises(ConfigError, match="basis"):
-            StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=angle).validate()
+            StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=angle)
 
     def test_rotated_basis_accepted(self):
-        StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=0.7).validate()
+        StrategySpec(StrategyKind.INTERCEPT_RESEND, basis=0.7)
 
 
 PROBE_KINDS = (StrategyKind.IPE, StrategyKind.IPE_DENSE, StrategyKind.KKKP_PROBE)

@@ -114,6 +114,14 @@ class TestExitCodes:
         assert main(["run", write_scenario(tmp_path, obj)]) == 3
         assert field in capsys.readouterr().err
 
+    def test_an_attack_constraint_is_reported_before_a_config_one(self, tmp_path, capsys):
+        # The attack's spec is built, and checks itself, before the scenario.
+        scenario = write_scenario(tmp_path, {"protocol": "pp_epr", "control_prob": 1.5,
+                                             "attack": {"kind": "ipe", "lambda_e_nm": -1}})
+        assert main(["run", scenario]) == 3
+        err = capsys.readouterr().err
+        assert "lambda_e_nm" in err and "control_prob" not in err
+
     @pytest.mark.parametrize("text, field", [
         ('{"protocol": "pp_epr", "filter": {"enabled": true, "passband_nm": [600, 1e400]}}', "filter passband"),
         ('{"protocol": "pp_epr", "detector_window_nm": [600, 1e400]}', "detector window"),

@@ -777,8 +777,7 @@ class TestPingPongBlocks:
     def test_compare_cells_match_round_by_round(self, kind, name, spec, filt, seed):
         # One block of rounds 0-599, round 0 through run_round; test_block_boundaries
         # crosses blocks.
-        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
-                             filter=FILTERS[filt], rounds=600, seed=seed, log_rounds=True)
+        cfg = ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=600, seed=seed, log_rounds=True)
         assert_matches_round_by_round(cfg, spec)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -817,8 +816,7 @@ class TestPingPongBlocks:
                                             (ProtocolKind.KKKP, StrategySpec(StrategyKind.KKKP_PROBE, n=4))],
                              ids=["pp_dense", "kkkp"])
     def test_logged_records_are_immutable(self, kind, spec):
-        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
-                             rounds=50, seed=3, log_rounds=True)
+        cfg = ProtocolConfig(kind=kind, rounds=50, seed=3, log_rounds=True)
         _, log = run_session(cfg, spec)
         for rec in (log[0], log[-1]):  # round 0's, and a block's
             for field in ("mode", "alice_bits", "bob_bits", "control_pass", "eve_guess",
@@ -1384,7 +1382,7 @@ class TestPaperClaimsOnTheTrees:
 
 
 def _engine(kind: ProtocolKind, spec: StrategySpec):
-    cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5)
+    cfg = ProtocolConfig(kind=kind)
     form = block_form(cfg, make_strategy(spec))
     return None if form is None else type(form)
 
@@ -1473,8 +1471,7 @@ class TestEngineChoice:
             return run_round(cfg, adv, rng)
 
         monkeypatch.setattr(harness, "run_round", counting)
-        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
-                             filter=FILTERS[filt], rounds=7)
+        cfg = ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=7)
         run_session(cfg, spec)
         assert len(calls) == 1
 
@@ -1517,8 +1514,7 @@ class TestGuessWidth:
         (ProtocolKind.KKKP, IPE_DENSE),
     ], ids=lambda v: v.value if isinstance(v, ProtocolKind) else v.kind.value)
     def test_a_guess_of_another_width_is_not_scored(self, kind, spec):
-        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
-                             rounds=500, seed=42)
+        cfg = ProtocolConfig(kind=kind, rounds=500, seed=42)
         stats, _ = run_session(cfg, spec)
         guessed, _ = round_by_round(cfg, spec)
         assert guessed.eve_accuracy is not None and guessed.eve_mutual_info_bits is not None
@@ -1532,8 +1528,7 @@ class TestSharedWords:
     def test_a_second_same_seed_session_runs_no_philox_pass(self, kind, name, spec, filt,
                                                             philox_passes, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK_ROUNDS", SMALL_BLOCK)
-        cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
-                             filter=FILTERS[filt], rounds=3 * SMALL_BLOCK + 17, seed=42, log_rounds=True)
+        cfg = ProtocolConfig(kind=kind, filter=FILTERS[filt], rounds=3 * SMALL_BLOCK + 17, seed=42, log_rounds=True)
         first = run_session(cfg, spec)
         assert len(philox_passes) == 4
         assert run_session(cfg, spec) == first
@@ -1655,9 +1650,9 @@ class TestSessionMemo:
             stats, log = run_session(cfg, spec)
             memo_stats, memo_log = run_session(cfg, spec, shared=shared)
             assert (repr(memo_stats), repr(memo_log)) == (repr(stats), repr(log))
-            # lambda_e_nm reaches a session only through its verdicts.
-            groups.setdefault((cfg.seed, replace(spec, lambda_e_nm=None), _verdicts(cfg, spec)),
-                              set()).add((repr(stats), repr(log)))
+            # lambda_e_nm reaches a session only through its verdicts; the spec's
+            # other fields are the same in every session of the pair.
+            groups.setdefault((cfg.seed, _verdicts(cfg, spec)), set()).add((repr(stats), repr(log)))
             sessions += 1
         assert all(len(results) == 1 for results in groups.values())
         assert len(shared) == len(groups) < sessions

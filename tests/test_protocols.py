@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsim import quantum
-from ppsim.adversaries import AdversaryStrategy, make_ipe, make_ipe_dense, make_kkkp_probe, make_no_eve
+from ppsim.adversaries import AdversaryStrategy, StrategyKind, StrategySpec, make_strategy
 from ppsim.optics import EVE_WAVELENGTH_NM, Leg, Photon, Pulse, default_filter
 from ppsim.protocols import (
     ConfigError,
@@ -29,8 +29,6 @@ ALWAYS_CONTROL = 1.0 - 1e-12
 
 
 def config(kind: ProtocolKind, **kw) -> ProtocolConfig:
-    if kind is ProtocolKind.KKKP:
-        kw.setdefault("control_prob", 0.0)
     return ProtocolConfig(kind=kind, **kw)
 
 
@@ -38,7 +36,7 @@ class TestHonestRounds:
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_no_errors_no_anomalies(self, kind):
         cfg = config(kind)
-        adv = make_no_eve()
+        adv = make_strategy(StrategySpec(StrategyKind.NO_EVE))
         rng = RNG(100)
         for _ in range(400):
             rec = run_round(cfg, adv, rng)
@@ -53,7 +51,7 @@ class TestHonestRounds:
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_filter_transparent_for_legitimate_traffic(self, kind):
         cfg = config(kind, filter=default_filter())
-        adv = make_no_eve()
+        adv = make_strategy(StrategySpec(StrategyKind.NO_EVE))
         rng = RNG(101)
         for _ in range(200):
             rec = run_round(cfg, adv, rng)
@@ -66,7 +64,7 @@ class TestHonestRounds:
         rng = RNG(102)
         evaluated = discarded = 0
         for _ in range(500):
-            rec = run_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.NO_EVE)), rng)
             assert rec.mode is Mode.CONTROL
             if rec.control_pass is None:
                 discarded += 1
@@ -83,7 +81,7 @@ class TestMessageEncoding:
         rng = RNG(103)
         seen = set()
         for _ in range(60):
-            rec = run_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.NO_EVE)), rng)
             assert rec.mode is Mode.MESSAGE
             assert rec.bob_bits == rec.alice_bits
             seen.add(rec.alice_bits)
@@ -94,7 +92,7 @@ class TestMessageEncoding:
         rng = RNG(104)
         seen = set()
         for _ in range(120):
-            rec = run_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.NO_EVE)), rng)
             assert rec.bob_bits == rec.alice_bits
             seen.add(rec.alice_bits)
         assert seen == {0, 1, 2, 3}
@@ -103,14 +101,14 @@ class TestMessageEncoding:
         cfg = config(ProtocolKind.PP_SINGLE, control_prob=ALWAYS_MESSAGE)
         rng = RNG(105)
         for _ in range(120):
-            rec = run_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.NO_EVE)), rng)
             assert rec.bob_bits == rec.alice_bits
 
     def test_kkkp_decodes_under_random_angles(self):
         cfg = config(ProtocolKind.KKKP)
         rng = RNG(106)
         for _ in range(200):
-            rec = run_round(cfg, make_no_eve(), rng)
+            rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.NO_EVE)), rng)
             assert rec.mode is Mode.MESSAGE
             assert rec.bob_bits == rec.alice_bits
             theta, phi = rec.kkkp_angles
@@ -121,7 +119,7 @@ class TestMessageEncoding:
         for seed in range(20):
             ref = RNG(seed)
             expected = (ref.uniform(0.0, 2 * math.pi), ref.uniform(0.0, 2 * math.pi))
-            assert run_round(cfg, make_no_eve(), RNG(seed)).kkkp_angles == expected
+            assert run_round(cfg, make_strategy(StrategySpec(StrategyKind.NO_EVE)), RNG(seed)).kkkp_angles == expected
 
     def test_bit_widths(self):
         assert message_bit_width(ProtocolKind.PP_DENSE) == 2
@@ -305,7 +303,7 @@ class TestVisibleProbeDetection:
     def test_in_band_probe_triggers_control_anomaly(self):
         cfg = config(ProtocolKind.PP_EPR, control_prob=ALWAYS_CONTROL)
         rng = RNG(112)
-        rec = run_round(cfg, make_ipe(lambda_e_nm=800.0), rng)
+        rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.IPE, lambda_e_nm=800.0)), rng)
         assert rec.mode is Mode.CONTROL
         assert rec.anomaly
         assert rec.control_pass  # the legitimate pair still anticorrelates
@@ -316,7 +314,7 @@ class TestVisibleProbeDetection:
         cfg = config(ProtocolKind.PP_EPR, control_prob=ALWAYS_MESSAGE)
         rng = RNG(113)
         for _ in range(40):
-            rec = run_round(cfg, make_ipe(lambda_e_nm=800.0), rng)
+            rec = run_round(cfg, make_strategy(StrategySpec(StrategyKind.IPE, lambda_e_nm=800.0)), rng)
             assert rec.bob_bits == rec.alice_bits
             assert rec.eve_guess == rec.alice_bits
 
@@ -335,30 +333,30 @@ class TestRoundDispatch:
 
         sys.setprofile(profile)
         try:
-            run_round(config(kind), make_no_eve(), RNG(115))
+            run_round(config(kind), make_strategy(StrategySpec(StrategyKind.NO_EVE)), RNG(115))
         finally:
             sys.setprofile(None)
         assert hashed == []
 
-    @pytest.mark.parametrize("kind, make_adv, control_prob, mode", [
-        pytest.param(kind, make_adv, control_prob, mode, id=f"{name}-{kind.value}-{make_adv.__name__[5:]}")
+    @pytest.mark.parametrize("kind, spec, control_prob, mode", [
+        pytest.param(kind, StrategySpec(attack), control_prob, mode, id=f"{name}-{kind.value}-{attack.value}")
         for name, control_prob, mode in [("message", ALWAYS_MESSAGE, Mode.MESSAGE),
                                          ("control", ALWAYS_CONTROL, Mode.CONTROL)]
-        for kind, make_adv in [
-            (ProtocolKind.PP_EPR, make_no_eve), (ProtocolKind.PP_EPR, make_ipe),
-            (ProtocolKind.PP_SINGLE, make_no_eve), (ProtocolKind.PP_SINGLE, make_ipe),
-            (ProtocolKind.PP_DENSE, make_no_eve), (ProtocolKind.PP_DENSE, make_ipe_dense),
+        for kind, attack in [
+            (ProtocolKind.PP_EPR, StrategyKind.NO_EVE), (ProtocolKind.PP_EPR, StrategyKind.IPE),
+            (ProtocolKind.PP_SINGLE, StrategyKind.NO_EVE), (ProtocolKind.PP_SINGLE, StrategyKind.IPE),
+            (ProtocolKind.PP_DENSE, StrategyKind.NO_EVE), (ProtocolKind.PP_DENSE, StrategyKind.IPE_DENSE),
         ]
     ] + [
-        pytest.param(ProtocolKind.KKKP, make_adv, 0.0, Mode.MESSAGE, id=f"message-kkkp-{name}")
-        for name, make_adv in [("no_eve", make_no_eve), ("kkkp_probe", lambda: make_kkkp_probe(4))]
+        pytest.param(ProtocolKind.KKKP, spec, 0.0, Mode.MESSAGE, id=f"message-kkkp-{spec.kind.value}")
+        for spec in [StrategySpec(StrategyKind.NO_EVE), StrategySpec(StrategyKind.KKKP_PROBE, n=4)]
     ])
-    def test_pp_rounds_hash_no_enum_member(self, kind, make_adv, control_prob, mode):
+    def test_pp_rounds_hash_no_enum_member(self, kind, spec, control_prob, mode):
         # Bell states, named preparations and Bell outcomes are looked up by
         # member name, so a whole round runs no Enum.__hash__, wherever the
         # round's body runs.
         cfg = config(kind, control_prob=control_prob)
-        adv = make_adv()
+        adv = make_strategy(spec)
         hashed = []
 
         def profile(frame, event, arg):
@@ -378,22 +376,22 @@ class TestRoundDispatch:
 class TestConfigValidation:
     def test_control_prob_range(self):
         with pytest.raises(ConfigError, match="control_prob"):
-            ProtocolConfig(kind=ProtocolKind.PP_EPR, control_prob=1.5).validate()
+            ProtocolConfig(kind=ProtocolKind.PP_EPR, control_prob=1.5)
         with pytest.raises(ConfigError, match="control_prob"):
-            ProtocolConfig(kind=ProtocolKind.PP_EPR, control_prob=0.0).validate()
+            ProtocolConfig(kind=ProtocolKind.PP_EPR, control_prob=0.0)
 
     def test_kkkp_has_no_control_mode(self):
         with pytest.raises(ConfigError, match="control_prob"):
-            ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.5).validate()
-        ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0).validate()
+            ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.5)
+        ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0)
 
     def test_rounds_and_wavelength(self):
         with pytest.raises(ConfigError, match="rounds"):
-            ProtocolConfig(kind=ProtocolKind.PP_EPR, rounds=0).validate()
+            ProtocolConfig(kind=ProtocolKind.PP_EPR, rounds=0)
         with pytest.raises(ConfigError, match="signal_wavelength_nm"):
-            ProtocolConfig(kind=ProtocolKind.PP_EPR, signal_wavelength_nm=-1).validate()
+            ProtocolConfig(kind=ProtocolKind.PP_EPR, signal_wavelength_nm=-1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_wavelength_must_be_finite(self, value):
         with pytest.raises(ConfigError, match="signal_wavelength_nm"):
-            ProtocolConfig(kind=ProtocolKind.PP_EPR, signal_wavelength_nm=value).validate()
+            ProtocolConfig(kind=ProtocolKind.PP_EPR, signal_wavelength_nm=value)

@@ -1,9 +1,13 @@
 """Scenario file parsing, validation and round-tripping."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
-from ppsim.adversaries import StrategyKind
-from ppsim.protocols import ConfigError, ProtocolKind
+from ppsim.adversaries import StrategyKind, StrategySpec
+from ppsim.harness import run_session
+from ppsim.protocols import ConfigError, ProtocolConfig, ProtocolKind
 from ppsim.scenario import (
     Scenario,
     ScenarioError,
@@ -54,7 +58,7 @@ class TestParsing:
     def test_kkkp_defaults_to_no_control_mode(self):
         sc = parse_scenario_text('{"protocol": "kkkp"}')
         assert sc.control_prob == 0.0
-        sc.to_config().validate()
+        assert sc.to_config().control_prob == 0.0
 
     def test_filter_passband_defaults_to_signal_band(self):
         sc = parse_scenario_text('{"protocol": "pp_epr", "filter": {"enabled": true}}')
@@ -155,3 +159,41 @@ class TestOverrides:
     def test_none_means_keep(self):
         sc = parse_scenario_text(MINIMAL)
         assert with_overrides(sc) == sc
+
+
+PP_EPR = ProtocolKind.PP_EPR
+
+
+class TestSelfChecking:
+    """``ProtocolConfig``, ``StrategySpec`` and ``Scenario`` check themselves when built."""
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    def test_every_protocol_builds_and_runs_with_its_defaults(self, kind):
+        cfg = ProtocolConfig(kind=kind)
+        assert Scenario(protocol=kind).control_prob == cfg.control_prob
+        stats, _ = run_session(replace(cfg, rounds=50), StrategySpec(StrategyKind.NO_EVE))
+        assert stats.rounds == 50
+
+    @pytest.mark.parametrize("valid, field, value", [
+        pytest.param(valid, field, value, id=f"{type(valid).__name__}-{field}")
+        for valid, field, value in [
+            (ProtocolConfig(PP_EPR), "rounds", 0),
+            (ProtocolConfig(PP_EPR), "signal_wavelength_nm", math.nan),
+            (ProtocolConfig(PP_EPR), "seed", 1 << 64),
+            (ProtocolConfig(PP_EPR), "control_prob", 1.0),
+            (StrategySpec(StrategyKind.IPE), "lambda_e_nm", 0.0),
+            (StrategySpec(StrategyKind.KKKP_PROBE), "n", 0),
+            (StrategySpec(StrategyKind.INTERCEPT_RESEND), "basis", "diagonal"),
+            (Scenario(PP_EPR), "rounds", 0),
+            (Scenario(PP_EPR), "signal_wavelength_nm", -1.0),
+            (Scenario(PP_EPR), "seed", -1),
+            (Scenario(ProtocolKind.KKKP), "control_prob", 0.5),
+            (Scenario(PP_EPR), "detector_window_nm", (900.0, 600.0)),
+            (Scenario(PP_EPR, filter_enabled=True), "filter_passband_nm", (800.0, math.inf)),
+            (Scenario(PP_EPR), "attack", StrategySpec(StrategyKind.KKKP_PROBE)),
+            (Scenario(PP_EPR, attack=StrategySpec(StrategyKind.IPE)), "protocol", ProtocolKind.PP_DENSE),
+        ]
+    ])
+    def test_replacing_a_field_by_an_out_of_range_value_raises(self, valid, field, value):
+        with pytest.raises(ConfigError):
+            replace(valid, **{field: value})

@@ -43,8 +43,7 @@ KEYS = [f"{name}/{filt}" for name in CASES for filt in ("off", "on")]
 def _entry(key: str) -> dict[str, str]:
     name, filt = key.rsplit("/", 1)
     kind, spec = CASES[name]
-    cfg = ProtocolConfig(kind=kind, control_prob=0.0 if kind is ProtocolKind.KKKP else 0.5,
-                         filter=default_filter() if filt == "on" else None,
+    cfg = ProtocolConfig(kind=kind, filter=default_filter() if filt == "on" else None,
                          rounds=300, seed=5, log_rounds=True)
     stats, log = run_session(cfg, spec)
     return {"stats": repr(stats), "log_sha256": hashlib.sha256(repr(log).encode()).hexdigest()}

@@ -15,13 +15,14 @@ file holds the parent and the change side by side.  The figures:
   their round log (``log_rounds``): ``pp_dense`` under ``ipe_dense``
   and ``kkkp`` under ``kkkp_probe`` at n = 4 (10^4 rounds, seed 42,
   best of five);
-* the wall time (median of five), the Philox passes, the sessions
-  computed and the rows printed of whole command-line runs, on one
-  seed each (:data:`COMMANDS`): ``ppsim compare`` at its defaults (10^4
-  rounds) and at 10^5 rounds, and ``ppsim sweep`` over five values on a
+* the Philox passes, the sessions computed and the rows printed of
+  whole command-line runs, from one fresh run each, on one seed each
+  (:data:`COMMANDS`): ``ppsim compare`` at its defaults (10^4 rounds)
+  and at 10^5 rounds, and ``ppsim sweep`` over five values on a
   ``pp_epr``/``ipe`` scenario at 10^4 and 10^5 rounds and on a
-  ``kkkp_probe`` n = 1 one at 10^4 rounds.  Where sessions share words,
-  the 10^5-round runs are those whose sessions outgrow the budget of
+  ``kkkp_probe`` n = 1 one at 10^4 rounds.  These counts are
+  deterministic; the commands' wall times come from ``--ab`` alone.
+  The 10^5-round runs are those whose sessions outgrow the budget of
   kept words.  A session is computed when it asks
   ``harness.block_form`` for its engine, which a session that repeats
   an earlier one of its command does not do;
@@ -30,8 +31,7 @@ file holds the parent and the change side by side.  The figures:
   ping-pong trees and the ``kkkp`` set-up), in ``harness._philox_words``,
   in ``protocols.BranchBlocks.run`` (finding each ping-pong round's
   leaf), in ``harness.session_stats`` (each session's statistics from
-  its count table; ``protocols.Block.counts``, counting a block's
-  rounds per leaf, in checkouts without it) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
+  its count table) and the rest.  Each of :data:`SPLIT_INTERPRETERS` fresh
   interpreters runs one untimed pass and then :data:`SPLIT_PASSES` timed
   ones, and keeps the best of each part; the figures are the medians over the interpreters.  A warm pass reads
   the words the untimed pass kept, so its Philox part is 0 where
@@ -50,8 +50,8 @@ file holds the parent and the change side by side.  The figures:
   excludes it once;
 * the tree of every ping-pong ``ppsim compare`` cell as its session
   builds it, before any row runs: the runs of ``protocols._round`` that
-  build it, its leaves, the axes and the size of its key table (None in
-  checkouts that walk a tree of nodes) and the words a round reads; and
+  build it, its leaves, the axes and the size of its key table and the
+  words a round reads; and
   under ``tree_totals``, the runs and leaves summed over those cells
   (``cells``) and over the trees one ``ppsim compare`` of
   :data:`SPLIT_ARGS` builds (``compare``, where sessions that repeat an
@@ -69,10 +69,9 @@ may follow another on its seed in the same interpreter: every sample,
 of a cell and of a command, runs in a fresh interpreter that imports
 ``<root>/src``.  There, a cell's session is timed after one untimed
 session of the same cell on seed 43, which loads and warms the code but
-leaves no words the timed session can share; a command is timed as the
-interpreter's first call, as a command-line run pays it.  A command's
-Philox passes are the calls of ``harness._philox_words``, or of
-``harness._block_words`` in checkouts where sessions share no words.
+leaves no words the timed session can share; a command runs as the
+interpreter's first call, as a command-line run does.  A command's
+Philox passes are the calls of ``harness._philox_words``.
 
 Fresh interpreters, one checkout after the other, cannot resolve
 differences of 10-30 % on a VM whose speed swings by 1.6x over seconds.
@@ -80,15 +79,17 @@ differences of 10-30 % on a VM whose speed swings by 1.6x over seconds.
 one interpreter, as the packages ``ppsim_this`` and ``ppsim_other``, and
 alternates their calls (:data:`AB_CALLS`), :data:`AB_SAMPLES` samples of
 each call per checkout, the first of each pair swapping from one pair to
-the next.  Every sample is warm, as a perfbench pass is: a session
-reads the words its checkout kept from the samples before, except in
-``kkkp_pass``, whose four sessions are on four seeds and so compute
-their words in every sample, as in a perfbench ``kkkp_probe`` pass, and
-``philox_pass``, which times the Philox passes themselves.  The one
-cold call is ``compare_process``, a whole ``ppsim compare`` process
-(:data:`PROCESS_ARGS`) timed from start to exit, which pays the
-interpreter's start and every import, ``numpy.random`` among them where
-the checkout imports it.  It records
+the next.  They include every command of :data:`COMMANDS`, so every
+command wall a BENCH file holds is alternated.  Every sample is warm, as
+a perfbench pass is: a session reads the words its checkout kept from
+the samples before, except in the 10^5-round commands, whose sessions
+outgrow the budget of kept words, in ``kkkp_pass``, whose four sessions
+are on four seeds and so compute their words in every sample, as in a
+perfbench ``kkkp_probe`` pass, and in ``philox_pass``, which times the
+Philox passes themselves.  The one cold call is ``compare_process``, a
+whole ``ppsim compare`` process (:data:`PROCESS_ARGS`) timed from start
+to exit, which pays the interpreter's start and every import,
+``numpy.random`` among them where the checkout imports it.  It records
 the median of each call per checkout, and how many pairs each checkout
 won, under ``ab`` in ``--out``, keyed by ``--label``.
 """
@@ -130,21 +131,19 @@ SPLIT_INTERPRETERS = 5
 # ``pp_dense``/``ipe_dense`` session pair of the benchmark's
 # ``dense_logged_workers`` (at 2 workers, then 1), a ``compare`` pass of
 # :data:`SPLIT_ARGS`, the tree builds of the ping-pong compare cells, a
-# fresh ``ppsim compare`` process on :data:`PROCESS_ARGS`, the two
-# 10^4-round sweeps of :data:`COMMANDS`, the four ``kkkp_probe`` sessions
+# fresh ``ppsim compare`` process on :data:`PROCESS_ARGS`, each command of
+# :data:`COMMANDS` under its name, the four ``kkkp_probe`` sessions
 # of the benchmark's ``kkkp_probe`` workload (:data:`KKKP_PASS`), each on
 # its own seed, so that every session computes its words, as the kept
 # words are those of the latest seed, and one Philox pass at each of
 # :data:`PHILOX_PASSES`.
 AB_SAMPLES = 60
-AB_SWEEPS = ("sweep_pp_epr_ipe", "sweep_kkkp_probe_n1")
-AB_CALLS = ("dense_pair", "compare_pass", "tree_builds", "compare_process") + AB_SWEEPS + ("kkkp_pass", "philox_pass")
 # (n, theta_known, seed) of each kkkp_probe session, at KKKP_SPLIT_ROUNDS rounds.
 KKKP_PASS = ((1, False, 1), (4, False, 2), (16, False, 3), (1, True, 4))
 # (rows, blocks) of each Philox pass: a block of 4, 8 and 20 words a round.
 PHILOX_PASSES = ((2048, 1), (2000, 2), (2000, 5))
 PROCESS_ARGS = ["compare", "--rounds", "2000"]
-# The timed command-line runs, by name: the arguments after ``ppsim``.
+# The command-line runs, by name: the arguments after ``ppsim``.
 COMMANDS = {
     "compare": ["compare"],
     "compare_rounds1e5": ["compare", "--rounds", "100000"],
@@ -152,6 +151,7 @@ COMMANDS = {
     "sweep_pp_epr_ipe_rounds1e5": SWEEP_PP + ["--rounds", "100000"],
     "sweep_kkkp_probe_n1": SWEEP_KKKP,
 }
+AB_CALLS = ("dense_pair", "compare_pass", "tree_builds", "compare_process", *COMMANDS, "kkkp_pass", "philox_pass")
 
 
 def _timed(call) -> float:
@@ -186,18 +186,6 @@ def _sessions(ppsim=None) -> dict:
         label = f"logged/{kind.value}/{spec.kind.value}" + ("_n4" if kind is ProtocolKind.KKKP else "")
         sessions[label] = (cfg, spec)
     return sessions
-
-
-def _philox_name(harness) -> str:
-    """The harness function that runs a Philox pass."""
-    return "_philox_words" if hasattr(harness, "_philox_words") else "_block_words"
-
-
-def _count_part(harness, protocols) -> dict:
-    """The split's count step: ``harness.session_stats``, or ``protocols.Block.counts`` where it is absent."""
-    if hasattr(harness, "session_stats"):
-        return {"session_stats": (harness, "session_stats")}
-    return {"block_counts": (protocols.Block, "counts")}
 
 
 def _best_split(parts: dict, run_pass, nested: tuple[str, ...] = ()) -> dict:
@@ -240,8 +228,8 @@ def _split_here() -> dict:
     import ppsim.cli
     from ppsim import harness, protocols
 
-    parts = {"block_form": (harness, "block_form"), "philox_words": (harness, _philox_name(harness)),
-             "branch_blocks_run": (protocols.BranchBlocks, "run"), **_count_part(harness, protocols)}
+    parts = {"block_form": (harness, "block_form"), "philox_words": (harness, "_philox_words"),
+             "branch_blocks_run": (protocols.BranchBlocks, "run"), "session_stats": (harness, "session_stats")}
     with tempfile.TemporaryDirectory() as tmp:
         argv = SPLIT_ARGS + ["-o", os.path.join(tmp, "out.csv")]
         return _best_split(parts, lambda: ppsim.cli.main(argv))
@@ -254,7 +242,7 @@ def _kkkp_split_here() -> dict:
     """
     from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols, quantum
 
-    parts = {"philox_words": (harness, _philox_name(harness)), "kkkp_blocks_run": (protocols.KkkpBlocks, "run"),
+    parts = {"philox_words": (harness, "_philox_words"), "kkkp_blocks_run": (protocols.KkkpBlocks, "run"),
              "cos_sin": (quantum, "cos_sin")}
     cfg = ProtocolConfig(kind=ProtocolKind.KKKP, control_prob=0.0, rounds=KKKP_SPLIT_ROUNDS, seed=1)
     kept = getattr(harness, "_words", {})
@@ -273,7 +261,7 @@ def _dense_split_here() -> dict:
     from ppsim import ProtocolConfig, ProtocolKind, StrategyKind, StrategySpec, harness, protocols
 
     parts = {"block_form": (harness, "block_form"), "branch_blocks_run": (protocols.BranchBlocks, "run"),
-             **_count_part(harness, protocols)}
+             "session_stats": (harness, "session_stats")}
     cfg = ProtocolConfig(kind=ProtocolKind.PP_DENSE, rounds=DENSE_SPLIT_ROUNDS, seed=1, log_rounds=True)
     spec = StrategySpec(StrategyKind.IPE_DENSE)
     return _best_split(parts, lambda: harness.run_session(cfg, spec))
@@ -303,10 +291,8 @@ def _trees_here() -> dict:
         runs.clear()
         tree = protocols.block_form(cfg, make_strategy(spec))
         if isinstance(tree, protocols.BranchBlocks) and not label.startswith("logged/"):
-            keyed = hasattr(tree, "keys")  # a checkout that walks a tree of nodes has no key table
-            trees[label] = {"round_runs": len(runs), "leaves": _leaves(tree),
-                            "axes": len(tree.cuts) + len(tree.fields) if keyed else None,
-                            "keys": len(tree.keys) if keyed else None, "words": tree.words}
+            trees[label] = {"round_runs": len(runs), "leaves": _leaves(tree), "axes": len(tree.cuts) + len(tree.fields),
+                            "keys": len(tree.keys), "words": tree.words}
     built = []
     harness.block_form = lambda *args: built.append(engine(*args)) or built[-1]
     runs.clear()
@@ -351,8 +337,7 @@ def measure_here(what: str):
     if what == "trees":
         return _trees_here()
     if what in COMMANDS:
-        name = _philox_name(harness)
-        compute, passes = getattr(harness, name), []
+        compute, passes = harness._philox_words, []
         engine, sessions = harness.block_form, []
 
         def counted(*args):
@@ -363,15 +348,14 @@ def measure_here(what: str):
             sessions.append(None)
             return engine(*args)
 
-        setattr(harness, name, counted)
+        harness._philox_words = counted
         harness.block_form = asked
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out.csv")
-            wall_s = _timed(lambda: ppsim.cli.main(COMMANDS[what] + ["-o", out]))
+            ppsim.cli.main(COMMANDS[what] + ["-o", out])
             with open(out, encoding="utf-8") as fh:
                 rows = len(fh.read().splitlines()) - 1  # after the header
-        return {"wall_s": wall_s, "philox_passes": len(passes), "sessions_computed": len(sessions),
-                "rows": rows}
+        return {"philox_passes": len(passes), "sessions_computed": len(sessions), "rows": rows}
     cfg, spec = _sessions()[what]
     ppsim.run_session(replace(cfg, seed=WARM_UP_SEED), spec)
     return _timed(lambda: ppsim.run_session(cfg, spec))
@@ -395,10 +379,7 @@ def measure(root: Path) -> dict:
     info = _fresh(root, "info")
     cells = {label: round(min(_fresh(root, label) for _ in range(REPEATS)) * 1e6 / ROUNDS, 3)
              for label in info.pop("labels")}
-    commands = {}
-    for name in COMMANDS:
-        samples = [_fresh(root, name) for _ in range(REPEATS)]
-        commands[name] = dict(samples[0], wall_s=round(median(sample["wall_s"] for sample in samples), 4))
+    commands = {name: _fresh(root, name) for name in COMMANDS}
     splits = {what: [_fresh(root, what) for _ in range(SPLIT_INTERPRETERS)]
               for what in ("split", "kkkp_split", "dense_split")}
     kkkp_split = {n: _median_ms([sample[n] for sample in splits["kkkp_split"]]) for n in splits["kkkp_split"][0]}
@@ -437,9 +418,9 @@ def _ab_calls(ppsim, root: Path, out_dir: str) -> dict:
         for cfg, adv in trees:
             protocols.block_form(cfg, adv)
 
-    sweeps = {name: (lambda args=COMMANDS[name] + ["-o", os.path.join(out_dir, f"{ppsim.__name__}_{name}.csv")]:
-                     cli.main(args))
-              for name in AB_SWEEPS}
+    commands = {name: (lambda args=args + ["-o", os.path.join(out_dir, f"{ppsim.__name__}_{name}.csv")]:
+                       cli.main(args))
+                for name, args in COMMANDS.items()}
     kkkp = [(ppsim.ProtocolConfig(kind=ppsim.ProtocolKind.KKKP, control_prob=0.0, rounds=KKKP_SPLIT_ROUNDS,
                                   seed=seed), ppsim.StrategySpec(ppsim.StrategyKind.KKKP_PROBE, n=n, theta_known=known))
             for n, known, seed in KKKP_PASS]
@@ -456,7 +437,7 @@ def _ab_calls(ppsim, root: Path, out_dir: str) -> dict:
                os.path.join(out_dir, ppsim.__name__ + "_process.csv")]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return {"dense_pair": dense_pair, "compare_pass": lambda: cli.main(argv), "tree_builds": tree_builds,
-            "compare_process": lambda: subprocess.run(process, env=env, check=True), **sweeps,
+            "compare_process": lambda: subprocess.run(process, env=env, check=True), **commands,
             "kkkp_pass": kkkp_pass, "philox_pass": philox_pass}
 
 
